@@ -4,6 +4,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .terms import (
+    AlphaClass,
     App,
     Data,
     Fun,
@@ -69,18 +70,27 @@ class AccTable:
         return self._table[sym]
 
 
+def _reachable(acc: AccTable, s: Fun) -> frozenset[AlphaClass]:
+    """Classes of the terms reachable from `s` through accessible argument
+    positions, cached on `s` for the table `acc`."""
+    cached = s.__dict__.get("_acc_reach")
+    if cached is not None and cached[0] is acc:
+        return cached[1]
+    out: set[AlphaClass] = set()
+    for i in acc[s.sym]:
+        arg = s.args[i - 1]
+        out.add(arg.alpha_class)
+        if isinstance(arg, Fun):
+            out |= _reachable(acc, arg)
+    reach = frozenset(out)
+    s.__dict__["_acc_reach"] = (acc, reach)
+    return reach
+
+
 def accessible(acc: AccTable, u: Term, s: Term) -> bool:
     """True iff `u` is reachable from the algebraic term `s` through
     accessible argument positions."""
-    if not isinstance(s, Fun):
-        return False
-    for i in sorted(acc[s.sym]):
-        arg = s.args[i - 1]
-        if alpha_eq(u, arg):
-            return True
-        if isinstance(arg, Fun) and accessible(acc, u, arg):
-            return True
-    return False
+    return isinstance(s, Fun) and u.alpha_class in _reachable(acc, s)
 
 
 def acc_gt(
@@ -127,15 +137,20 @@ def acc_candidates(
     candidate (s itself) comes first unless `strict`.
     """
     out: list[Term] = []
+    seen: set[AlphaClass] = set()
     if not strict:
         out.append(s)
+        seen.add(s.alpha_class)
     if isinstance(s, (Fun, App)):
         fv_s = free_vars(s)
+        reach = _reachable(acc, s) if isinstance(s, Fun) else frozenset()
         for v in strict_subterms(s):
-            if any(alpha_eq(v, w) for w in out):
+            cls = v.alpha_class
+            if cls in seen:
                 continue
-            if isinstance(s, Fun) and accessible(acc, v, s):
+            if cls in reach or (
+                is_minimal_type(order, min_types, v.ty) and free_vars(v) <= fv_s
+            ):
                 out.append(v)
-            elif is_minimal_type(order, min_types, v.ty) and free_vars(v) <= fv_s:
-                out.append(v)
+                seen.add(cls)
     return out

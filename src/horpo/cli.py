@@ -7,7 +7,8 @@
     horpo properties FILE  randomized metatheory probes
 
 Exit codes: 0 success, 1 a check failed (rule not oriented, property
-finding, search exhausted), 2 invalid input or parameters.
+finding, search exhausted), 2 invalid input or parameters, or an internal
+engine error.
 """
 from __future__ import annotations
 
@@ -72,12 +73,7 @@ def _cmd_trace(args) -> int:
             print("axiom violation: %s" % v, file=sys.stderr)
         return 2
     rule = problem.rules[args.rule - 1]
-    engine = Engine(problem.ctx)
-    try:
-        trace = engine.orient_rule(rule.lhs, rule.rhs)
-    except EngineError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    trace = Engine(problem.ctx).orient_rule(rule.lhs, rule.rhs)
     if trace is None:
         print(
             "rule %d: %s -> %s : not-oriented"
@@ -241,7 +237,11 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=_cmd_properties)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except EngineError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

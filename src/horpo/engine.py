@@ -13,7 +13,7 @@ reference derivations take.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .accessibility import acc_candidates
 from .context import LEX, MUL, OrderingContext
@@ -27,13 +27,10 @@ from .terms import (
     Var,
     all_names,
     alpha_eq,
-    alpha_key,
     arrow_depth,
-    count_abstractions,
     free_vars,
     fresh_var,
     substitute,
-    term_size,
     term_str,
 )
 from .traces import Trace, XSet, apply_vector, flatten_app
@@ -65,14 +62,14 @@ class Engine:
     def gt(self, x: XSet, s: Term, t: Term) -> Trace | None:
         self._limit = max(
             self._limit,
-            4 * (term_size(s) + term_size(t)) * (1 + count_abstractions(t)),
+            4 * (s.size + t.size) * (1 + t.abstractions),
         )
         return self._gt(x, s, t)
 
     def ge(self, x: XSet, s: Term, t: Term) -> Trace | None:
         if alpha_eq(s, t):
             trace = Trace("refl", s, t, x)
-            self.memo.setdefault(("ge", x, alpha_key(s), alpha_key(t)), trace)
+            self.memo.setdefault(("ge", x, s.alpha_class, t.alpha_class), trace)
             return trace
         return self.gt(x, s, t)
 
@@ -112,7 +109,7 @@ class Engine:
     def _gt(self, x: XSet, s: Term, t: Term) -> Trace | None:
         if isinstance(s, Var):
             return None
-        key = ("gt", x, alpha_key(s), alpha_key(t))
+        key = ("gt", x, s.alpha_class, t.alpha_class)
         if key in self.memo:
             return self.memo[key]
         self._depth += 1
@@ -410,14 +407,21 @@ class Engine:
         return None
 
     def _match_equal(self, keep, left, right):
-        """Match each kept left index to a distinct alpha-equal right index."""
-        keep = list(keep)
-        for perm in permutations(range(len(right)), len(keep)):
-            if all(alpha_eq(left[i], right[j]) for i, j in zip(keep, perm)):
-                equal_pairs = sorted(zip(keep, perm), key=lambda p: p[1])
-                leftover = [j for j in range(len(right)) if j not in perm]
-                return equal_pairs, leftover
-        return None
+        """Match each kept left index to a distinct alpha-equal right index.
+
+        Each kept index, in order, takes the least free alpha-equal right
+        index. Alpha-equality is an equivalence, so this succeeds whenever
+        any matching exists, and it finds the lexicographically first one."""
+        free = list(range(len(right)))
+        pairs = []
+        for i in keep:
+            cls = left[i].alpha_class
+            j = next((j for j in free if right[j].alpha_class is cls), None)
+            if j is None:
+                return None
+            free.remove(j)
+            pairs.append((i, j))
+        return sorted(pairs, key=lambda p: p[1]), free
 
     def _lex_ext(
         self, x: XSet, left: tuple[Term, ...], right: tuple[Term, ...], pair_kind: str

@@ -17,6 +17,7 @@ from .context import LEX, MUL, OrderingContext
 from .engine import Engine
 from .terms import (
     Abs,
+    AlphaClass,
     App,
     Arrow,
     Data,
@@ -52,42 +53,6 @@ class GenConfig:
 # Term generation
 
 
-def _inhabited_types(sig: Signature, env: dict[str, Ty], universe) -> set[str]:
-    """Fixpoint of type inhabitation over the universe, as ty_str keys."""
-    known: set[str] = {ty_str(t) for t in env.values()}
-    changed = True
-    while changed:
-        changed = False
-        for ty in universe:
-            key = ty_str(ty)
-            if key in known:
-                continue
-            ok = False
-            if isinstance(ty, Arrow):
-                # a constant function ignores its argument; the domain also
-                # becomes available to the body
-                ok = ty_str(ty.cod) in known or _arrow_self_inhabits(ty, known)
-            for f in sig.funs:
-                if ty_str(f.out_ty) == key and all(
-                    ty_str(a) in known or isinstance(a, Arrow) for a in f.arg_tys
-                ):
-                    ok = ok or all(ty_str(a) in known for a in f.arg_tys)
-            if ok:
-                known.add(key)
-                changed = True
-    return known
-
-
-def _arrow_self_inhabits(ty: Arrow, known: set[str]) -> bool:
-    # \x:dom. x  when dom == cod, or the body may use the bound variable
-    doms = []
-    t: Ty = ty
-    while isinstance(t, Arrow):
-        doms.append(t.dom)
-        t = t.cod
-    return any(ty_str(d) == ty_str(t) for d in doms)
-
-
 def gen_term(
     sig: Signature,
     env: dict[str, Ty],
@@ -119,14 +84,14 @@ def _gen(
     budget: int,
 ) -> Term | None:
     options: list[str] = []
-    vars_here = [n for n, vt in env.items() if ty_str(vt) == ty_str(ty)]
+    vars_here = [n for n, vt in env.items() if vt == ty]
     # leaves are cheap; while budget remains, mostly try to spend it
     if vars_here and (budget <= 2 or rng.random() < 0.3):
         options.append("var")
     funs_here = [
         f
         for f in sig.funs
-        if ty_str(f.out_ty) == ty_str(ty) and (budget > f.arity or f.arity == 0)
+        if f.out_ty == ty and (budget > f.arity or f.arity == 0)
     ]
     if funs_here:
         options.append("fun")
@@ -182,18 +147,9 @@ def _gen(
 
 
 def _candidate_arg_types(sig: Signature, env: dict[str, Ty]) -> list[Ty]:
-    tys: list[Ty] = []
-    seen: set[str] = set()
-    for f in sig.funs:
-        for t in (*f.arg_tys, f.out_ty):
-            if ty_str(t) not in seen:
-                seen.add(ty_str(t))
-                tys.append(t)
-    for t in env.values():
-        if ty_str(t) not in seen:
-            seen.add(ty_str(t))
-            tys.append(t)
-    return tys or [Data("o")]
+    tys = [t for f in sig.funs for t in (*f.arg_tys, f.out_ty)]
+    tys.extend(env.values())
+    return list(dict.fromkeys(tys)) or [Data("o")]
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +435,7 @@ def _wrap_context(sig: Signature, s: Term, t: Term, rng: random.Random):
         (f, i)
         for f in sig.funs
         for i, at in enumerate(f.arg_tys)
-        if ty_str(at) == ty_str(s.ty) and ty_str(s.ty) == ty_str(t.ty)
+        if at == s.ty == t.ty
     ]
     if not slots:
         return None
@@ -514,10 +470,10 @@ def enumerate_terms(
             return []
         results: list[Term] = []
         for n, vt in scope.items():
-            if ty_str(vt) == ty_str(target):
+            if vt == target:
                 results.append(Var(n, vt))
         for f in sig.funs:
-            if ty_str(f.out_ty) != ty_str(target) or f.arity >= budget:
+            if f.out_ty != target or f.arity >= budget:
                 continue
             arg_lists: list[list[Term]] = [[]]
             for at in f.arg_tys:
@@ -539,18 +495,15 @@ def enumerate_terms(
                 results.append(Abs(name, target.dom, body, target))
         # applications of environment functions
         for n, vt in scope.items():
-            if isinstance(vt, Arrow) and ty_str(vt.cod) == ty_str(target):
+            if isinstance(vt, Arrow) and vt.cod == target:
                 for arg in go(vt.dom, budget - 2, scope):
                     results.append(App(Var(n, vt), arg, vt.cod))
         return results
 
-    seen: set[str] = set()
-    from .terms import alpha_key
-
+    seen: set[AlphaClass] = set()
     for t in go(ty, max_size, dict(env)):
-        k = alpha_key(t)
-        if k not in seen:
-            seen.add(k)
+        if t.alpha_class not in seen:
+            seen.add(t.alpha_class)
             out.append(t)
     return out
 

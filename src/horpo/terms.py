@@ -3,11 +3,23 @@
 Terms are immutable trees. A typing pass (`typecheck`) returns a copy of the
 term with every node annotated with its type; all downstream code assumes
 annotated terms and never re-infers.
+
+Each node caches facts derived from it on first use: its size, its number
+of abstractions and its alpha-equivalence class (`alpha_class`). The
+accessibility layer also caches on a node the classes reachable from it.
+The contract for every such cache:
+  - nodes are immutable, so a cached value never goes stale;
+  - caches are not dataclass fields and never affect equality, hashing or
+    printing;
+  - a cache's lifetime is its node's: it is stored only on the node, and no
+    table outside the node holds the node or its caches alive.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Iterator, Mapping
 
 # Reserved separator for generated names; rejected in user identifiers.
@@ -165,6 +177,13 @@ class Var:
     name: str
     ty: Ty | None = None
 
+    size = 1
+    abstractions = 0
+
+    @cached_property
+    def alpha_class(self) -> AlphaClass:
+        return _intern(("var", self.name))
+
 
 @dataclass(frozen=True)
 class Abs:
@@ -173,6 +192,18 @@ class Abs:
     body: "Term"
     ty: Ty | None = None
 
+    @cached_property
+    def size(self) -> int:
+        return 1 + self.body.size
+
+    @cached_property
+    def abstractions(self) -> int:
+        return 1 + self.body.abstractions
+
+    @cached_property
+    def alpha_class(self) -> AlphaClass:
+        return _nameless(self, {}, 0)
+
 
 @dataclass(frozen=True)
 class App:
@@ -180,12 +211,36 @@ class App:
     arg: "Term"
     ty: Ty | None = None
 
+    @cached_property
+    def size(self) -> int:
+        return 1 + self.fn.size + self.arg.size
+
+    @cached_property
+    def abstractions(self) -> int:
+        return self.fn.abstractions + self.arg.abstractions
+
+    @cached_property
+    def alpha_class(self) -> AlphaClass:
+        return _intern(("app", self.fn.alpha_class, self.arg.alpha_class))
+
 
 @dataclass(frozen=True)
 class Fun:
     sym: str
     args: tuple["Term", ...] = ()
     ty: Ty | None = None
+
+    @cached_property
+    def size(self) -> int:
+        return 1 + sum(a.size for a in self.args)
+
+    @cached_property
+    def abstractions(self) -> int:
+        return sum(a.abstractions for a in self.args)
+
+    @cached_property
+    def alpha_class(self) -> AlphaClass:
+        return _intern(("fun", self.sym, *[a.alpha_class for a in self.args]))
 
 
 Term = Var | Abs | App | Fun
@@ -218,23 +273,11 @@ def term_str(t: Term) -> str:
 
 
 def term_size(t: Term) -> int:
-    if isinstance(t, Var):
-        return 1
-    if isinstance(t, Abs):
-        return 1 + term_size(t.body)
-    if isinstance(t, App):
-        return 1 + term_size(t.fn) + term_size(t.arg)
-    return 1 + sum(term_size(a) for a in t.args)
+    return t.size
 
 
 def count_abstractions(t: Term) -> int:
-    if isinstance(t, Var):
-        return 0
-    if isinstance(t, Abs):
-        return 1 + count_abstractions(t.body)
-    if isinstance(t, App):
-        return count_abstractions(t.fn) + count_abstractions(t.arg)
-    return sum(count_abstractions(a) for a in t.args)
+    return t.abstractions
 
 
 def subterms(t: Term) -> Iterator[Term]:
@@ -396,64 +439,61 @@ def substitute(t: Term, subst: Mapping[str, Term]) -> Term:
     return go(t, dict(subst))
 
 
+class AlphaClass:
+    """One alpha-equivalence class of terms; two classes are the same class
+    iff they are the same object.
+
+    `key` is the class's structure, with bound variables as de Bruijn
+    indices: a tag, the symbol, variable name or binder type, and the
+    classes of the parts. Holding the parts' classes keeps them alive as
+    long as this one, so a key always denotes one live class.
+    """
+
+    __slots__ = ("key", "__weakref__")
+
+    def __init__(self, key: tuple):
+        self.key = key
+
+
+# The live class of each key. The table is weak: a class lives only while a
+# term node, another class or a memo key holds it.
+_CLASSES: weakref.WeakValueDictionary[tuple, AlphaClass] = (
+    weakref.WeakValueDictionary()
+)
+
+
+def _intern(key: tuple) -> AlphaClass:
+    cls = _CLASSES.get(key)
+    if cls is None:
+        cls = _CLASSES[key] = AlphaClass(key)
+    return cls
+
+
+def _nameless(t: Term, bound: dict[str, int], depth: int) -> AlphaClass:
+    """Class of `t` under `depth` binders; `bound` gives the depth at which
+    each bound name was bound. Bound variables become de Bruijn indices, so
+    a part that uses no name of `bound` gets its own class."""
+    if isinstance(t, Var):
+        level = bound.get(t.name)
+        if level is None:
+            return t.alpha_class
+        return _intern(("bound", depth - 1 - level))
+    if isinstance(t, Fun):
+        return _intern(("fun", t.sym, *[_nameless(a, bound, depth) for a in t.args]))
+    if isinstance(t, App):
+        return _intern(
+            ("app", _nameless(t.fn, bound, depth), _nameless(t.arg, bound, depth))
+        )
+    inner = {**bound, t.var: depth}
+    return _intern(("abs", t.var_ty, _nameless(t.body, inner, depth + 1)))
+
+
 def alpha_eq(s: Term, t: Term) -> bool:
     """Equality up to renaming of bound variables (binder types must match)."""
-
-    def go(
-        s: Term, t: Term, ms: dict[str, int], mt: dict[str, int], depth: int
-    ) -> bool:
-        if type(s) is not type(t):
-            return False
-        if isinstance(s, Var):
-            a, b = ms.get(s.name), mt.get(t.name)
-            if a is None and b is None:
-                return s.name == t.name
-            return a == b
-        if isinstance(s, Fun):
-            return (
-                s.sym == t.sym
-                and len(s.args) == len(t.args)
-                and all(go(a, b, ms, mt, depth) for a, b in zip(s.args, t.args))
-            )
-        if isinstance(s, App):
-            return go(s.fn, t.fn, ms, mt, depth) and go(s.arg, t.arg, ms, mt, depth)
-        if s.var_ty != t.var_ty:
-            return False
-        ms2 = dict(ms)
-        ms2[s.var] = depth
-        mt2 = dict(mt)
-        mt2[t.var] = depth
-        return go(s.body, t.body, ms2, mt2, depth + 1)
-
-    return go(s, t, {}, {}, 0)
+    return s.alpha_class is t.alpha_class
 
 
-def alpha_key(t: Term) -> str:
-    """Canonical string for `t` modulo bound-variable names (memo keys)."""
-    parts: list[str] = []
-
-    def go(t: Term, bound: dict[str, int], depth: int) -> None:
-        if isinstance(t, Var):
-            k = bound.get(t.name)
-            parts.append("%%%d" % k if k is not None else t.name)
-        elif isinstance(t, Fun):
-            parts.append(t.sym)
-            parts.append("(")
-            for a in t.args:
-                go(a, bound, depth)
-                parts.append(",")
-            parts.append(")")
-        elif isinstance(t, App):
-            parts.append("@(")
-            go(t.fn, bound, depth)
-            parts.append(",")
-            go(t.arg, bound, depth)
-            parts.append(")")
-        else:
-            parts.append("\\:%s." % ty_str(t.var_ty))
-            inner = dict(bound)
-            inner[t.var] = depth
-            go(t.body, inner, depth + 1)
-
-    go(t, {}, 0)
-    return "".join(parts)
+def alpha_key(t: Term) -> AlphaClass:
+    """Hashable key of `t` modulo bound-variable names: two keys are equal
+    iff their terms are alpha-equal."""
+    return t.alpha_class

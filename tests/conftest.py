@@ -1,3 +1,4 @@
+import os
 import pathlib
 
 import pytest
@@ -9,6 +10,11 @@ from horpo.typeorder import SortOrder
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
+
+# CLI tests spawn `python -m horpo.cli`; it must import this checkout's horpo
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p
+)
 
 
 def load(name):
