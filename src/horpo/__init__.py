@@ -7,7 +7,7 @@ independent validator can replay.
 """
 from .accessibility import AccTable, acc_ge, acc_gt, acc_indices, accessible
 from .context import LEX, MUL, OrderingContext
-from .engine import Engine, EngineError, horpo_ge, horpo_gt, horpo_gt_type
+from .engine import Engine, EngineError
 from .harness import (
     GenConfig,
     GenError,
@@ -45,9 +45,7 @@ from .terms import (
     Var,
     alpha_eq,
     free_vars,
-    infer_type,
     substitute,
-    term_size,
     term_str,
     ty_str,
     typecheck,

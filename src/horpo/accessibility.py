@@ -1,7 +1,7 @@
 """Accessible argument positions and the accessible-subterm relations."""
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .terms import (
     AlphaClass,
@@ -93,6 +93,22 @@ def accessible(acc: AccTable, u: Term, s: Term) -> bool:
     return isinstance(s, Fun) and u.alpha_class in _reachable(acc, s)
 
 
+def _acc_below(
+    acc: AccTable, order: SortOrder, min_types: Sequence[Ty], s: Term
+) -> Callable[[Term], bool] | None:
+    """The test "v is acc-below `s`" for a strict subterm v of `s`: v is
+    accessible in `s`, or of minimal type with every free variable free in
+    `s`. None when `s` is not headed by a function symbol or an
+    application, as then nothing is acc-below it."""
+    if not isinstance(s, (Fun, App)):
+        return None
+    reach = _reachable(acc, s) if isinstance(s, Fun) else frozenset()
+    fv_s = free_vars(s)
+    return lambda v: v.alpha_class in reach or (
+        is_minimal_type(order, min_types, v.ty) and free_vars(v) <= fv_s
+    )
+
+
 def acc_gt(
     acc: AccTable,
     order: SortOrder,
@@ -100,18 +116,14 @@ def acc_gt(
     s: Term,
     v: Term,
 ) -> bool:
-    """The strict accessible-subterm relation.
-
-    `s` must be headed by a function symbol or an application; `v` qualifies
-    if it is accessible in `s`, or if it is a strict subterm of minimal type
-    whose free variables are all free in `s`.
-    """
-    if isinstance(s, Fun) and accessible(acc, v, s):
-        return True
-    if isinstance(s, (Fun, App)):
-        if is_minimal_type(order, min_types, v.ty) and free_vars(v) <= free_vars(s):
-            return any(alpha_eq(v, u) for u in strict_subterms(s))
-    return False
+    """The strict accessible-subterm relation: `v` is alpha-equal to a
+    strict subterm of `s` and acc-below it."""
+    below = _acc_below(acc, order, min_types, s)
+    return (
+        below is not None
+        and below(v)
+        and any(alpha_eq(v, u) for u in strict_subterms(s))
+    )
 
 
 def acc_ge(
@@ -141,16 +153,11 @@ def acc_candidates(
     if not strict:
         out.append(s)
         seen.add(s.alpha_class)
-    if isinstance(s, (Fun, App)):
-        fv_s = free_vars(s)
-        reach = _reachable(acc, s) if isinstance(s, Fun) else frozenset()
+    below = _acc_below(acc, order, min_types, s)
+    if below is not None:
         for v in strict_subterms(s):
             cls = v.alpha_class
-            if cls in seen:
-                continue
-            if cls in reach or (
-                is_minimal_type(order, min_types, v.ty) and free_vars(v) <= fv_s
-            ):
+            if cls not in seen and below(v):
                 out.append(v)
                 seen.add(cls)
     return out

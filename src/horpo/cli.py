@@ -7,8 +7,8 @@
     horpo properties FILE  randomized metatheory probes
 
 Exit codes: 0 success, 1 a check failed (rule not oriented, property
-finding, search exhausted), 2 invalid input or parameters, or an internal
-engine error.
+finding, search exhausted), 2 invalid input or parameters, input nested
+too deeply for the recursive term walks, or an internal engine error.
 """
 from __future__ import annotations
 
@@ -241,6 +241,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except EngineError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
         return 2
 
 

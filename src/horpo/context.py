@@ -1,7 +1,7 @@
 """Shared ordering context: everything the comparison cases consult."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .accessibility import APP_SYM, AccTable
 from .terms import Signature, Ty

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .accessibility import acc_candidates
-from .context import LEX, MUL, OrderingContext
+from .accessibility import APP_SYM, acc_candidates
+from .context import MUL, OrderingContext
 from .terms import (
     Abs,
     App,
@@ -28,14 +28,15 @@ from .terms import (
     all_names,
     alpha_eq,
     arrow_depth,
-    free_vars,
+    beta_reduct,
+    eta_reduct,
     fresh_var,
-    substitute,
+    open_abs,
     term_str,
+    ty_str,
 )
-from .traces import Trace, XSet, apply_vector, flatten_app
+from .traces import Trace, XSet, app_splits, apply_witness, x_add
 from .typeorder import Cmp, ty_eq, ty_ge
-from .accessibility import APP_SYM
 
 
 class EngineError(Exception):
@@ -43,10 +44,6 @@ class EngineError(Exception):
 
 
 EMPTY_X: XSet = ()
-
-
-def _x_add(x: XSet, name: str, ty: Ty) -> XSet:
-    return tuple(sorted(set(x) | {(name, ty)}))
 
 
 @dataclass
@@ -86,7 +83,7 @@ class Engine:
             t,
             x,
             (inner,),
-            (("lhs_ty", _ty_label(s)), ("rhs_ty", _ty_label(t))),
+            (("lhs_ty", ty_str(s.ty)), ("rhs_ty", ty_str(t.ty))),
         )
 
     def ge_type(self, x: XSet, s: Term, t: Term) -> Trace | None:
@@ -178,13 +175,7 @@ class Engine:
         elif isinstance(t, App):
             if self.ctx.prec.cmp(s.sym, APP_SYM) is not Cmp.GT:
                 return None
-            # the fully flattened spine gives the most readable derivation,
-            # but it is not preserved by substitution when the spine head is
-            # a variable that gets instantiated with another application; the
-            # binary split always is, and covers every regrouping recursively
-            splits = [flatten_app(t)]
-            if len(splits[0]) > 2:
-                splits.append([t.fn, t.arg])
+            splits = app_splits(t)
         else:
             return None
         for targs in splits:
@@ -221,9 +212,9 @@ class Engine:
         return Trace("2b", s, t, x, (ext,))
 
     def _case_2c(self, x: XSet, s: Term, t: Term) -> Trace | None:
-        if not isinstance(s.fn, Abs):
+        reduct = beta_reduct(s)
+        if reduct is None:
             return None
-        reduct = substitute(s.fn.body, {s.fn.var: s.arg})
         inner = self.ge(x, reduct, t)
         if inner is None:
             return None
@@ -239,8 +230,7 @@ class Engine:
 
     def _case_3a(self, x: XSet, s: Term, t: Term) -> Trace | None:
         z = self._fresh(s.var, x, s, t)
-        renamed = substitute(s.body, {s.var: Var(z, s.var_ty)})
-        inner = self.ge_type(x, renamed, t)
+        inner = self.ge_type(x, open_abs(s, z), t)
         if inner is None:
             return None
         return Trace("3a", s, t, x, (inner,), (("fresh", z),))
@@ -251,23 +241,16 @@ class Engine:
         if not ty_eq(self.ctx.sort_order, s.var_ty, t.var_ty):
             return None
         z = self._fresh(s.var, x, s, t)
-        ls = substitute(s.body, {s.var: Var(z, s.var_ty)})
-        rs = substitute(t.body, {t.var: Var(z, t.var_ty)})
-        inner = self._gt(x, ls, rs)
+        inner = self._gt(x, open_abs(s, z), open_abs(t, z))
         if inner is None:
             return None
         return Trace("3b", s, t, x, (inner,), (("fresh", z),))
 
     def _case_3c(self, x: XSet, s: Term, t: Term) -> Trace | None:
-        body = s.body
-        if not (
-            isinstance(body, App)
-            and isinstance(body.arg, Var)
-            and body.arg.name == s.var
-            and s.var not in free_vars(body.fn)
-        ):
+        reduct = eta_reduct(s)
+        if reduct is None:
             return None
-        inner = self.ge(x, body.fn, t)
+        inner = self.ge(x, reduct, t)
         if inner is None:
             return None
         return Trace("3c", s, t, x, (inner,))
@@ -283,8 +266,7 @@ class Engine:
         if isinstance(s, Abs) or not isinstance(t, Abs):
             return None
         z = self._fresh(t.var, x, s, t)
-        body = substitute(t.body, {t.var: Var(z, t.var_ty)})
-        inner = self._gt(_x_add(x, z, t.var_ty), s, body)
+        inner = self._gt(x_add(x, z, t.var_ty), s, open_abs(t, z))
         if inner is None:
             return None
         return Trace("4b", s, t, x, (inner,), (("fresh", z),))
@@ -301,10 +283,8 @@ class Engine:
         ctx = self.ctx
         for w in acc_candidates(ctx.acc, ctx.sort_order, ctx.min_types, base, strict):
             for xs in self._x_vectors(x, w):
-                wapp = apply_vector(ctx, w, xs)
+                wapp = apply_witness(ctx, w, xs, t.ty)
                 if wapp is None:
-                    continue
-                if not ty_eq(ctx.sort_order, wapp.ty, t.ty):
                     continue
                 inner = self.ge(EMPTY_X, wapp, t)
                 if inner is not None:
@@ -443,25 +423,3 @@ class Engine:
                 (("pos", k),),
             )
         return None
-
-
-def _ty_label(t: Term) -> str:
-    from .terms import ty_str
-
-    return ty_str(t.ty)
-
-
-# ---------------------------------------------------------------------------
-# Free-standing helpers mirroring the module-level operations
-
-
-def horpo_gt(ctx: OrderingContext, x: XSet, s: Term, t: Term) -> Trace | None:
-    return Engine(ctx).gt(x, s, t)
-
-
-def horpo_ge(ctx: OrderingContext, x: XSet, s: Term, t: Term) -> Trace | None:
-    return Engine(ctx).ge(x, s, t)
-
-
-def horpo_gt_type(ctx: OrderingContext, x: XSet, s: Term, t: Term) -> Trace | None:
-    return Engine(ctx).gt_type(x, s, t)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
+from typing import Callable
 
 from .context import LEX, MUL, OrderingContext
 from .engine import Engine
@@ -26,10 +27,11 @@ from .terms import (
     Term,
     Ty,
     Var,
+    beta_reduct,
+    eta_reduct,
     free_vars,
     fresh_var,
     substitute,
-    term_size,
     term_str,
     ty_str,
 )
@@ -156,52 +158,34 @@ def _candidate_arg_types(sig: Signature, env: dict[str, Ty]) -> list[Ty]:
 # Reduction steps
 
 
-def beta_step(t: Term) -> list[Term]:
-    """All one-step beta reducts of `t`, annotations preserved."""
+def _steps(t: Term, root: Callable[[Term], Term | None]) -> list[Term]:
+    """All one-step reducts of `t`, annotations preserved, where `root(u)`
+    is the reduct of a redex u and None on any other term. The reduct at
+    the root comes first, then those inside the parts, left to right."""
     out: list[Term] = []
+    reduct = root(t)
+    if reduct is not None:
+        out.append(reduct)
     if isinstance(t, App):
-        if isinstance(t.fn, Abs):
-            out.append(substitute(t.fn.body, {t.fn.var: t.arg}))
-        for fn2 in beta_step(t.fn):
-            out.append(App(fn2, t.arg, t.ty))
-        for arg2 in beta_step(t.arg):
-            out.append(App(t.fn, arg2, t.ty))
+        out += [App(fn2, t.arg, t.ty) for fn2 in _steps(t.fn, root)]
+        out += [App(t.fn, arg2, t.ty) for arg2 in _steps(t.arg, root)]
     elif isinstance(t, Abs):
-        for body2 in beta_step(t.body):
-            out.append(Abs(t.var, t.var_ty, body2, t.ty))
+        out += [Abs(t.var, t.var_ty, b2, t.ty) for b2 in _steps(t.body, root)]
     elif isinstance(t, Fun):
         for i, a in enumerate(t.args):
-            for a2 in beta_step(a):
-                args = t.args[:i] + (a2,) + t.args[i + 1 :]
-                out.append(Fun(t.sym, args, t.ty))
+            for a2 in _steps(a, root):
+                out.append(Fun(t.sym, t.args[:i] + (a2,) + t.args[i + 1 :], t.ty))
     return out
+
+
+def beta_step(t: Term) -> list[Term]:
+    """All one-step beta reducts of `t`, annotations preserved."""
+    return _steps(t, beta_reduct)
 
 
 def eta_step(t: Term) -> list[Term]:
     """All one-step eta reducts of `t`."""
-    out: list[Term] = []
-    if isinstance(t, Abs):
-        b = t.body
-        if (
-            isinstance(b, App)
-            and isinstance(b.arg, Var)
-            and b.arg.name == t.var
-            and t.var not in free_vars(b.fn)
-        ):
-            out.append(b.fn)
-        for body2 in eta_step(t.body):
-            out.append(Abs(t.var, t.var_ty, body2, t.ty))
-    elif isinstance(t, App):
-        for fn2 in eta_step(t.fn):
-            out.append(App(fn2, t.arg, t.ty))
-        for arg2 in eta_step(t.arg):
-            out.append(App(t.fn, arg2, t.ty))
-    elif isinstance(t, Fun):
-        for i, a in enumerate(t.args):
-            for a2 in eta_step(a):
-                args = t.args[:i] + (a2,) + t.args[i + 1 :]
-                out.append(Fun(t.sym, args, t.ty))
-    return out
+    return _steps(t, eta_reduct)
 
 
 def inject_beta_redex(
@@ -289,7 +273,7 @@ def _shrink(check, t: Term) -> Term:
         changed = False
         for pos in _positions(t)[1:]:
             sub = _at(t, pos)
-            if term_size(sub) <= 1:
+            if sub.size <= 1:
                 continue
             candidate = _replace(t, pos, Var(fresh_var("s", free_vars(t)), sub.ty))
             if check(candidate):
@@ -485,7 +469,7 @@ def enumerate_terms(
                 ]
             for args in arg_lists:
                 cand = Fun(f.name, tuple(args), f.out_ty)
-                if term_size(cand) <= budget:
+                if cand.size <= budget:
                     results.append(cand)
         if isinstance(target, Arrow):
             name = fresh_var("x", set(scope))
@@ -589,7 +573,7 @@ def _weak_orders(elements: list[str]):
             yield tuple(strict), tuple(equiv)
 
 
-def search_params(problem, max_statuses: int | None = None):
+def search_params(problem):
     """Search sort orders, precedences and statuses orienting every rule.
 
     Returns (sort_order_pairs, prec_pairs, statuses) on success, None when
@@ -603,8 +587,6 @@ def search_params(problem, max_statuses: int | None = None):
         product((MUL, LEX), repeat=len(multi_arg)),
         key=lambda combo: sum(1 for s in combo if s == LEX),
     )
-    if max_statuses is not None:
-        status_space = status_space[:max_statuses]
     for sort_strict, sort_equiv in _weak_orders(sort_names):
         order = SortOrder(sort_names, sort_strict, sort_equiv)
         universe = problem.ctx.universe

@@ -466,7 +466,6 @@ class RuleResult:
     index: int
     verdict: str  # oriented | not-oriented
     trace: Trace | None
-    elapsed: float  # kept out of serialized output for determinism
 
 
 @dataclass
@@ -482,21 +481,15 @@ class Report:
 
 
 def check_problem(problem: Problem, with_traces: bool = True) -> Report:
-    import time
-
     violations = validate_axioms(problem.ctx.sort_order, problem.ctx.universe)
     results: list[RuleResult] = []
     for i, rule in enumerate(problem.rules, start=1):
-        engine = Engine(problem.ctx)
-        start = time.perf_counter()
-        trace = engine.orient_rule(rule.lhs, rule.rhs)
-        elapsed = time.perf_counter() - start
+        trace = Engine(problem.ctx).orient_rule(rule.lhs, rule.rhs)
         results.append(
             RuleResult(
                 index=i,
                 verdict="oriented" if trace is not None else "not-oriented",
                 trace=trace if with_traces else None,
-                elapsed=elapsed,
             )
         )
     return Report(axiom_violations=violations, rule_results=results)

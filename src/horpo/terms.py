@@ -4,6 +4,11 @@ Terms are immutable trees. A typing pass (`typecheck`) returns a copy of the
 term with every node annotated with its type; all downstream code assumes
 annotated terms and never re-infers.
 
+The steps the ordering's cases take on bound variables are defined here
+once, for the engine, the trace checker and the harness alike: `open_abs`
+instantiates a binder with a fresh variable, and `beta_reduct` and
+`eta_reduct` recognise a redex at the root and return its reduct.
+
 Each node caches facts derived from it on first use: its size, its number
 of abstractions and its alpha-equivalence class (`alpha_class`). The
 accessibility layer also caches on a node the classes reachable from it.
@@ -18,9 +23,8 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 # Reserved separator for generated names; rejected in user identifiers.
 FRESH_SEP = "#"
@@ -246,20 +250,6 @@ class Fun:
 Term = Var | Abs | App | Fun
 
 
-class Category(Enum):
-    ABSTRACTION = "abstraction"
-    PREALGEBRAIC = "prealgebraic"
-    NEUTRAL = "neutral"
-
-
-def categorize(t: Term) -> Category:
-    if isinstance(t, Abs):
-        return Category.ABSTRACTION
-    if isinstance(t, Fun):
-        return Category.PREALGEBRAIC
-    return Category.NEUTRAL
-
-
 def term_str(t: Term) -> str:
     if isinstance(t, Var):
         return t.name
@@ -270,14 +260,6 @@ def term_str(t: Term) -> str:
     if isinstance(t, App):
         return "@(%s,%s)" % (term_str(t.fn), term_str(t.arg))
     return "\\%s:%s.%s" % (t.var, ty_str(t.var_ty), term_str(t.body))
-
-
-def term_size(t: Term) -> int:
-    return t.size
-
-
-def count_abstractions(t: Term) -> int:
-    return t.abstractions
 
 
 def subterms(t: Term) -> Iterator[Term]:
@@ -341,19 +323,9 @@ def fresh_var(base: str, avoid: frozenset[str] | set[str]) -> str:
 # Typing (returns an annotated copy)
 
 
-def typecheck(
-    sig: Signature,
-    env: Mapping[str, Ty],
-    t: Term,
-    ty_eq: Callable[[Ty, Ty], bool] | None = None,
-) -> Term:
-    """Type the raw term `t` under `env`, annotating every node.
-
-    `ty_eq` relaxes the equality used at application and argument positions
-    (types equivalent under the sort ordering); the default is syntactic
-    equality, which is what rule checking uses.
-    """
-    eq = ty_eq if ty_eq is not None else lambda a, b: a == b
+def typecheck(sig: Signature, env: Mapping[str, Ty], t: Term) -> Term:
+    """Type the raw term `t` under `env`, annotating every node. Types at
+    application and argument positions must be syntactically equal."""
 
     def go(env: dict[str, Ty], t: Term) -> Term:
         if isinstance(t, Var):
@@ -370,7 +342,7 @@ def typecheck(
                 )
             args = tuple(go(env, a) for a in t.args)
             for i, (a, want) in enumerate(zip(args, decl.arg_tys)):
-                if not eq(a.ty, want):
+                if a.ty != want:
                     raise TypingError(
                         "argument %d of %r has type %s, expected %s"
                         % (i + 1, t.sym, ty_str(a.ty), ty_str(want))
@@ -383,7 +355,7 @@ def typecheck(
                     "cannot apply term of type %s" % ty_str(fn.ty)
                 )
             arg = go(env, t.arg)
-            if not eq(fn.ty.dom, arg.ty):
+            if fn.ty.dom != arg.ty:
                 raise TypingError(
                     "application domain mismatch: %s vs %s"
                     % (ty_str(fn.ty.dom), ty_str(arg.ty))
@@ -396,15 +368,6 @@ def typecheck(
         return Abs(t.var, t.var_ty, body, Arrow(t.var_ty, body.ty))
 
     return go(dict(env), t)
-
-
-def infer_type(
-    sig: Signature,
-    env: Mapping[str, Ty],
-    t: Term,
-    ty_eq: Callable[[Ty, Ty], bool] | None = None,
-) -> Ty:
-    return typecheck(sig, env, t, ty_eq=ty_eq).ty
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +400,34 @@ def substitute(t: Term, subst: Mapping[str, Term]) -> Term:
         return Abs(x, t.var_ty, go(body, sub), t.ty)
 
     return go(t, dict(subst))
+
+
+def open_abs(t: Abs, z: str) -> Term:
+    """The body of `t` with its bound variable instantiated by `Var(z)`."""
+    return substitute(t.body, {t.var: Var(z, t.var_ty)})
+
+
+def beta_reduct(t: Term) -> Term | None:
+    """`u{x := a}` when `t` is the beta redex `@(\\x.u, a)`, else None."""
+    if isinstance(t, App) and isinstance(t.fn, Abs):
+        return substitute(t.fn.body, {t.fn.var: t.arg})
+    return None
+
+
+def eta_reduct(t: Term) -> Term | None:
+    """`u` when `t` is the eta redex `\\x.@(u, x)` with x not free in u,
+    else None."""
+    if not isinstance(t, Abs):
+        return None
+    body = t.body
+    if (
+        isinstance(body, App)
+        and isinstance(body.arg, Var)
+        and body.arg.name == t.var
+        and t.var not in free_vars(body.fn)
+    ):
+        return body.fn
+    return None
 
 
 class AlphaClass:
@@ -491,9 +482,3 @@ def _nameless(t: Term, bound: dict[str, int], depth: int) -> AlphaClass:
 def alpha_eq(s: Term, t: Term) -> bool:
     """Equality up to renaming of bound variables (binder types must match)."""
     return s.alpha_class is t.alpha_class
-
-
-def alpha_key(t: Term) -> AlphaClass:
-    """Hashable key of `t` modulo bound-variable names: two keys are equal
-    iff their terms are alpha-equal."""
-    return t.alpha_class

@@ -4,7 +4,10 @@ Every successful comparison produces a trace whose nodes name the ordering
 case applied and whose children are exactly that case's subgoals. The
 validator re-checks each node locally (typing, accessibility, precedence,
 extension covers) without ever calling the search engine, so a trace can be
-replayed by a third party.
+replayed by a third party. What the engine and the validator must agree
+on beyond the term layer, they share from here: extending the bound set
+(`x_add`), the argument lists of case 1c (`app_splits`) and the applied
+witness of cases 1a, 2a and accApply (`apply_witness`).
 
 Node labels:
   1a..4b      the ordering cases
@@ -16,10 +19,10 @@ Node labels:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .accessibility import acc_ge, acc_gt
-from .context import LEX, MUL, OrderingContext
+from .context import MUL, OrderingContext
 from .terms import (
     Abs,
     App,
@@ -29,12 +32,14 @@ from .terms import (
     Ty,
     Var,
     alpha_eq,
+    beta_reduct,
+    eta_reduct,
     free_vars,
-    substitute,
+    open_abs,
     term_str,
     ty_str,
 )
-from .typeorder import ty_eq, ty_ge
+from .typeorder import Cmp, ty_eq, ty_ge
 
 
 class TraceError(Exception):
@@ -60,6 +65,11 @@ class Trace:
         return None
 
 
+def x_add(x: XSet, name: str, ty: Ty) -> XSet:
+    """The bound set `x` with the freed variable `name : ty` added."""
+    return tuple(sorted(set(x) | {(name, ty)}))
+
+
 def flatten_app(t: Term) -> list[Term]:
     """Application spine of `t` as the argument list of a variadic @."""
     args: list[Term] = []
@@ -71,18 +81,29 @@ def flatten_app(t: Term) -> list[Term]:
     return args
 
 
-def apply_vector(
-    ctx: OrderingContext, w: Term, xs: XSet
+def app_splits(t: App) -> list[list[Term]]:
+    """The argument lists case 1c may compare against the application `t`.
+
+    The fully flattened spine gives the most readable derivation, but it is
+    not preserved by substitution when the spine head is a variable that
+    gets instantiated with another application; the binary split always is,
+    and covers every regrouping recursively. The two lists differ in length
+    whenever both are offered."""
+    spine = flatten_app(t)
+    return [spine] if len(spine) == 2 else [spine, [t.fn, t.arg]]
+
+
+def apply_witness(
+    ctx: OrderingContext, w: Term, xs: XSet, ty: Ty
 ) -> Term | None:
-    """Left-nested application @(w, xs); None when ill-typed."""
+    """Left-nested application @(w, xs) when it is well-typed and of a type
+    equivalent to `ty`; None otherwise."""
     t = w
-    for name, ty in xs:
-        if not isinstance(t.ty, Arrow):
+    for name, vty in xs:
+        if not isinstance(t.ty, Arrow) or not ty_eq(ctx.sort_order, t.ty.dom, vty):
             return None
-        if not ty_eq(ctx.sort_order, t.ty.dom, ty):
-            return None
-        t = App(t, Var(name, ty), t.ty.cod)
-    return t
+        t = App(t, Var(name, vty), t.ty.cod)
+    return t if ty_eq(ctx.sort_order, t.ty, ty) else None
 
 
 # ---------------------------------------------------------------------------
@@ -188,43 +209,33 @@ def check_trace(ctx: OrderingContext, trace: Trace, kind: str, x: XSet) -> None:
             pair_kind="type_x",
         )
     elif label == "2c":
-        if not (isinstance(s, App) and isinstance(s.fn, Abs)):
+        reduct = beta_reduct(s)
+        if reduct is None:
             raise TraceError("case 2c needs a beta redex on the left")
-        reduct = substitute(s.fn.body, {s.fn.var: s.arg})
         _expect_children(trace, 1)
         _check_child(ctx, trace.children[0], "ge", x, reduct, t)
     elif label == "3a":
         if not isinstance(s, Abs):
             raise TraceError("case 3a needs an abstraction on the left")
-        z = trace.get("fresh")
-        _check_fresh(z, s, t, xs_names)
-        renamed = substitute(s.body, {s.var: Var(z, s.var_ty)})
+        z = _check_fresh(trace, s, t, xs_names)
         _expect_children(trace, 1)
-        _check_child(ctx, trace.children[0], "ge_type", x, renamed, t)
+        _check_child(ctx, trace.children[0], "ge_type", x, open_abs(s, z), t)
     elif label == "3b":
         if not (isinstance(s, Abs) and isinstance(t, Abs)):
             raise TraceError("case 3b needs abstractions on both sides")
         if not ty_eq(ctx.sort_order, s.var_ty, t.var_ty):
             raise TraceError("case 3b domain types not equivalent")
-        z = trace.get("fresh")
-        _check_fresh(z, s, t, xs_names)
-        ls = substitute(s.body, {s.var: Var(z, s.var_ty)})
-        rs = substitute(t.body, {t.var: Var(z, t.var_ty)})
+        z = _check_fresh(trace, s, t, xs_names)
         _expect_children(trace, 1)
-        _check_child(ctx, trace.children[0], "gt", x, ls, rs)
+        _check_child(
+            ctx, trace.children[0], "gt", x, open_abs(s, z), open_abs(t, z)
+        )
     elif label == "3c":
-        if not isinstance(s, Abs):
-            raise TraceError("case 3c needs an abstraction on the left")
-        body = s.body
-        if not (
-            isinstance(body, App)
-            and isinstance(body.arg, Var)
-            and body.arg.name == s.var
-            and s.var not in free_vars(body.fn)
-        ):
+        reduct = eta_reduct(s)
+        if reduct is None:
             raise TraceError("case 3c needs an eta redex on the left")
         _expect_children(trace, 1)
-        _check_child(ctx, trace.children[0], "ge", x, body.fn, t)
+        _check_child(ctx, trace.children[0], "ge", x, reduct, t)
     elif label == "4a":
         if not (isinstance(t, Var) and t.name in xs_names):
             raise TraceError("case 4a needs a freed variable on the right")
@@ -234,14 +245,11 @@ def check_trace(ctx: OrderingContext, trace: Trace, kind: str, x: XSet) -> None:
             raise TraceError("case 4b forbids an abstraction on the left")
         if not isinstance(t, Abs):
             raise TraceError("case 4b needs an abstraction on the right")
-        z = trace.get("fresh")
-        _check_fresh(z, s, t, xs_names)
-        if z in free_vars(s):
-            raise TraceError("freed variable occurs free on the left")
-        body = substitute(t.body, {t.var: Var(z, t.var_ty)})
-        inner_x = tuple(sorted(set(x) | {(z, t.var_ty)}))
+        z = _check_fresh(trace, s, t, xs_names)
         _expect_children(trace, 1)
-        _check_child(ctx, trace.children[0], "gt", inner_x, s, body)
+        _check_child(
+            ctx, trace.children[0], "gt", x_add(x, z, t.var_ty), s, open_abs(t, z)
+        )
 
 
 def _expect_children(trace: Trace, n: int) -> None:
@@ -252,11 +260,16 @@ def _expect_children(trace: Trace, n: int) -> None:
         )
 
 
-def _check_fresh(z, s: Term, t: Term, xs_names: set[str]) -> None:
+def _check_fresh(trace: Trace, s: Term, t: Term, xs_names: set[str]) -> str:
+    """The node's fresh name, which must be new to X and to both sides."""
+    z = trace.get("fresh")
     if not isinstance(z, str) or not z:
         raise TraceError("missing fresh-name annotation")
     if z in xs_names:
         raise TraceError("fresh name %r collides with the bound set" % z)
+    if z in free_vars(s) or z in free_vars(t):
+        raise TraceError("fresh name %r occurs free in the goal" % z)
+    return z
 
 
 def _check_child(
@@ -303,13 +316,11 @@ def _check_acc_apply(
         if name not in x_tys:
             raise TraceError("applied variable %r not in the bound set" % name)
         xs.append((name, x_tys[name]))
-    wapp = apply_vector(ctx, w, tuple(xs))
+    wapp = apply_witness(ctx, w, tuple(xs), t.ty)
     if wapp is None:
-        raise TraceError("applied witness is ill-typed")
-    if not ty_eq(ctx.sort_order, wapp.ty, t.ty):
         raise TraceError(
-            "applied witness type %s not equivalent to %s"
-            % (ty_str(wapp.ty), ty_str(t.ty))
+            "applied witness is ill-typed or not of a type equivalent to %s"
+            % ty_str(t.ty)
         )
     _expect_children(trace, 1)
     # the inner comparison runs with an empty bound-variable set
@@ -320,8 +331,6 @@ def _check_1b(ctx: OrderingContext, trace: Trace, x: XSet) -> None:
     s, t = trace.lhs, trace.rhs
     if not (isinstance(s, Fun) and isinstance(t, Fun)):
         raise TraceError("case 1b needs algebraic terms on both sides")
-    from .typeorder import Cmp
-
     if ctx.prec.cmp(s.sym, t.sym) is not Cmp.EQ:
         raise TraceError("case 1b needs equivalent head symbols")
     status = ctx.statuses[s.sym]
@@ -343,8 +352,6 @@ def _check_1b(ctx: OrderingContext, trace: Trace, x: XSet) -> None:
 
 def _check_1c(ctx: OrderingContext, trace: Trace, x: XSet) -> None:
     s, t = trace.lhs, trace.rhs
-    from .typeorder import Cmp
-
     if not isinstance(s, Fun):
         raise TraceError("case 1c needs an algebraic left-hand side")
     if isinstance(t, Fun):
@@ -352,11 +359,12 @@ def _check_1c(ctx: OrderingContext, trace: Trace, x: XSet) -> None:
             raise TraceError("case 1c needs a strictly smaller head symbol")
         targs = list(t.args)
     elif isinstance(t, App):
-        # every declared symbol is above @; the arguments are either the
-        # fully flattened spine or the binary split of the outer application
-        targs = flatten_app(t)
-        if len(trace.children) == 2 and len(targs) != 2:
-            targs = [t.fn, t.arg]
+        # every declared symbol is above @; the split is the one whose
+        # length matches the children
+        splits = app_splits(t)
+        targs = next(
+            (a for a in splits if len(a) == len(trace.children)), splits[0]
+        )
     else:
         raise TraceError("case 1c right-hand side must be algebraic or applied")
     _expect_children(trace, len(targs))

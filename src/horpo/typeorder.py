@@ -3,15 +3,19 @@
 The type ordering is generated from a user-supplied quasi-order on sort
 symbols: data types compare by their heads (equivalence is congruent in the
 arguments), and arrow types follow the arrow preservation / decreasingness
-rules. The four axioms the ordering must satisfy are machine-checked over the
-finite, subterm-closed universe of types occurring in a problem.
+rules. Of the four axioms the ordering must satisfy, arrow preservation and
+arrow decreasingness hold by the definitions of `ty_eq` and `ty_gt`; the
+other two, well-foundedness and arrow monotonicity, are machine-checked over
+the finite, subterm-closed universe of types occurring in a problem.
 """
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TypeVar
 
 from .terms import Arrow, Data, Ty, ty_str, ty_subterms, ty_size
+
+T = TypeVar("T")
 
 
 class Cmp(Enum):
@@ -19,6 +23,16 @@ class Cmp(Enum):
     EQ = "EQ"
     LT = "LT"
     INCOMP = "INCOMP"
+
+
+def _transitive_closure(pairs: Iterable[tuple[T, T]]) -> set[tuple[T, T]]:
+    """The transitive closure of a relation given as its pairs."""
+    out = set(pairs)
+    for k in {a for a, _ in out}:
+        into = [a for a, b in out if b == k]
+        onward = [b for a, b in out if a == k]
+        out.update((a, b) for a in into for b in onward)
+    return out
 
 
 class QuasiOrder:
@@ -52,19 +66,10 @@ class QuasiOrder:
             if ra != rb:
                 parent[max(ra, rb)] = min(ra, rb)
         self._repr = {e: find(e) for e in self.elements}
-        # transitive closure of the strict relation on class representatives
-        gt: set[tuple[str, str]] = set()
-        for big, small in self.strict_pairs:
-            gt.add((self._repr[big], self._repr[small]))
-        changed = True
-        while changed:
-            changed = False
-            for a, b in list(gt):
-                for c, d in list(gt):
-                    if b == c and (a, d) not in gt:
-                        gt.add((a, d))
-                        changed = True
-        self._gt = gt
+        # the strict relation on class representatives
+        self._gt = _transitive_closure(
+            (self._repr[big], self._repr[small]) for big, small in self.strict_pairs
+        )
 
     def rep(self, name: str) -> str:
         return self._repr[name]
@@ -171,7 +176,8 @@ def type_universe(tys: Iterable[Ty]) -> tuple[Ty, ...]:
 
 
 def validate_axioms(order: SortOrder, universe: Sequence[Ty]) -> list[str]:
-    """Check the four type-ordering axioms over `universe`.
+    """Check well-foundedness and arrow monotonicity over `universe` (the
+    other two axioms hold by construction).
 
     Returns a list of human-readable violations; empty means all axioms hold
     on this universe. Violations are data, not exceptions.
@@ -182,49 +188,16 @@ def validate_axioms(order: SortOrder, universe: Sequence[Ty]) -> list[str]:
             "well-foundedness: the strict sort ordering contains a cycle"
         )
     # acyclicity of the induced strict ordering on the universe
-    n = len(universe)
-    gt = [[ty_gt(order, universe[i], universe[j]) for j in range(n)] for i in range(n)]
-    reach = [row[:] for row in gt]
-    for k in range(n):
-        for i in range(n):
-            if reach[i][k]:
-                for j in range(n):
-                    if reach[k][j]:
-                        reach[i][j] = True
-    for i in range(n):
-        if reach[i][i]:
-            violations.append(
-                "well-foundedness: cycle through type %s" % ty_str(universe[i])
-            )
-    for a in universe:
-        for b in universe:
-            eq = ty_eq(order, a, b)
-            if eq and isinstance(a, Arrow) != isinstance(b, Arrow):
-                violations.append(
-                    "arrow preservation: %s EQ %s mixes data and arrow"
-                    % (ty_str(a), ty_str(b))
-                )
-            if eq and isinstance(a, Arrow) and isinstance(b, Arrow):
-                if not (ty_eq(order, a.dom, b.dom) and ty_eq(order, a.cod, b.cod)):
-                    violations.append(
-                        "arrow preservation: %s EQ %s but components differ"
-                        % (ty_str(a), ty_str(b))
-                    )
-            if isinstance(a, Arrow) and ty_gt(order, a, b):
-                ok = ty_ge(order, a.cod, b) or (
-                    isinstance(b, Arrow)
-                    and ty_eq(order, a.dom, b.dom)
-                    and ty_gt(order, a.cod, b.cod)
-                )
-                if not ok:
-                    violations.append(
-                        "arrow decreasingness: %s GT %s unsupported"
-                        % (ty_str(a), ty_str(b))
-                    )
-            if isinstance(a, Data) and isinstance(b, Arrow) and ty_gt(order, a, b):
-                violations.append(
-                    "data type %s above arrow type %s" % (ty_str(a), ty_str(b))
-                )
+    uni = list(universe)
+    reach = _transitive_closure(
+        (i, j)
+        for i, a in enumerate(uni)
+        for j, b in enumerate(uni)
+        if ty_gt(order, a, b)
+    )
+    for i, a in enumerate(uni):
+        if (i, i) in reach:
+            violations.append("well-foundedness: cycle through type %s" % ty_str(a))
     # arrow monotonicity: tau >= sigma implies a->tau >= a->sigma and
     # tau->a >= sigma->a, checked for every instance whose composed types
     # all live in the universe
@@ -258,24 +231,22 @@ def minimal_types(order: SortOrder, universe: Sequence[Ty]) -> tuple[Ty, ...]:
     inequivalent sits strictly below it. The result contains data types only.
     """
     uni = list(universe)
-    n = len(uni)
-    below = [[False] * n for _ in range(n)]
+    pairs = []
     for i, a in enumerate(uni):
         strict_subs = set(ty_subterms(a)) - {a}
-        for j, b in enumerate(uni):
-            if ty_gt(order, a, b) or b in strict_subs:
-                below[i][j] = True
-    for k in range(n):
-        for i in range(n):
-            if below[i][k]:
-                for j in range(n):
-                    if below[k][j]:
-                        below[i][j] = True
-    out = []
-    for i, a in enumerate(uni):
-        if not any(below[i][j] and not ty_eq(order, a, uni[j]) for j in range(n)):
-            out.append(a)
-    return tuple(out)
+        pairs += [
+            (i, j)
+            for j, b in enumerate(uni)
+            if ty_gt(order, a, b) or b in strict_subs
+        ]
+    below = _transitive_closure(pairs)
+    return tuple(
+        a
+        for i, a in enumerate(uni)
+        if not any(
+            (i, j) in below and not ty_eq(order, a, b) for j, b in enumerate(uni)
+        )
+    )
 
 
 def is_minimal_type(order: SortOrder, min_types: Sequence[Ty], ty: Ty) -> bool:

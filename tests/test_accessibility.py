@@ -5,6 +5,7 @@ from horpo.accessibility import (
     acc_indices,
     accessible,
 )
+from horpo.harness import enumerate_terms
 from horpo.terms import Abs, App, Arrow, Data, Fun, Var, subterms
 
 Nat = Data("Nat")
@@ -93,3 +94,22 @@ def test_acc_candidates_order(brouwer):
     assert F in cands
     strict = acc_candidates(ctx.acc, ctx.sort_order, ctx.min_types, limF, strict=True)
     assert limF not in strict
+
+
+def test_acc_gt_agrees_with_strict_candidates(brouwer, nat_rec, map_problem):
+    # v is acc-below s exactly when some strict candidate of s is alpha-equal
+    # to v, over rule subterms and all small enumerated terms
+    for p in (brouwer, nat_rec, map_problem):
+        ctx = p.ctx
+        pool = [u for r in p.rules for side in (r.lhs, r.rhs) for u in subterms(side)]
+        pool += [
+            t for ty in ctx.universe for t in enumerate_terms(p.sig, p.vars, ty, 4)
+        ]
+        for s in pool:
+            below = {
+                w.alpha_class
+                for w in acc_candidates(ctx.acc, ctx.sort_order, ctx.min_types, s, True)
+            }
+            for v in pool:
+                want = v.alpha_class in below
+                assert acc_gt(ctx.acc, ctx.sort_order, ctx.min_types, s, v) == want

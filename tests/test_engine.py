@@ -1,6 +1,6 @@
 import pytest
 
-from horpo.engine import Engine, horpo_ge, horpo_gt, horpo_gt_type
+from horpo.engine import Engine
 from horpo.harness import count_calls
 from horpo.terms import Abs, App, Arrow, Data, Fun, Var, typecheck
 
@@ -15,8 +15,8 @@ def t_(problem, raw):
 
 def test_variable_lhs_never_wins(brouwer):
     x = Var("x", Nat)
-    assert horpo_gt(brouwer.ctx, (), x, Var("y", Nat)) is None
-    assert horpo_gt(brouwer.ctx, (), x, Fun("0", (), Ord)) is None
+    assert Engine(brouwer.ctx).gt((), x, Var("y", Nat)) is None
+    assert Engine(brouwer.ctx).gt((), x, Fun("0", (), Ord)) is None
 
 
 def test_rule1_root_case(brouwer):
@@ -44,19 +44,19 @@ def _succ_redex():
 def test_beta_case_2c(brouwer):
     redex = _succ_redex()
     reduct = Fun("s", (Fun("0", (), Ord),), Ord)
-    tr = horpo_gt(brouwer.ctx, (), redex, reduct)
+    tr = Engine(brouwer.ctx).gt((), redex, reduct)
     assert tr is not None and tr.label == "2c"
     assert tr.children[0].label == "refl"
 
 
 def test_ge_examples(brouwer):
     n = Var("n", Nat)
-    assert horpo_ge(brouwer.ctx, (), n, n).label == "refl"
+    assert Engine(brouwer.ctx).ge((), n, n).label == "refl"
     F = Var("F", Arrow(Nat, Ord))
     limF = Fun("lim", (F,), Ord)
-    tr = horpo_ge(brouwer.ctx, (), limF, F)
+    tr = Engine(brouwer.ctx).ge((), limF, F)
     assert tr is not None and tr.label == "1a"
-    assert horpo_ge(brouwer.ctx, (), n, Var("m", Nat)) is None
+    assert Engine(brouwer.ctx).ge((), n, Var("m", Nat)) is None
 
 
 def test_type_gate(brouwer):
@@ -65,7 +65,7 @@ def test_type_gate(brouwer):
     n = Var("n", Nat)
     s = Fun("rec", (Fun("0", (), Ord), U, Var("V", Arrow(Ord, Arrow(A, A))),
                     Var("W", brouwer.sig.fun("rec").arg_tys[3])), A)
-    assert horpo_gt_type(brouwer.ctx, (), s, n) is None
+    assert Engine(brouwer.ctx).gt_type((), s, n) is None
 
 
 def test_composite_strict_example(brouwer):
@@ -91,7 +91,7 @@ def test_composite_failure_on_incomparable_types(brouwer):
 def test_freed_variable_case_4a(brouwer):
     s = t_(brouwer, Fun("lim", (Var("F"),)))
     n = Var("n", Nat)
-    tr = horpo_gt(brouwer.ctx, (("n", Nat),), s, n)
+    tr = Engine(brouwer.ctx).gt((("n", Nat),), s, n)
     assert tr is not None and tr.label == "4a"
 
 
@@ -157,5 +157,5 @@ def test_all_corpus_rules_orient(brouwer, nat_rec, map_problem):
 def test_eta_case_3c(brouwer):
     F = Var("F", Arrow(Nat, Ord))
     eta = Abs("x", Nat, App(F, Var("x", Nat), Ord), Arrow(Nat, Ord))
-    tr = horpo_gt(brouwer.ctx, (), eta, F)
+    tr = Engine(brouwer.ctx).gt((), eta, F)
     assert tr is not None and tr.label == "3c"

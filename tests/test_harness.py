@@ -26,9 +26,8 @@ from horpo.terms import (
     SortDecl,
     Var,
     alpha_eq,
-    infer_type,
-    term_size,
     ty_str,
+    typecheck,
 )
 
 Nat = Data("Nat")
@@ -45,7 +44,7 @@ def test_gen_term_well_typed(brouwer):
     for _ in range(100):
         ty = rng.choice([Data("Ord"), Data("A"), Arrow(Nat, Data("Ord"))])
         t = gen_term(brouwer.sig, brouwer.vars, ty, rng)
-        assert ty_str(infer_type(brouwer.sig, brouwer.vars, t)) == ty_str(ty)
+        assert ty_str(typecheck(brouwer.sig, brouwer.vars, t).ty) == ty_str(ty)
 
 
 def test_gen_term_uninhabited():
@@ -84,7 +83,7 @@ def test_reducts_preserve_type(brouwer):
         t = inject_beta_redex(brouwer.sig, brouwer.vars, t, rng)
         for r in beta_step(t):
             assert ty_str(r.ty) == ty_str(t.ty)
-            assert ty_str(infer_type(brouwer.sig, brouwer.vars, r)) == ty_str(t.ty)
+            assert ty_str(typecheck(brouwer.sig, brouwer.vars, r).ty) == ty_str(t.ty)
 
 
 def test_run_properties_clean(brouwer):
@@ -105,10 +104,10 @@ def test_run_properties_catches_sabotage(brouwer):
 
 def test_enumerate_terms_small(toy_ctx, toy_env):
     terms = enumerate_terms(toy_ctx.sig, toy_env, Data("N"), 3)
-    keys = {str(term_size(t)) + ":" + str(t) for t in terms}
+    keys = {str(t.size) + ":" + str(t) for t in terms}
     assert len(keys) == len(terms)  # no duplicates
     assert any(t == Fun("z", (), Data("N")) for t in terms)
-    assert all(term_size(t) <= 3 for t in terms)
+    assert all(t.size <= 3 for t in terms)
 
 
 def test_exhaustive_small_check(toy_ctx, toy_env):

@@ -6,18 +6,13 @@ from horpo.terms import (
     Abs,
     App,
     Arrow,
-    Category,
     Data,
     Fun,
     TypingError,
     Var,
     alpha_eq,
-    alpha_key,
-    categorize,
-    count_abstractions,
     free_vars,
     fresh_var,
-    infer_type,
     substitute,
     term_str,
     ty_str,
@@ -30,29 +25,29 @@ A = Data("A")
 
 
 def test_infer_variable(brouwer):
-    assert infer_type(brouwer.sig, {"x": Nat}, Var("x")) == Nat
+    assert typecheck(brouwer.sig, {"x": Nat}, Var("x")).ty == Nat
 
 
 def test_infer_application(brouwer):
     env = {"F": Arrow(Nat, Ord), "n": Nat}
     t = App(Var("F"), Var("n"))
-    assert infer_type(brouwer.sig, env, t) == Ord
+    assert typecheck(brouwer.sig, env, t).ty == Ord
 
 
 def test_infer_rec_of_lim(brouwer):
     env = dict(brouwer.vars)
     t = Fun("rec", (Fun("lim", (Var("F"),)), Var("U"), Var("V"), Var("W")))
-    assert infer_type(brouwer.sig, env, t) == A
+    assert typecheck(brouwer.sig, env, t).ty == A
 
 
 def test_infer_errors(brouwer):
     with pytest.raises(TypingError):
-        infer_type(brouwer.sig, {}, Var("nope"))
+        typecheck(brouwer.sig, {}, Var("nope"))
     with pytest.raises(TypingError):
-        infer_type(brouwer.sig, {}, Fun("lim", ()))  # arity mismatch
+        typecheck(brouwer.sig, {}, Fun("lim", ()))  # arity mismatch
     with pytest.raises(TypingError):
         # application domain mismatch: lim expects Nat -> Ord
-        infer_type(brouwer.sig, {"U": A}, Fun("lim", (Var("U"),)))
+        typecheck(brouwer.sig, {"U": A}, Fun("lim", (Var("U"),)))
 
 
 def test_annotations_everywhere(brouwer):
@@ -114,23 +109,16 @@ def test_alpha_eq_shadowing():
     assert alpha_eq(s, t)
     t2 = Abs("a", Nat, Abs("b", Nat, Abs("c", Nat, Var("b"))))
     assert not alpha_eq(s, t2)
-    assert alpha_key(s) == alpha_key(t)
-    assert alpha_key(s) != alpha_key(t2)
+    assert s.alpha_class is t.alpha_class
+    assert s.alpha_class is not t2.alpha_class
 
 
 def test_count_abstractions(brouwer):
-    assert count_abstractions(Var("x")) == 0
+    assert Var("x").abstractions == 0
     env = dict(brouwer.vars)
     rhs = brouwer.rules[2].rhs  # @(W, F, \n. rec(@(F,n),U,V,W))
-    assert count_abstractions(rhs) == 1
-    assert count_abstractions(Abs("x", A, Abs("y", A, Var("x")))) == 2
-
-
-def test_categorize():
-    assert categorize(Abs("x", Nat, Var("x"))) is Category.ABSTRACTION
-    assert categorize(Fun("lim", (Var("F"),))) is Category.PREALGEBRAIC
-    assert categorize(App(Var("F"), Var("n"))) is Category.NEUTRAL
-    assert categorize(Var("n")) is Category.NEUTRAL
+    assert rhs.abstractions == 1
+    assert Abs("x", A, Abs("y", A, Var("x"))).abstractions == 2
 
 
 def test_fresh_var():

@@ -5,7 +5,7 @@ import pytest
 
 from horpo.engine import Engine
 from horpo.problems import check_problem, verify_report_traces
-from horpo.terms import Data, Var
+from horpo.terms import Abs, Arrow, Data, Fun, Var
 from horpo.traces import (
     Trace,
     TraceError,
@@ -118,3 +118,31 @@ def test_validator_never_calls_engine(brouwer, monkeypatch):
     )
     check_trace(brouwer.ctx, tr, "gt", ())
     del traces_mod
+
+
+def _forged_goals(nat_rec):
+    """Two traces whose fresh name `N` is free in the goal, so that a
+    right-hand `N` is treated as a freed variable or as the bound one."""
+    N = Var("N", Nat)
+    succ = lambda t: Fun("succ", (t,), Nat)
+    zero = Fun("z", (), Nat)
+    lam = lambda body: Abs("x", Nat, body, Arrow(Nat, body.ty))
+    # 4b: succ(z) > \x.N, with the child succ(z) > N closed by 4a under X={N}
+    s4, t4 = succ(zero), lam(N)
+    forged4b = Trace(
+        "4b", s4, t4, (), (Trace("4a", s4, N, (("N", Nat),)),), (("fresh", "N"),)
+    )
+    # 3b: \x.succ(N) > \x.x, with the engine's own trace for succ(N) > N
+    s3, t3 = lam(succ(N)), lam(Var("x", Nat))
+    child = Engine(nat_rec.ctx).gt((), succ(N), N)
+    assert child is not None
+    forged3b = Trace("3b", s3, t3, (), (child,), (("fresh", "N"),))
+    return [forged4b, forged3b]
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["4b", "3b"])
+def test_validator_rejects_fresh_name_free_in_goal(nat_rec, which):
+    forged = _forged_goals(nat_rec)[which]
+    assert Engine(nat_rec.ctx).gt((), forged.lhs, forged.rhs) is None
+    with pytest.raises(TraceError, match="occurs free"):
+        check_trace(nat_rec.ctx, forged, "gt", ())
