@@ -8,7 +8,8 @@
 
 Exit codes: 0 success, 1 a check failed (rule not oriented, property
 finding, search exhausted), 2 invalid input or parameters, input nested
-too deeply for the recursive term walks, or an internal engine error.
+too deeply for the recursive term walks, an internal engine error, or a
+proof trace that fails replay.
 """
 from __future__ import annotations
 
@@ -21,12 +22,14 @@ from .problems import (
     ProblemError,
     check_problem,
     dump_json,
+    parameter_statements,
     parse_problem,
     report_to_jsonable,
     report_to_text,
+    verify_report_traces,
 )
 from .terms import term_str
-from .traces import trace_to_jsonable, trace_to_text
+from .traces import TraceError, check_trace, trace_to_jsonable, trace_to_text
 from .typeorder import validate_axioms
 
 
@@ -46,7 +49,8 @@ def _load(path: str):
 
 def _cmd_check(args) -> int:
     problem = _load(args.file)
-    report = check_problem(problem, with_traces=args.format == "json")
+    report = check_problem(problem)
+    verify_report_traces(problem, report)
     if report.axiom_violations:
         if args.format == "json":
             print(dump_json(report_to_jsonable(problem, report, False)), end="")
@@ -80,6 +84,7 @@ def _cmd_trace(args) -> int:
             % (args.rule, term_str(rule.lhs), term_str(rule.rhs))
         )
         return 1
+    check_trace(problem.ctx, trace, "gt", ())
     if args.format == "json":
         print(dump_json(trace_to_jsonable(trace)), end="")
     else:
@@ -133,16 +138,8 @@ def _cmd_search(args) -> int:
             end="",
         )
     else:
-        for a, b in sort_strict:
-            print("order %s < %s ;" % (b, a))
-        for a, b in sort_equiv:
-            print("order %s = %s ;" % (a, b))
-        for a, b in prec_strict:
-            print("prec %s > %s ;" % (a, b))
-        for a, b in prec_equiv:
-            print("prec %s = %s ;" % (a, b))
-        for name in sorted(statuses):
-            print("status %s %s ;" % (name, statuses[name]))
+        for line in parameter_statements(*found):
+            print(line)
     return 0
 
 
@@ -241,6 +238,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except EngineError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except TraceError as exc:
+        print("error: trace fails replay: %s" % exc, file=sys.stderr)
         return 2
     except RecursionError:
         print("error: input nested too deeply", file=sys.stderr)

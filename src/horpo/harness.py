@@ -578,7 +578,8 @@ def search_params(problem):
 
     Returns (sort_order_pairs, prec_pairs, statuses) on success, None when
     the space is exhausted. Enumeration is deterministic: sort orders
-    outermost, then statuses (all-mul first), precedences innermost."""
+    outermost, then statuses (all-mul first), precedences innermost. The
+    sort-dependent parts of the context are built once per sort order."""
     sig = problem.sig
     sort_names = sorted(s.name for s in sig.sorts)
     fun_names = sorted(f.name for f in sig.funs)
@@ -589,28 +590,17 @@ def search_params(problem):
     )
     for sort_strict, sort_equiv in _weak_orders(sort_names):
         order = SortOrder(sort_names, sort_strict, sort_equiv)
-        universe = problem.ctx.universe
-        if validate_axioms(order, universe):
+        if validate_axioms(order, problem.ctx.universe):
             continue
+        order_ctx = OrderingContext.build(
+            sig, order, extra_types=tuple(problem.vars.values())
+        )
         for combo in status_space:
             statuses = dict(zip(multi_arg, combo))
             for prec_strict, prec_equiv in _weak_orders(fun_names):
-                # symbols put in the same precedence class must agree on
-                # arity and status, or extensions are ill-defined
-                if any(
-                    sig.fun(a).arity != sig.fun(b).arity
-                    or statuses.get(a, MUL) != statuses.get(b, MUL)
-                    for a, b in prec_equiv
-                ):
+                ctx = order_ctx.with_precedence(prec_strict, prec_equiv, statuses)
+                if ctx.prec_class_error() is not None:
                     continue
-                ctx = OrderingContext.build(
-                    sig,
-                    order,
-                    prec_strict,
-                    prec_equiv,
-                    statuses,
-                    extra_types=tuple(problem.vars.values()),
-                )
                 engine = Engine(ctx)
                 if all(
                     engine.orient_rule(r.lhs, r.rhs) is not None

@@ -243,7 +243,6 @@ class Rule:
 class Problem:
     sig: Signature
     sort_order: SortOrder
-    order_decls: tuple[tuple[str, str, str], ...]  # (kind "<"|"=", a, b)
     prec_strict: tuple[tuple[str, str], ...]
     prec_equiv: tuple[tuple[str, str], ...]
     statuses: dict[str, str]
@@ -399,35 +398,18 @@ def parse_problem(text: str) -> Problem:
     problem = Problem(
         sig=sig,
         sort_order=sort_order,
-        order_decls=tuple(order_decls),
         prec_strict=tuple(prec_strict),
         prec_equiv=tuple(prec_equiv),
         statuses=dict(statuses),
         vars=dict(var_env),
         rules=rules,
     )
-    _validate_prec_classes(problem)
-    return problem
-
-
-def _validate_prec_classes(problem: Problem) -> None:
-    """Symbols equivalent in the precedence must share arity and status."""
-    prec = problem.ctx.prec
-    if not prec.is_well_founded():
+    if not problem.ctx.prec.is_well_founded():
         raise ProblemError("precedence contains a cycle")
-    by_rep: dict[str, list[str]] = {}
-    for f in problem.sig.funs:
-        by_rep.setdefault(prec.rep(f.name), []).append(f.name)
-    for members in by_rep.values():
-        decls = [problem.sig.fun(m) for m in members]
-        if len({d.arity for d in decls}) > 1:
-            raise ProblemError(
-                "equivalent symbols with different arities: %s" % ", ".join(members)
-            )
-        if len({problem.ctx.statuses[m] for m in members}) > 1:
-            raise ProblemError(
-                "equivalent symbols with different statuses: %s" % ", ".join(members)
-            )
+    error = problem.ctx.prec_class_error()
+    if error is not None:
+        raise ProblemError(error)
+    return problem
 
 
 def print_problem(problem: Problem) -> str:
@@ -437,24 +419,35 @@ def print_problem(problem: Problem) -> str:
         lines.append(
             "sort %s ;" % s.name if s.arity == 0 else "sort %s / %d ;" % (s.name, s.arity)
         )
-    for kind, a, b in problem.order_decls:
-        lines.append("order %s %s %s ;" % (a, kind, b))
     for f in problem.sig.funs:
         lines.append(
             "fun %s : [%s] -> %s ;"
             % (f.name, ", ".join(ty_str(t) for t in f.arg_tys), ty_str(f.out_ty))
         )
-    for a, b in problem.prec_strict:
-        lines.append("prec %s > %s ;" % (a, b))
-    for a, b in problem.prec_equiv:
-        lines.append("prec %s = %s ;" % (a, b))
-    for name in sorted(problem.statuses):
-        lines.append("status %s %s ;" % (name, problem.statuses[name]))
+    lines += parameter_statements(
+        (problem.sort_order.strict_pairs, problem.sort_order.equiv_pairs),
+        (problem.prec_strict, problem.prec_equiv),
+        problem.statuses,
+    )
     for name, ty in problem.vars.items():
         lines.append("var %s : %s ;" % (name, ty_str(ty)))
     for rule in problem.rules:
         lines.append("rule %s -> %s ;" % (term_str(rule.lhs), term_str(rule.rhs)))
     return "\n".join(lines) + "\n"
+
+
+def parameter_statements(sort_order, precedence, statuses) -> list[str]:
+    """The `order`, `prec` and `status` statements stating the parameters
+    (sort_strict, sort_equiv), (prec_strict, prec_equiv), statuses, where a
+    strict pair (a, b) means a > b."""
+    (sort_strict, sort_equiv), (prec_strict, prec_equiv) = sort_order, precedence
+    return (
+        ["order %s < %s ;" % (b, a) for a, b in sort_strict]
+        + ["order %s = %s ;" % pair for pair in sort_equiv]
+        + ["prec %s > %s ;" % pair for pair in prec_strict]
+        + ["prec %s = %s ;" % pair for pair in prec_equiv]
+        + ["status %s %s ;" % (name, statuses[name]) for name in sorted(statuses)]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -480,18 +473,13 @@ class Report:
         )
 
 
-def check_problem(problem: Problem, with_traces: bool = True) -> Report:
+def check_problem(problem: Problem) -> Report:
     violations = validate_axioms(problem.ctx.sort_order, problem.ctx.universe)
     results: list[RuleResult] = []
     for i, rule in enumerate(problem.rules, start=1):
         trace = Engine(problem.ctx).orient_rule(rule.lhs, rule.rhs)
-        results.append(
-            RuleResult(
-                index=i,
-                verdict="oriented" if trace is not None else "not-oriented",
-                trace=trace if with_traces else None,
-            )
-        )
+        verdict = "oriented" if trace is not None else "not-oriented"
+        results.append(RuleResult(index=i, verdict=verdict, trace=trace))
     return Report(axiom_violations=violations, rule_results=results)
 
 

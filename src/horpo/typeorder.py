@@ -38,10 +38,11 @@ def _transitive_closure(pairs: Iterable[tuple[T, T]]) -> set[tuple[T, T]]:
 class QuasiOrder:
     """A quasi-order on names, generated from strict and equivalence pairs.
 
-    Equivalence pairs are closed into classes; strict pairs are lifted to
-    classes and closed transitively. The strict part may turn out cyclic for
-    bad user input; `is_well_founded()` reports that instead of raising, so
-    validation can describe the violation.
+    Equivalence pairs are closed into classes, each named by its least
+    member; strict pairs are lifted to classes and closed transitively. The
+    strict part may turn out cyclic for bad user input; `is_well_founded()`
+    reports that instead of raising, so validation can describe the
+    violation.
     """
 
     def __init__(
@@ -53,19 +54,13 @@ class QuasiOrder:
         self.elements = tuple(dict.fromkeys(elements))
         self.strict_pairs = tuple(strict_pairs)
         self.equiv_pairs = tuple(equiv_pairs)
-        parent = {e: e for e in self.elements}
-
-        def find(x: str) -> str:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in self.equiv_pairs:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-        self._repr = {e: find(e) for e in self.elements}
+        # each class is named by its least member
+        same = _transitive_closure(
+            self.equiv_pairs + tuple((b, a) for a, b in self.equiv_pairs)
+        )
+        self._repr = {
+            e: min([e] + [b for a, b in same if a == e]) for e in self.elements
+        }
         # the strict relation on class representatives
         self._gt = _transitive_closure(
             (self._repr[big], self._repr[small]) for big, small in self.strict_pairs
@@ -203,19 +198,18 @@ def validate_axioms(order: SortOrder, universe: Sequence[Ty]) -> list[str]:
     # all live in the universe
     arrows = {t for t in universe if isinstance(t, Arrow)}
     for a in universe:
-        for tau in universe:
-            for sigma in universe:
+        # the types u for which both a->u and u->a are in the universe
+        partners = [
+            u for u in universe if Arrow(a, u) in arrows and Arrow(u, a) in arrows
+        ]
+        for tau in partners:
+            for sigma in partners:
                 if not ty_ge(order, tau, sigma):
                     continue
-                composed = (
-                    Arrow(a, tau),
-                    Arrow(a, sigma),
-                    Arrow(tau, a),
-                    Arrow(sigma, a),
-                )
-                if not all(c in arrows for c in composed):
-                    continue
-                for left, right in (composed[:2], composed[2:]):
+                for left, right in (
+                    (Arrow(a, tau), Arrow(a, sigma)),
+                    (Arrow(tau, a), Arrow(sigma, a)),
+                ):
                     if not ty_ge(order, left, right):
                         violations.append(
                             "arrow monotonicity: %s !>= %s"

@@ -1,3 +1,4 @@
+import dataclasses
 import subprocess
 import sys
 
@@ -68,3 +69,29 @@ def test_deep_input_is_one_line_and_exit_2(tmp_path, lhs_depth, rhs_depth, comma
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "error: input nested too deeply\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", str(CORPUS / "brouwer.horpo")],
+        ["check", str(CORPUS / "brouwer.horpo"), "--format", "json", "--traces"],
+        ["trace", str(CORPUS / "brouwer.horpo"), "-r", "3"],
+    ],
+    ids=["check", "check-json-traces", "trace"],
+)
+def test_trace_failing_replay_is_one_line_and_exit_2(argv, monkeypatch, capsys):
+    # a 4a root claims a freed variable on the right under an empty bound
+    # set, which no rule's trace may do
+    orient = Engine.orient_rule
+
+    def forged(self, lhs, rhs):
+        trace = orient(self, lhs, rhs)
+        return trace and dataclasses.replace(trace, label="4a", children=())
+
+    monkeypatch.setattr(Engine, "orient_rule", forged)
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: trace fails replay: ")
+    assert err.count("\n") == 1 and err.endswith("\n")

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from horpo import harness
 from horpo.harness import (
     GenConfig,
     GenError,
@@ -29,6 +30,7 @@ from horpo.terms import (
     ty_str,
     typecheck,
 )
+from horpo.typeorder import SortOrder, validate_axioms
 
 Nat = Data("Nat")
 
@@ -139,3 +141,35 @@ def test_search_deterministic():
     a = search_params(load("brouwer_search.horpo"))
     b = search_params(load("brouwer_search.horpo"))
     assert a == b and a is not None
+
+
+def test_search_skips_precedence_classes_of_mixed_arity():
+    # putting f and c in one class would orient the rule, but their
+    # arities differ
+    p = parse_problem(
+        "sort N ;\nfun f : [N] -> N ;\nfun c : [] -> N ;\nrule f(c) -> c ;\n"
+    )
+    (_, _), (prec_strict, prec_equiv), _ = search_params(p)
+    assert prec_strict == (("f", "c"),) and prec_equiv == ()
+
+
+LIMIT = (
+    "sort Nat ;\nsort Ord ;\nfun lim : [Nat -> Ord] -> Ord ;\n"
+    "fun g : [Ord, Nat] -> Ord ;\n%s"
+    "var F : Nat -> Ord ;\nvar n : Nat ;\nrule g(lim(F), n) -> @(F, n) ;\n"
+)
+# p brings Ord -> Nat, Nat -> Nat and Ord -> Ord into the universe, where
+# Ord > Nat breaks arrow monotonicity
+P_DECL = "fun p : [Ord -> Nat, Nat -> Nat, Ord -> Ord] -> Nat ;\n"
+
+
+def test_search_skips_sort_orders_breaking_the_axioms(monkeypatch):
+    (sort_strict, sort_equiv), _, _ = search_params(parse_problem(LIMIT % ""))
+    assert (sort_strict, sort_equiv) == ((("Ord", "Nat"),), ())
+    with_p = parse_problem(LIMIT % P_DECL)
+    assert search_params(with_p) is None
+    # without the axiom check, the search settles on an order breaking them
+    monkeypatch.setattr(harness, "validate_axioms", lambda order, universe: [])
+    (sort_strict, sort_equiv), _, _ = search_params(with_p)
+    order = SortOrder(("Nat", "Ord"), sort_strict, sort_equiv)
+    assert validate_axioms(order, with_p.ctx.universe)

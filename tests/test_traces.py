@@ -4,7 +4,7 @@ import json
 import pytest
 
 from horpo.engine import Engine
-from horpo.problems import check_problem, verify_report_traces
+from horpo.problems import check_problem, parse_problem, verify_report_traces
 from horpo.terms import Abs, Arrow, Data, Fun, Var
 from horpo.traces import (
     Trace,
@@ -146,3 +146,59 @@ def test_validator_rejects_fresh_name_free_in_goal(nat_rec, which):
     assert Engine(nat_rec.ctx).gt((), forged.lhs, forged.rhs) is None
     with pytest.raises(TraceError, match="occurs free"):
         check_trace(nat_rec.ctx, forged, "gt", ())
+
+
+LEX_PROBLEM = (
+    "sort N ;\nfun z : [] -> N ;\nfun s : [N] -> N ;\nfun f : [N, N] -> N ;\n"
+    "prec f > s ;\nstatus f lex ;\nvar x : N ;\nvar y : N ;\n"
+    "rule f(x, s(y)) -> f(x, y) ;\nrule f(s(x), s(y)) -> f(x, y) ;\n"
+)
+
+
+def _with_aux(node, **aux):
+    return dataclasses.replace(
+        node, aux=tuple((k, aux.get(k, v)) for k, v in node.aux)
+    )
+
+
+def test_lex_extension_traces_replay():
+    p = parse_problem(LEX_PROBLEM)
+    for rule, pos in zip(p.rules, (1, 0)):
+        tr = Engine(p.ctx).orient_rule(rule.lhs, rule.rhs)
+        assert tr.label == "1b"
+        assert tr.children[-1].label == "lexExt"
+        assert tr.children[-1].get("pos") == pos
+        check_trace(p.ctx, tr, "gt", ())
+
+
+def test_validator_rejects_lex_prefix_not_alpha_equal():
+    # f(s(x),s(y)) > f(x,y) decreases at position 0; claiming position 1
+    # asserts that s(x) and x are equal
+    p = parse_problem(LEX_PROBLEM)
+    tr = Engine(p.ctx).orient_rule(p.rules[1].lhs, p.rules[1].rhs)
+    forged = dataclasses.replace(
+        tr, children=tr.children[:-1] + (_with_aux(tr.children[-1], pos=1),)
+    )
+    with pytest.raises(TraceError, match="prefix not alpha-equal"):
+        check_trace(p.ctx, forged, "gt", ())
+
+
+def _case_3a_trace(nat_rec):
+    """\\x:Nat.succ(z) > z under X = {x}, proved by case 3a."""
+    zero = Fun("z", (), Nat)
+    s = Abs("x", Nat, Fun("succ", (zero,), Nat), Arrow(Nat, Nat))
+    x = (("x", Nat),)
+    tr = Engine(nat_rec.ctx).gt(x, s, zero)
+    assert tr.label == "3a" and tr.get("fresh") != "x"
+    return tr, x
+
+
+def test_case_3a_trace_replays(nat_rec):
+    tr, x = _case_3a_trace(nat_rec)
+    check_trace(nat_rec.ctx, tr, "gt", x)
+
+
+def test_validator_rejects_3a_fresh_name_in_bound_set(nat_rec):
+    tr, x = _case_3a_trace(nat_rec)
+    with pytest.raises(TraceError, match="collides with the bound set"):
+        check_trace(nat_rec.ctx, _with_aux(tr, fresh="x"), "gt", x)

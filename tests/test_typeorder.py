@@ -1,6 +1,7 @@
 import pytest
 
-from horpo.terms import Arrow, Data
+from horpo.harness import _weak_orders
+from horpo.terms import Arrow, Data, ty_str
 from horpo.typeorder import (
     Cmp,
     QuasiOrder,
@@ -119,3 +120,63 @@ def test_strict_part_acyclic_on_universe(brouwer):
     order = brouwer.ctx.sort_order
     for a in uni:
         assert not ty_gt(order, a, a)
+
+
+def test_quasiorder_names_classes_by_least_member():
+    q = QuasiOrder(("d", "c", "b", "a", "e"), (("e", "d"),), (("d", "c"), ("b", "c")))
+    assert [q.rep(e) for e in "abcde"] == ["a", "b", "b", "b", "e"]
+    assert q.cmp("e", "b") is Cmp.GT
+
+
+ARROWS = [Arrow(Ord, Nat), Arrow(Ord, Ord), Arrow(Nat, Ord), Arrow(Nat, Nat)]
+
+
+def test_arrow_monotonicity_violations():
+    uni = type_universe(ARROWS)
+    above = SortOrder(("Nat", "Ord"), strict_pairs=(("Ord", "Nat"),))
+    assert validate_axioms(above, uni) == [
+        "arrow monotonicity: Ord -> Nat !>= Nat -> Nat",
+        "arrow monotonicity: Ord -> Ord !>= Nat -> Ord",
+    ]
+    same = SortOrder(("Nat", "Ord"), equiv_pairs=(("Nat", "Ord"),))
+    assert validate_axioms(same, uni) == []
+
+
+def _monotonicity_over_all_triples(order, universe):
+    """Arrow monotonicity as stated: every triple of universe types."""
+    arrows = set(universe)
+    out = []
+    for a in universe:
+        for tau in universe:
+            for sigma in universe:
+                pairs = [
+                    (Arrow(a, tau), Arrow(a, sigma)),
+                    (Arrow(tau, a), Arrow(sigma, a)),
+                ]
+                if not ty_ge(order, tau, sigma) or not all(
+                    left in arrows and right in arrows for left, right in pairs
+                ):
+                    continue
+                out += [
+                    "arrow monotonicity: %s !>= %s" % (ty_str(left), ty_str(right))
+                    for left, right in pairs
+                    if not ty_ge(order, left, right)
+                ]
+    return out
+
+
+def test_monotonicity_matches_all_triples_under_every_sort_order():
+    from conftest import CORPUS, load
+
+    universes = [type_universe(ARROWS)] + [
+        load(path.name).ctx.universe
+        for path in sorted(CORPUS.glob("*.horpo"))
+        if path.name != "bad_freevar.horpo"
+    ]
+    for uni in universes:
+        sorts = sorted({t.sort for t in uni if isinstance(t, Data)})
+        for strict, equiv in _weak_orders(sorts):
+            order = SortOrder(sorts, strict, equiv)
+            expected = _monotonicity_over_all_triples(order, uni)
+            got = [v for v in validate_axioms(order, uni) if "monotonicity" in v]
+            assert got == expected
