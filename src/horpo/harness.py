@@ -552,12 +552,11 @@ def exhaustive_check(
 
 def _weak_orders(elements: list[str]):
     """All total quasi-orders on `elements` as (strict, equiv) pair lists,
-    enumerated by level assignments (fewer levels first)."""
+    enumerated by level assignments onto 0..levels-1: fewer levels first,
+    then in lexicographic order. The empty set has one, the empty order."""
     n = len(elements)
-    for levels in range(1, n + 1):
-        for assign in product(range(levels), repeat=n):
-            if set(assign) != set(range(levels)):
-                continue
+    for levels in range(min(n, 1), n + 1):
+        for assign in _onto_assignments(n, levels):
             strict = [
                 (elements[i], elements[j])
                 for i in range(n)
@@ -571,6 +570,29 @@ def _weak_orders(elements: list[str]):
                 if assign[i] == assign[j]
             ]
             yield tuple(strict), tuple(equiv)
+
+
+def _onto_assignments(n: int, levels: int):
+    """The maps from n positions onto range(levels), as tuples in
+    lexicographic order. A prefix is dropped as soon as the positions left
+    cannot cover the levels it misses, so every prefix kept completes."""
+    assign = [0] * n
+    uses = [0] * levels
+
+    def fill(i: int, missing: int):
+        if i == n:
+            yield tuple(assign)
+            return
+        for level in range(levels):
+            left = missing - (uses[level] == 0)
+            if left > n - i - 1:
+                continue
+            assign[i] = level
+            uses[level] += 1
+            yield from fill(i + 1, left)
+            uses[level] -= 1
+
+    return fill(0, levels)
 
 
 def search_params(problem):

@@ -119,30 +119,39 @@ def _aux_jsonable(value) -> object:
 
 
 def trace_to_jsonable(trace: Trace) -> dict:
-    return {
-        "label": trace.label,
-        "lhs": term_str(trace.lhs),
-        "rhs": term_str(trace.rhs),
-        "x": [[name, ty_str(ty)] for name, ty in trace.x],
-        "aux": {k: _aux_jsonable(v) for k, v in trace.aux},
-        "children": [trace_to_jsonable(c) for c in trace.children],
-    }
+    """The trace as JSON-ready dicts and lists, built once per distinct node:
+    a subtrace the engine shared is the same dict object at each of its
+    positions. The result is read-only: mutating one position would change
+    them all."""
+    made: dict[int, dict] = {}
+
+    def build(t: Trace) -> dict:
+        obj = made.get(id(t))
+        if obj is None:
+            obj = made[id(t)] = {
+                "label": t.label,
+                "lhs": term_str(t.lhs),
+                "rhs": term_str(t.rhs),
+                "x": [[name, ty_str(ty)] for name, ty in t.x],
+                "aux": {k: _aux_jsonable(v) for k, v in t.aux},
+                "children": [build(c) for c in t.children],
+            }
+        return obj
+
+    return build(trace)
 
 
 def trace_to_text(trace: Trace, indent: int = 0) -> str:
-    pad = "  " * indent
-    if trace.label == "refl":
-        line = "%srefl: %s >= %s" % (pad, term_str(trace.lhs), term_str(trace.rhs))
-    else:
-        line = "%scase %s: %s > %s" % (
-            pad,
-            trace.label,
-            term_str(trace.lhs),
-            term_str(trace.rhs),
-        )
-    lines = [line]
-    for c in trace.children:
-        lines.append(trace_to_text(c, indent + 1))
+    lines: list[str] = []
+    stack = [(trace, indent)]
+    while stack:
+        t, depth = stack.pop()
+        if t.label == "refl":
+            line = "refl: %s >= %s" % (term_str(t.lhs), term_str(t.rhs))
+        else:
+            line = "case %s: %s > %s" % (t.label, term_str(t.lhs), term_str(t.rhs))
+        lines.append("  " * depth + line)
+        stack.extend((c, depth + 1) for c in reversed(t.children))
     return "\n".join(lines)
 
 
@@ -157,7 +166,30 @@ GT_LABELS = {
 
 def check_trace(ctx: OrderingContext, trace: Trace, kind: str, x: XSet) -> None:
     """Replay `trace` as a proof of the goal `kind` (gt/ge/ge_type) under
-    bound-variable set `x`; raises TraceError on any local mismatch."""
+    bound-variable set `x`; raises TraceError on any local mismatch.
+
+    A subtrace the engine shared is one node object reached along several
+    paths. Each distinct goal (node, kind, X) is replayed once per call; the
+    match of a child against the goal its parent assigns it runs on every
+    path. The work is linear in the distinct goals, not in the unfolded
+    tree."""
+    _check_goal(ctx, trace, kind, tuple(x), set())
+
+
+# A replayed goal: the node's identity, the goal kind and the bound set.
+Goal = tuple[int, str, XSet]
+
+
+def _check_goal(
+    ctx: OrderingContext, trace: Trace, kind: str, x: XSet, done: set[Goal]
+) -> None:
+    """Replay one node as a proof of `kind` under `x`, unless `done` (the
+    goals replayed successfully so far in this call) already holds it.
+    Besides gt, ge, ge_type and gt_type, `kind` is accApply: the strict
+    composite that an extension pair may be."""
+    goal = (id(trace), kind, x)
+    if goal in done:
+        return
     s, t = trace.lhs, trace.rhs
     label = trace.label
     xs_names = {name for name, _ in x}
@@ -169,32 +201,31 @@ def check_trace(ctx: OrderingContext, trace: Trace, kind: str, x: XSet) -> None:
             raise TraceError("refl proves only non-strict goals")
         if not alpha_eq(s, t):
             raise TraceError("refl on non-alpha-equal terms")
-        return
-    if kind in ("ge_type", "gt_type"):
+    elif kind == "accApply":  # the strict composite, as an extension pair
+        _check_acc_apply(ctx, trace, x, strict=True, done=done)
+    elif kind in ("ge_type", "gt_type"):
         if label != "typeCheck":
             raise TraceError("strict part of a typed goal must be typeCheck")
         if not ty_ge(ctx.sort_order, s.ty, t.ty):
             raise TraceError("type gate fails: %s vs %s" % (ty_str(s.ty), ty_str(t.ty)))
         _expect_children(trace, 1)
-        _check_child(ctx, trace.children[0], "gt", x, s, t)
-        return
-    if label not in GT_LABELS:
+        _check_child(ctx, trace.children[0], "gt", x, s, t, done)
+    elif label not in GT_LABELS:
         raise TraceError("unexpected label %r for goal %s" % (label, kind))
-    if isinstance(s, Var):
+    elif isinstance(s, Var):
         raise TraceError("no case applies to a variable left-hand side")
-
-    if label == "1a":
+    elif label == "1a":
         if not isinstance(s, Fun):
             raise TraceError("case 1a needs an algebraic left-hand side")
-        _check_acc_apply(ctx, trace, x, strict=False)
+        _check_acc_apply(ctx, trace, x, strict=False, done=done)
     elif label == "1b":
-        _check_1b(ctx, trace, x)
+        _check_1b(ctx, trace, x, done)
     elif label == "1c":
-        _check_1c(ctx, trace, x)
+        _check_1c(ctx, trace, x, done)
     elif label == "2a":
         if not isinstance(s, App):
             raise TraceError("case 2a needs an application left-hand side")
-        _check_acc_apply(ctx, trace, x, strict=False)
+        _check_acc_apply(ctx, trace, x, strict=False, done=done)
     elif label == "2b":
         if not (isinstance(s, App) and isinstance(t, App)):
             raise TraceError("case 2b needs applications on both sides")
@@ -207,19 +238,20 @@ def check_trace(ctx: OrderingContext, trace: Trace, kind: str, x: XSet) -> None:
             right=(t.fn, t.arg),
             status=MUL,
             pair_kind="type_x",
+            done=done,
         )
     elif label == "2c":
         reduct = beta_reduct(s)
         if reduct is None:
             raise TraceError("case 2c needs a beta redex on the left")
         _expect_children(trace, 1)
-        _check_child(ctx, trace.children[0], "ge", x, reduct, t)
+        _check_child(ctx, trace.children[0], "ge", x, reduct, t, done)
     elif label == "3a":
         if not isinstance(s, Abs):
             raise TraceError("case 3a needs an abstraction on the left")
         z = _check_fresh(trace, s, t, xs_names)
         _expect_children(trace, 1)
-        _check_child(ctx, trace.children[0], "ge_type", x, open_abs(s, z), t)
+        _check_child(ctx, trace.children[0], "ge_type", x, open_abs(s, z), t, done)
     elif label == "3b":
         if not (isinstance(s, Abs) and isinstance(t, Abs)):
             raise TraceError("case 3b needs abstractions on both sides")
@@ -228,14 +260,14 @@ def check_trace(ctx: OrderingContext, trace: Trace, kind: str, x: XSet) -> None:
         z = _check_fresh(trace, s, t, xs_names)
         _expect_children(trace, 1)
         _check_child(
-            ctx, trace.children[0], "gt", x, open_abs(s, z), open_abs(t, z)
+            ctx, trace.children[0], "gt", x, open_abs(s, z), open_abs(t, z), done
         )
     elif label == "3c":
         reduct = eta_reduct(s)
         if reduct is None:
             raise TraceError("case 3c needs an eta redex on the left")
         _expect_children(trace, 1)
-        _check_child(ctx, trace.children[0], "ge", x, reduct, t)
+        _check_child(ctx, trace.children[0], "ge", x, reduct, t, done)
     elif label == "4a":
         if not (isinstance(t, Var) and t.name in xs_names):
             raise TraceError("case 4a needs a freed variable on the right")
@@ -248,8 +280,15 @@ def check_trace(ctx: OrderingContext, trace: Trace, kind: str, x: XSet) -> None:
         z = _check_fresh(trace, s, t, xs_names)
         _expect_children(trace, 1)
         _check_child(
-            ctx, trace.children[0], "gt", x_add(x, z, t.var_ty), s, open_abs(t, z)
+            ctx,
+            trace.children[0],
+            "gt",
+            x_add(x, z, t.var_ty),
+            s,
+            open_abs(t, z),
+            done,
         )
+    done.add(goal)
 
 
 def _expect_children(trace: Trace, n: int) -> None:
@@ -273,18 +312,24 @@ def _check_fresh(trace: Trace, s: Term, t: Term, xs_names: set[str]) -> str:
 
 
 def _check_child(
-    ctx: OrderingContext, child: Trace, kind: str, x: XSet, s: Term, t: Term
+    ctx: OrderingContext,
+    child: Trace,
+    kind: str,
+    x: XSet,
+    s: Term,
+    t: Term,
+    done: set[Goal],
 ) -> None:
     if not alpha_eq(child.lhs, s) or not alpha_eq(child.rhs, t):
         raise TraceError(
             "child goal mismatch: have %s vs %s, want %s vs %s"
             % (term_str(child.lhs), term_str(child.rhs), term_str(s), term_str(t))
         )
-    check_trace(ctx, child, kind, x)
+    _check_goal(ctx, child, kind, x, done)
 
 
 def _check_acc_apply(
-    ctx: OrderingContext, trace: Trace, x: XSet, strict: bool
+    ctx: OrderingContext, trace: Trace, x: XSet, strict: bool, done: set[Goal]
 ) -> None:
     """Cases 1a/2a and the accApply composite share this shape."""
     s, t = trace.lhs, trace.rhs
@@ -324,10 +369,12 @@ def _check_acc_apply(
         )
     _expect_children(trace, 1)
     # the inner comparison runs with an empty bound-variable set
-    _check_child(ctx, trace.children[0], "ge", (), wapp, t)
+    _check_child(ctx, trace.children[0], "ge", (), wapp, t, done)
 
 
-def _check_1b(ctx: OrderingContext, trace: Trace, x: XSet) -> None:
+def _check_1b(
+    ctx: OrderingContext, trace: Trace, x: XSet, done: set[Goal]
+) -> None:
     s, t = trace.lhs, trace.rhs
     if not (isinstance(s, Fun) and isinstance(t, Fun)):
         raise TraceError("case 1b needs algebraic terms on both sides")
@@ -338,7 +385,7 @@ def _check_1b(ctx: OrderingContext, trace: Trace, x: XSet) -> None:
         raise TraceError("equivalent symbols with distinct statuses")
     _expect_children(trace, len(t.args) + 1)
     for child, tj in zip(trace.children[:-1], t.args):
-        _check_child(ctx, child, "gt", x, s, tj)
+        _check_child(ctx, child, "gt", x, s, tj, done)
     _check_ext(
         ctx,
         trace.children[-1],
@@ -347,10 +394,13 @@ def _check_1b(ctx: OrderingContext, trace: Trace, x: XSet) -> None:
         right=t.args,
         status=status,
         pair_kind="union",
+        done=done,
     )
 
 
-def _check_1c(ctx: OrderingContext, trace: Trace, x: XSet) -> None:
+def _check_1c(
+    ctx: OrderingContext, trace: Trace, x: XSet, done: set[Goal]
+) -> None:
     s, t = trace.lhs, trace.rhs
     if not isinstance(s, Fun):
         raise TraceError("case 1c needs an algebraic left-hand side")
@@ -369,7 +419,7 @@ def _check_1c(ctx: OrderingContext, trace: Trace, x: XSet) -> None:
         raise TraceError("case 1c right-hand side must be algebraic or applied")
     _expect_children(trace, len(targs))
     for child, tj in zip(trace.children, targs):
-        _check_child(ctx, child, "gt", x, s, tj)
+        _check_child(ctx, child, "gt", x, s, tj, done)
 
 
 def _check_ext(
@@ -380,6 +430,7 @@ def _check_ext(
     right: tuple[Term, ...],
     status: str,
     pair_kind: str,
+    done: set[Goal],
 ) -> None:
     if status == MUL:
         if node.label != "mulExt":
@@ -405,7 +456,7 @@ def _check_ext(
         for (i, j), child in zip(cover, node.children):
             if i not in removed:
                 raise TraceError("cover uses a cancelled left element")
-            _check_pair(ctx, child, x, left[i], right[j], pair_kind)
+            _check_pair(ctx, child, x, left[i], right[j], pair_kind, done)
     else:
         if node.label != "lexExt":
             raise TraceError("expected a lexicographic-extension node")
@@ -418,7 +469,7 @@ def _check_ext(
             if not alpha_eq(left[k], right[k]):
                 raise TraceError("lexicographic prefix not alpha-equal")
         _expect_children(node, 1)
-        _check_pair(ctx, node.children[0], x, left[pos], right[pos], pair_kind)
+        _check_pair(ctx, node.children[0], x, left[pos], right[pos], pair_kind, done)
 
 
 def _check_pair(
@@ -428,6 +479,7 @@ def _check_pair(
     a: Term,
     b: Term,
     pair_kind: str,
+    done: set[Goal],
 ) -> None:
     """A single extension subgoal.
 
@@ -438,10 +490,10 @@ def _check_pair(
         raise TraceError("extension pair mismatch")
     if child.label == "typeCheck":
         inner_x: XSet = x if pair_kind == "type_x" else ()
-        check_trace(ctx, child, "gt_type", inner_x)
+        _check_goal(ctx, child, "gt_type", inner_x, done)
     elif child.label == "accApply" and pair_kind == "union":
         if tuple(child.x) != tuple(x):
             raise TraceError("composite node carries the wrong bound set")
-        _check_acc_apply(ctx, child, x, strict=True)
+        _check_goal(ctx, child, "accApply", x, done)
     else:
         raise TraceError("unexpected extension pair label %r" % child.label)

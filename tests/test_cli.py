@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import subprocess
 import sys
 
@@ -95,3 +96,22 @@ def test_trace_failing_replay_is_one_line_and_exit_2(argv, monkeypatch, capsys):
     assert out == ""
     assert err.startswith("error: trace fails replay: ")
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["trace", "--format", "json"], ["check", "--traces", "--format", "json"]],
+    ids=["trace", "check-traces"],
+)
+def test_shared_trace_json_is_the_stdlib_text(tmp_path, command):
+    # c^14(z) > c^7(z): 99 distinct trace nodes, 1,853 once unfolded
+    path = _tower_file(tmp_path, 14, 7)
+    proc = subprocess.run(
+        [sys.executable, "-m", "horpo.cli", *command, str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert len(proc.stdout) > 1_900_000
+    expected = json.dumps(json.loads(proc.stdout), sort_keys=True, indent=2) + "\n"
+    assert proc.stdout == expected

@@ -1,7 +1,9 @@
 import random
+from itertools import product
 
 import pytest
 
+from conftest import CORPUS, load
 from horpo import harness
 from horpo.harness import (
     GenConfig,
@@ -136,8 +138,6 @@ def test_search_exhausts_on_embedding():
 
 
 def test_search_deterministic():
-    from conftest import load
-
     a = search_params(load("brouwer_search.horpo"))
     b = search_params(load("brouwer_search.horpo"))
     assert a == b and a is not None
@@ -173,3 +173,59 @@ def test_search_skips_sort_orders_breaking_the_axioms(monkeypatch):
     (sort_strict, sort_equiv), _, _ = search_params(with_p)
     order = SortOrder(("Nat", "Ord"), sort_strict, sort_equiv)
     assert validate_axioms(order, with_p.ctx.universe)
+
+
+def _weak_orders_by_filter(elements):
+    """Reference enumeration: every map from the elements to k levels, kept
+    when it is onto, k = 1..n."""
+    n = len(elements)
+    for levels in range(1, n + 1):
+        for assign in product(range(levels), repeat=n):
+            if set(assign) != set(range(levels)):
+                continue
+            strict = [
+                (elements[i], elements[j])
+                for i in range(n)
+                for j in range(n)
+                if assign[i] > assign[j]
+            ]
+            equiv = [
+                (elements[i], elements[j])
+                for i in range(n)
+                for j in range(i + 1, n)
+                if assign[i] == assign[j]
+            ]
+            yield tuple(strict), tuple(equiv)
+
+
+def test_weak_orders_match_the_filter_and_count_ordered_partitions():
+    counts = []
+    for n in range(7):
+        elements = ["e%d" % i for i in range(n)]
+        got = list(harness._weak_orders(elements))
+        counts.append(len(got))
+        if n:
+            assert got == list(_weak_orders_by_filter(elements))
+        else:
+            # the filter yields nothing here; the empty set has one order
+            assert got == [((), ())]
+    assert counts == [1, 1, 3, 13, 75, 541, 4683]
+
+
+def test_search_finds_the_same_parameters_as_the_filter(monkeypatch):
+    problems = [
+        load(path.name)
+        for path in sorted(CORPUS.glob("*.horpo"))
+        if path.name != "bad_freevar.horpo"
+    ]
+    found = [search_params(p) for p in problems]
+    monkeypatch.setattr(harness, "_weak_orders", _weak_orders_by_filter)
+    assert found == [search_params(p) for p in problems]
+    assert sum(f is not None for f in found) == len(problems) - 1
+
+
+def test_search_without_function_symbols_needs_no_parameters():
+    # every rule is oriented as declared, which check also says; the empty
+    # precedence is the one weak order on no symbols
+    p = parse_problem("sort N ;\nvar F : N -> N ;\nvar y : N ;\nrule @(F, y) -> y ;\n")
+    assert search_params(p) == (((), ()), ((), ()), {})

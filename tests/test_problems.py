@@ -1,4 +1,8 @@
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from horpo.problems import (
     ProblemError,
@@ -143,3 +147,50 @@ def test_report_overall_status(brouwer):
     report = check_problem(brouwer)
     assert report.ok
     assert all(r.verdict == "oriented" for r in report.rule_results)
+
+
+KEYS = st.text(max_size=4) | st.sampled_from(["", "\"", "\\", "\n", "é→𝔸"])
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=6),
+    st.sampled_from(["\"\\/", "\n\t\b\f\r", "\x00\x1f\x7f", "é→𝔸\u2028"]),
+)
+
+
+def _containers(children, min_size=0):
+    return st.lists(children, min_size=min_size, max_size=3) | st.dictionaries(
+        KEYS, children, min_size=min_size, max_size=3
+    )
+
+
+TREES = st.recursive(SCALARS, _containers, max_leaves=6)
+
+
+@st.composite
+def shared_json(draw):
+    """A JSON tree in which one container object appears at several depths:
+    each wrapping holds the previous one at depths 1 and 2, so the shared
+    containers also nest inside each other."""
+    node = draw(_containers(TREES, min_size=1))
+    for _ in range(draw(st.integers(1, 3))):
+        a, b = draw(TREES), draw(TREES)
+        k1, k2, k3 = draw(st.lists(KEYS, min_size=3, max_size=3, unique=True))
+        inner = draw(st.sampled_from([[node, a], {k1: a, k2: node}]))
+        node = draw(st.sampled_from([[b, inner, node], {k1: node, k2: inner, k3: b}]))
+    return node
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(shared_json())
+def test_dump_json_is_the_stdlib_text(obj):
+    assert dump_json(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def test_dump_json_pastes_a_shared_container_at_every_depth():
+    leaf = {"k": ["é", 1.5, None, {}], "a": []}
+    mid = [leaf, {"x": leaf}]
+    obj = {"b": [mid, [[mid]]], "a": leaf, "c": (leaf, True)}
+    assert dump_json(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"

@@ -202,3 +202,143 @@ def test_validator_rejects_3a_fresh_name_in_bound_set(nat_rec):
     tr, x = _case_3a_trace(nat_rec)
     with pytest.raises(TraceError, match="collides with the bound set"):
         check_trace(nat_rec.ctx, _with_aux(tr, fresh="x"), "gt", x)
+
+
+def _tower(k):
+    """c^k(z) > c^(k/2)(z): the engine's memo shares most of the trace."""
+    nest = lambda n: "c(" * n + "z" + ")" * n
+    p = parse_problem(
+        "sort N ;\nfun z : [] -> N ;\nfun c : [N] -> N ;\n"
+        "rule %s -> %s ;\n" % (nest(k), nest(k // 2))
+    )
+    rule = p.rules[0]
+    return p, Engine(p.ctx).orient_rule(rule.lhs, rule.rhs)
+
+
+def _paths(trace):
+    """The distinct nodes by identity, parents before children, and the
+    number of unfolded occurrences of each."""
+    order, seen = [], set()
+
+    def visit(t):
+        if id(t) not in seen:
+            seen.add(id(t))
+            for c in t.children:
+                visit(c)
+            order.append(t)
+
+    visit(trace)
+    order.reverse()
+    paths = {id(trace): 1}
+    for t in order:
+        for c in t.children:
+            paths[id(c)] = paths.get(id(c), 0) + paths[id(t)]
+    return paths, {id(t): t for t in order}
+
+
+def test_replay_visits_each_distinct_goal_once(monkeypatch):
+    import horpo.traces as traces_mod
+
+    p, tr = _tower(14)
+    paths, nodes = _paths(tr)
+    assert sum(paths.values()) > 15 * len(nodes)  # 1,853 unfolded, 99 distinct
+    # the distinct goals reached, and each run of a node's local check: every
+    # check but refl's (a leaf) counts the node's children once
+    goals, visits = set(), []
+    replay, expect = traces_mod._check_goal, traces_mod._expect_children
+
+    def reaching(ctx, trace, kind, x, done):
+        if trace.label != "refl":
+            goals.add((id(trace), kind, x))
+        replay(ctx, trace, kind, x, done)
+
+    def visiting(trace, n):
+        if trace.label not in ("mulExt", "lexExt"):  # part of the parent's check
+            visits.append(id(trace))
+        expect(trace, n)
+
+    monkeypatch.setattr(traces_mod, "_check_goal", reaching)
+    monkeypatch.setattr(traces_mod, "_expect_children", visiting)
+    check_trace(p.ctx, tr, "gt", ())
+    assert len(visits) == len(goals) <= 2 * len(nodes)
+    assert set(visits) == {
+        i for i, t in nodes.items() if t.label not in ("refl", "mulExt", "lexExt")
+    }
+
+
+def _replace_node(trace, target, forged):
+    """The trace with node `target` replaced by `forged` at every position,
+    keeping every other node shared as it was."""
+    made = {}
+
+    def go(t):
+        if t is target:
+            return forged
+        if id(t) not in made:
+            made[id(t)] = dataclasses.replace(
+                t, children=tuple(go(c) for c in t.children)
+            )
+        return made[id(t)]
+
+    return go(trace)
+
+
+def test_forged_node_inside_a_shared_subtrace_raises():
+    p, tr = _tower(14)
+    paths, nodes = _paths(tr)
+    # the strict node reached along the most paths, below the root
+    target = max(
+        (t for t in nodes.values() if t.label == "1b" and t is not tr),
+        key=lambda t: paths[id(t)],
+    )
+    assert paths[id(target)] > 1
+    forged = _replace_node(tr, target, dataclasses.replace(target, label="1c"))
+    check_trace(p.ctx, _replace_node(tr, target, target), "gt", ())
+    with pytest.raises(TraceError, match="strictly smaller head symbol"):
+        check_trace(p.ctx, forged, "gt", ())
+
+
+REUSE_PROBLEM = (
+    "sort N ;\nfun a : [] -> N ;\nfun f : [N] -> N ;\n"
+    "fun g : [N, N -> N] -> N ;\nprec f > g ;\n"
+)
+
+
+def test_node_reused_under_another_bound_set_is_replayed_again():
+    # f(a) > g(a, \z.a) by 1c: the children are f(a) > a under X = {} and,
+    # by 4b, f(a) > a under X = {z}
+    p = parse_problem(REUSE_PROBLEM)
+    N = Data("N")
+    a = Fun("a", (), N)
+    s = Fun("f", (a,), N)
+    lam = Abs("z", N, a, Arrow(N, N))
+    t = Fun("g", (a, lam), N)
+    xz = (("z", N),)
+    engine = Engine(p.ctx)
+    outer, inner = engine.gt((), s, a), engine.gt(xz, s, a)
+
+    def root(first, second):
+        fourb = Trace("4b", s, lam, (), (second,), (("fresh", "z"),))
+        return Trace("1c", s, t, (), (first, fourb))
+
+    check_trace(p.ctx, root(outer, inner), "gt", ())
+    # the same node object under X = {} and X = {z}: valid only under the
+    # first, so the second occurrence must still be replayed
+    with pytest.raises(TraceError, match="differs from goal X"):
+        check_trace(p.ctx, root(outer, outer), "gt", ())
+    with pytest.raises(TraceError, match="differs from goal X"):
+        check_trace(p.ctx, root(inner, inner), "gt", ())
+
+
+def test_jsonable_shares_dicts_and_unfolds_to_the_tree():
+    _, tr = _tower(14)
+    paths, nodes = _paths(tr)
+    obj = trace_to_jsonable(tr)
+    count, dicts, stack = 0, set(), [obj]
+    while stack:
+        node = stack.pop()
+        count += 1
+        dicts.add(id(node))
+        stack.extend(node["children"])
+    assert count == sum(paths.values())
+    assert len(dicts) == len(nodes)
