@@ -10,10 +10,11 @@ until all rules of a problem orient.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from typing import Callable
 
+from .accessibility import APP_SYM
 from .context import LEX, MUL, OrderingContext
 from .engine import Engine
 from .terms import (
@@ -36,7 +37,7 @@ from .terms import (
     ty_str,
 )
 from .traces import TraceError, check_trace
-from .typeorder import SortOrder, validate_axioms
+from .typeorder import Cmp, SortOrder, validate_axioms
 
 
 class GenError(Exception):
@@ -550,26 +551,12 @@ def exhaustive_check(
 # Parameter search
 
 
-def _weak_orders(elements: list[str]):
-    """All total quasi-orders on `elements` as (strict, equiv) pair lists,
-    enumerated by level assignments onto 0..levels-1: fewer levels first,
-    then in lexicographic order. The empty set has one, the empty order."""
-    n = len(elements)
+def _level_assignments(n: int):
+    """The total quasi-orders on n positions as level assignments onto
+    0..levels-1: fewer levels first, then in lexicographic order. The empty
+    set has one, the empty assignment."""
     for levels in range(min(n, 1), n + 1):
-        for assign in _onto_assignments(n, levels):
-            strict = [
-                (elements[i], elements[j])
-                for i in range(n)
-                for j in range(n)
-                if assign[i] > assign[j]
-            ]
-            equiv = [
-                (elements[i], elements[j])
-                for i in range(n)
-                for j in range(i + 1, n)
-                if assign[i] == assign[j]
-            ]
-            yield tuple(strict), tuple(equiv)
+        yield from _onto_assignments(n, levels)
 
 
 def _onto_assignments(n: int, levels: int):
@@ -595,16 +582,79 @@ def _onto_assignments(n: int, levels: int):
     return fill(0, levels)
 
 
+def _order_pairs(elements: list[str], assign: tuple[int, ...]):
+    """The (strict, equiv) pair lists of the quasi-order that the level
+    assignment `assign` puts on `elements`."""
+    n = len(elements)
+    strict = tuple(
+        (elements[i], elements[j])
+        for i in range(n)
+        for j in range(n)
+        if assign[i] > assign[j]
+    )
+    equiv = tuple(
+        (elements[i], elements[j])
+        for i in range(n)
+        for j in range(i + 1, n)
+        if assign[i] == assign[j]
+    )
+    return strict, equiv
+
+
+def _weak_orders(elements: list[str]):
+    """All total quasi-orders on `elements` as (strict, equiv) pair lists,
+    in the order of `_level_assignments`."""
+    return (_order_pairs(elements, a) for a in _level_assignments(len(elements)))
+
+
+_LEVEL_CMP = {1: Cmp.GT, 0: Cmp.EQ, -1: Cmp.LT}
+
+
+class _Reads:
+    """Stands in for a context's precedence and statuses while the engine
+    orients one rule, recording each answer: comparisons by symbol pair,
+    statuses by symbol."""
+
+    def __init__(self, ctx: OrderingContext):
+        self.ctx = ctx
+        self.cmps: dict[tuple[str, str], Cmp] = {}
+        self.stats: dict[str, str] = {}
+
+    def cmp(self, f: str, g: str) -> Cmp:
+        answer = self.cmps[f, g] = self.ctx.prec.cmp(f, g)
+        return answer
+
+    def __getitem__(self, f: str) -> str:
+        answer = self.stats[f] = self.ctx.statuses[f]
+        return answer
+
+    def agree(self, level: dict[str, int], statuses: dict[str, str]) -> bool:
+        """Whether the precedence given by `level` and the `statuses` answer
+        every recorded read as it was answered."""
+        return all(
+            _LEVEL_CMP[(level[f] > level[g]) - (level[f] < level[g])] is answer
+            for (f, g), answer in self.cmps.items()
+        ) and all(statuses.get(f, MUL) == answer for f, answer in self.stats.items())
+
+
 def search_params(problem):
     """Search sort orders, precedences and statuses orienting every rule.
 
     Returns (sort_order_pairs, prec_pairs, statuses) on success, None when
     the space is exhausted. Enumeration is deterministic: sort orders
-    outermost, then statuses (all-mul first), precedences innermost. The
-    sort-dependent parts of the context are built once per sort order."""
+    outermost, then statuses (all-mul first), precedences innermost, each
+    precedence a level assignment of the symbols, `@` below all of them.
+
+    Each rule's outcome is stored under the precedence comparisons and
+    status lookups the engine made for it. A later candidate that answers
+    every such read the same way gets that outcome without running the
+    engine, so a failure rejects it at once: the nogoods of conflict-driven
+    search (Marques-Silva & Sakallah, "GRASP", 1999) over the precedence and
+    status constraints of Codish, Lagoon & Stuckey (RTA 2006)."""
     sig = problem.sig
     sort_names = sorted(s.name for s in sig.sorts)
     fun_names = sorted(f.name for f in sig.funs)
+    arities = [sig.fun(f).arity for f in fun_names]
     multi_arg = [f.name for f in sig.funs if f.arity >= 2]
     status_space = sorted(
         product((MUL, LEX), repeat=len(multi_arg)),
@@ -617,18 +667,42 @@ def search_params(problem):
         order_ctx = OrderingContext.build(
             sig, order, extra_types=tuple(problem.vars.values())
         )
+        # The type order, AccTable and minimal types change with the sort
+        # order and nothing else, so the engine's answer is a function of
+        # its recorded reads only while the sort order stays: outcomes live
+        # for one sort order.
+        outcomes: list[list[tuple[_Reads, bool]]] = [[] for _ in problem.rules]
         for combo in status_space:
             statuses = dict(zip(multi_arg, combo))
-            for prec_strict, prec_equiv in _weak_orders(fun_names):
-                ctx = order_ctx.with_precedence(prec_strict, prec_equiv, statuses)
-                if ctx.prec_class_error() is not None:
+            kinds = [(a, statuses.get(f, MUL)) for f, a in zip(fun_names, arities)]
+            for assign in _level_assignments(len(fun_names)):
+                # one arity and one status per precedence class
+                first: dict[int, tuple[int, str]] = {}
+                if any(first.setdefault(lv, k) != k for lv, k in zip(assign, kinds)):
                     continue
-                engine = Engine(ctx)
-                if all(
-                    engine.orient_rule(r.lhs, r.rhs) is not None
-                    for r in problem.rules
-                ):
-                    return (sort_strict, sort_equiv), (prec_strict, prec_equiv), statuses
+                level = dict(zip(fun_names, assign))
+                level[APP_SYM] = -1
+                ctx = None
+                for rule, known in zip(problem.rules, outcomes):
+                    oriented = next(
+                        (ok for reads, ok in known if reads.agree(level, statuses)),
+                        None,
+                    )
+                    if oriented is None:
+                        if ctx is None:
+                            prec = _order_pairs(fun_names, assign)
+                            ctx = order_ctx.with_precedence(*prec, statuses)
+                        # a fresh engine per rule: a memo shared across
+                        # rules would hold answers resting on other reads
+                        reads = _Reads(ctx)
+                        engine = Engine(replace(ctx, prec=reads, statuses=reads))
+                        oriented = engine.orient_rule(rule.lhs, rule.rhs) is not None
+                        known.append((reads, oriented))
+                    if not oriented:
+                        break
+                else:
+                    prec = _order_pairs(fun_names, assign)
+                    return (sort_strict, sort_equiv), prec, statuses
     return None
 
 

@@ -5,6 +5,8 @@ import pytest
 
 from conftest import CORPUS, load
 from horpo import harness
+from horpo.context import LEX, MUL, OrderingContext
+from horpo.engine import Engine
 from horpo.harness import (
     GenConfig,
     GenError,
@@ -175,14 +177,22 @@ def test_search_skips_sort_orders_breaking_the_axioms(monkeypatch):
     assert validate_axioms(order, with_p.ctx.universe)
 
 
+def _onto_by_filter(n, levels):
+    """Reference enumeration: every map from n positions to `levels`
+    levels, kept when it is onto."""
+    return (
+        assign
+        for assign in product(range(levels), repeat=n)
+        if set(assign) == set(range(levels))
+    )
+
+
 def _weak_orders_by_filter(elements):
-    """Reference enumeration: every map from the elements to k levels, kept
-    when it is onto, k = 1..n."""
+    """Reference enumeration: the onto maps to k levels, k = 0..n, as
+    (strict, equiv) pair lists."""
     n = len(elements)
-    for levels in range(1, n + 1):
-        for assign in product(range(levels), repeat=n):
-            if set(assign) != set(range(levels)):
-                continue
+    for levels in range(n + 1):
+        for assign in _onto_by_filter(n, levels):
             strict = [
                 (elements[i], elements[j])
                 for i in range(n)
@@ -204,11 +214,8 @@ def test_weak_orders_match_the_filter_and_count_ordered_partitions():
         elements = ["e%d" % i for i in range(n)]
         got = list(harness._weak_orders(elements))
         counts.append(len(got))
-        if n:
-            assert got == list(_weak_orders_by_filter(elements))
-        else:
-            # the filter yields nothing here; the empty set has one order
-            assert got == [((), ())]
+        assert got == list(_weak_orders_by_filter(elements))
+    # the empty set has one order, the empty one
     assert counts == [1, 1, 3, 13, 75, 541, 4683]
 
 
@@ -219,9 +226,93 @@ def test_search_finds_the_same_parameters_as_the_filter(monkeypatch):
         if path.name != "bad_freevar.horpo"
     ]
     found = [search_params(p) for p in problems]
-    monkeypatch.setattr(harness, "_weak_orders", _weak_orders_by_filter)
+    # both the sort orders and the precedences are level assignments
+    monkeypatch.setattr(harness, "_onto_assignments", _onto_by_filter)
     assert found == [search_params(p) for p in problems]
     assert sum(f is not None for f in found) == len(problems) - 1
+
+
+def _search_by_generate_and_test(problem):
+    """Reference search: the same enumeration as `search_params`, with one
+    engine per candidate and no outcome reused across candidates."""
+    sig = problem.sig
+    sort_names = sorted(s.name for s in sig.sorts)
+    fun_names = sorted(f.name for f in sig.funs)
+    multi_arg = [f.name for f in sig.funs if f.arity >= 2]
+    status_space = sorted(
+        product((MUL, LEX), repeat=len(multi_arg)),
+        key=lambda combo: combo.count(LEX),
+    )
+    for sort_strict, sort_equiv in _weak_orders_by_filter(sort_names):
+        order = SortOrder(sort_names, sort_strict, sort_equiv)
+        if validate_axioms(order, problem.ctx.universe):
+            continue
+        order_ctx = OrderingContext.build(
+            sig, order, extra_types=tuple(problem.vars.values())
+        )
+        for combo in status_space:
+            statuses = dict(zip(multi_arg, combo))
+            for prec_strict, prec_equiv in _weak_orders_by_filter(fun_names):
+                ctx = order_ctx.with_precedence(prec_strict, prec_equiv, statuses)
+                if ctx.prec_class_error() is not None:
+                    continue
+                engine = Engine(ctx)
+                if all(
+                    engine.orient_rule(r.lhs, r.rhs) is not None
+                    for r in problem.rules
+                ):
+                    return (sort_strict, sort_equiv), (prec_strict, prec_equiv), statuses
+    return None
+
+
+BROUWER_SEARCH = (CORPUS / "brouwer_search.horpo").read_text()
+# no parameters orient this rule, so it makes the search exhaust
+BLOCKER = "rule rec(N, U, V, W) -> rec(s(N), U, V, W) ;\n"
+EXTRA_SYMBOL = "fun u : [Ord] -> Ord ;\n"
+# the third rule needs ack's lex status
+ACKERMANN = (
+    "sort N ;\nfun 0 : [] -> N ;\nfun s : [N] -> N ;\nfun ack : [N, N] -> N ;\n"
+    "var X : N ;\nvar Y : N ;\n"
+    "rule ack(0, Y) -> s(Y) ;\n"
+    "rule ack(s(X), 0) -> ack(X, s(0)) ;\n"
+    "rule ack(s(X), s(Y)) -> ack(X, ack(s(X), Y)) ;\n"
+)
+SEARCH_CASES = {
+    **{
+        path.name: path.read_text()
+        for path in sorted(CORPUS.glob("*.horpo"))
+        if path.name != "bad_freevar.horpo"
+    },
+    "brouwer_search+blocker": BROUWER_SEARCH + BLOCKER,
+    "brouwer_search+symbol": BROUWER_SEARCH + EXTRA_SYMBOL,
+    "brouwer_search+symbol+blocker": BROUWER_SEARCH + EXTRA_SYMBOL + BLOCKER,
+    "ackermann": ACKERMANN,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_CASES))
+def test_search_reuse_matches_generate_and_test(name):
+    problem = parse_problem(SEARCH_CASES[name])
+    assert search_params(problem) == _search_by_generate_and_test(problem)
+
+
+def test_only_lex_orients_ackermann():
+    found = search_params(parse_problem(ACKERMANN))
+    assert found is not None and found[2] == {"ack": LEX}
+
+
+def test_exhausted_search_runs_the_engine_72_times(monkeypatch):
+    calls = []
+    orient_rule = Engine.orient_rule
+
+    def counted(engine, lhs, rhs):
+        calls.append(None)
+        return orient_rule(engine, lhs, rhs)
+
+    monkeypatch.setattr(Engine, "orient_rule", counted)
+    assert search_params(parse_problem(BROUWER_SEARCH + BLOCKER)) is None
+    # pinned; without reuse the same search makes 2,640 calls
+    assert len(calls) == 72
 
 
 def test_search_without_function_symbols_needs_no_parameters():
