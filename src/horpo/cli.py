@@ -8,29 +8,30 @@
 
 Exit codes: 0 success, 1 a check failed (rule not oriented, property
 finding, search exhausted), 2 invalid input or parameters, input nested
-too deeply for the recursive term walks, an internal engine error, or a
-proof trace that fails replay.
+too deeply for the recursive term walks, an internal engine error, a
+proof trace that fails replay, or search parameters that fail their check.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
-from .engine import Engine, EngineError
+from .engine import EngineError
 from .harness import GenConfig, exhaustive_check, run_properties, search_params
 from .problems import (
     ProblemError,
     check_problem,
     dump_json,
+    orient,
     parameter_statements,
     parse_problem,
     report_to_jsonable,
     report_to_text,
-    verify_report_traces,
 )
 from .terms import term_str
-from .traces import TraceError, check_trace, trace_to_jsonable, trace_to_text
-from .typeorder import validate_axioms
+from .traces import TraceError, trace_to_jsonable, trace_to_text
+from .typeorder import SortOrder, validate_axioms
 
 
 def _load(path: str):
@@ -50,7 +51,6 @@ def _load(path: str):
 def _cmd_check(args) -> int:
     problem = _load(args.file)
     report = check_problem(problem)
-    verify_report_traces(problem, report)
     if report.axiom_violations:
         if args.format == "json":
             print(dump_json(report_to_jsonable(problem, report, False)), end="")
@@ -62,7 +62,7 @@ def _cmd_check(args) -> int:
     if args.format == "json":
         print(dump_json(report_to_jsonable(problem, report, args.traces)), end="")
     else:
-        print(report_to_text(problem, report, with_traces=False), end="")
+        print(report_to_text(problem, report), end="")
     return 0 if report.ok else 1
 
 
@@ -77,14 +77,13 @@ def _cmd_trace(args) -> int:
             print("axiom violation: %s" % v, file=sys.stderr)
         return 2
     rule = problem.rules[args.rule - 1]
-    trace = Engine(problem.ctx).orient_rule(rule.lhs, rule.rhs)
+    trace = orient(problem.ctx, rule)
     if trace is None:
         print(
             "rule %d: %s -> %s : not-oriented"
             % (args.rule, term_str(rule.lhs), term_str(rule.rhs))
         )
         return 1
-    check_trace(problem.ctx, trace, "gt", ())
     if args.format == "json":
         print(dump_json(trace_to_jsonable(trace)), end="")
     else:
@@ -119,6 +118,18 @@ def _cmd_search(args) -> int:
         print("search: exhausted without orienting all rules")
         return 1
     (sort_strict, sort_equiv), (prec_strict, prec_equiv), statuses = found
+    # the answer is printed only once every rule's trace under it replays
+    sorts = sorted(s.name for s in problem.sig.sorts)
+    checked = dataclasses.replace(
+        problem,
+        sort_order=SortOrder(sorts, sort_strict, sort_equiv),
+        prec_strict=prec_strict,
+        prec_equiv=prec_equiv,
+        statuses=statuses,
+    )
+    if not check_problem(checked).ok:
+        print("error: search result fails its check", file=sys.stderr)
+        return 2
     if args.format == "json":
         print(
             dump_json(

@@ -27,7 +27,6 @@ from .terms import (
     Var,
     all_names,
     alpha_eq,
-    arrow_depth,
     beta_reduct,
     eta_reduct,
     fresh_var,
@@ -49,10 +48,9 @@ EMPTY_X: XSet = ()
 @dataclass
 class Engine:
     ctx: OrderingContext
-    disabled_cases: frozenset[str] = frozenset()
-    memo: dict = field(default_factory=dict)
-    _depth: int = 0
-    _limit: int = 0
+    memo: dict = field(init=False, default_factory=dict)
+    _depth: int = field(init=False, default=0)
+    _limit: int = field(init=False, default=0)
 
     # -- public entry points ------------------------------------------------
 
@@ -130,8 +128,6 @@ class Engine:
         else:
             cases = ("3a", "3b", "3c", "4a")
         for case in cases:
-            if case in self.disabled_cases:
-                continue
             trace = getattr(self, "_case_%s" % case)(x, s, t)
             if trace is not None:
                 return trace
@@ -297,8 +293,7 @@ class Engine:
         if not x:
             return
         frontier: list[tuple[tuple[tuple[str, Ty], ...], Ty]] = [((), w.ty)]
-        depth = arrow_depth(w.ty)
-        for _ in range(depth):
+        while frontier:
             nxt = []
             for vec, ty in frontier:
                 if not isinstance(ty, Arrow):

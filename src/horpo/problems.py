@@ -41,7 +41,7 @@ from .terms import (
     ty_str,
     typecheck,
 )
-from .traces import Trace, check_trace, trace_to_jsonable, trace_to_text
+from .traces import Trace, check_trace, trace_to_jsonable
 from .typeorder import SortOrder, ty_eq, validate_axioms
 
 
@@ -57,7 +57,6 @@ class ProblemError(Exception):
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-_PUNCT = ("->", "(", ")", "[", "]", ",", ";", ":", ".", "<", ">", "=", "\\", "/", "@")
 _IDENT_CHARS = set(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_'"
 )
@@ -473,11 +472,23 @@ class Report:
         )
 
 
+def orient(ctx: OrderingContext, rule: Rule) -> Trace | None:
+    """Orient `rule` with a fresh engine and replay the trace through the
+    independent validator before returning it. None means the rule is not
+    oriented; a trace that fails replay raises TraceError."""
+    trace = Engine(ctx).orient_rule(rule.lhs, rule.rhs)
+    if trace is not None:
+        check_trace(ctx, trace, "gt", ())
+    return trace
+
+
 def check_problem(problem: Problem) -> Report:
+    """Validate the type-order axioms and orient every rule. Every trace in
+    the report has been replayed; one that fails replay raises TraceError."""
     violations = validate_axioms(problem.ctx.sort_order, problem.ctx.universe)
     results: list[RuleResult] = []
     for i, rule in enumerate(problem.rules, start=1):
-        trace = Engine(problem.ctx).orient_rule(rule.lhs, rule.rhs)
+        trace = orient(problem.ctx, rule)
         verdict = "oriented" if trace is not None else "not-oriented"
         results.append(RuleResult(index=i, verdict=verdict, trace=trace))
     return Report(axiom_violations=violations, rule_results=results)
@@ -504,7 +515,7 @@ def report_to_jsonable(problem: Problem, report: Report, with_traces: bool) -> d
     }
 
 
-def report_to_text(problem: Problem, report: Report, with_traces: bool) -> str:
+def report_to_text(problem: Problem, report: Report) -> str:
     lines: list[str] = []
     for v in report.axiom_violations:
         lines.append("axiom violation: %s" % v)
@@ -514,17 +525,8 @@ def report_to_text(problem: Problem, report: Report, with_traces: bool) -> str:
             "rule %d: %s -> %s : %s"
             % (r.index, term_str(rule.lhs), term_str(rule.rhs), r.verdict)
         )
-        if with_traces and r.trace is not None:
-            lines.append(trace_to_text(r.trace, indent=1))
     lines.append("status: %s" % ("success" if report.ok else "failure"))
     return "\n".join(lines) + "\n"
-
-
-def verify_report_traces(problem: Problem, report: Report) -> None:
-    """Replay every emitted trace through the independent validator."""
-    for r in report.rule_results:
-        if r.trace is not None:
-            check_trace(problem.ctx, r.trace, "gt", ())
 
 
 def dump_json(obj: dict) -> str:

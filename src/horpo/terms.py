@@ -55,16 +55,6 @@ class Arrow:
 Ty = Data | Arrow
 
 
-def arrow(*tys: Ty) -> Ty:
-    """Right-associated arrow type from a nonempty list of types."""
-    if not tys:
-        raise ValueError("arrow() needs at least one type")
-    out = tys[-1]
-    for ty in reversed(tys[:-1]):
-        out = Arrow(ty, out)
-    return out
-
-
 def ty_str(ty: Ty) -> str:
     if isinstance(ty, Data):
         if ty.args:
@@ -98,15 +88,6 @@ def data_types_in(ty: Ty) -> Iterator[Data]:
     for sub in ty_subterms(ty):
         if isinstance(sub, Data):
             yield sub
-
-
-def arrow_depth(ty: Ty) -> int:
-    """Number of leading arrows, i.e. the maximal argument count."""
-    n = 0
-    while isinstance(ty, Arrow):
-        n += 1
-        ty = ty.cod
-    return n
 
 
 # ---------------------------------------------------------------------------

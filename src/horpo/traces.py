@@ -141,9 +141,9 @@ def trace_to_jsonable(trace: Trace) -> dict:
     return build(trace)
 
 
-def trace_to_text(trace: Trace, indent: int = 0) -> str:
+def trace_to_text(trace: Trace) -> str:
     lines: list[str] = []
-    stack = [(trace, indent)]
+    stack = [(trace, 0)]
     while stack:
         t, depth = stack.pop()
         if t.label == "refl":

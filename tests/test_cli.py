@@ -78,8 +78,9 @@ def test_deep_input_is_one_line_and_exit_2(tmp_path, lhs_depth, rhs_depth, comma
         ["check", str(CORPUS / "brouwer.horpo")],
         ["check", str(CORPUS / "brouwer.horpo"), "--format", "json", "--traces"],
         ["trace", str(CORPUS / "brouwer.horpo"), "-r", "3"],
+        ["search", str(CORPUS / "brouwer_search.horpo")],
     ],
-    ids=["check", "check-json-traces", "trace"],
+    ids=["check", "check-json-traces", "trace", "search"],
 )
 def test_trace_failing_replay_is_one_line_and_exit_2(argv, monkeypatch, capsys):
     # a 4a root claims a freed variable on the right under an empty bound
@@ -115,3 +116,16 @@ def test_shared_trace_json_is_the_stdlib_text(tmp_path, command):
     assert len(proc.stdout) > 1_900_000
     expected = json.dumps(json.loads(proc.stdout), sort_keys=True, indent=2) + "\n"
     assert proc.stdout == expected
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_search_answer_failing_its_check_is_one_line_and_exit_2(
+    fmt, monkeypatch, capsys
+):
+    # no precedence and the declared sorts unordered: brouwer's rules stay
+    # unoriented, so the answer must not be printed
+    monkeypatch.setattr(cli, "search_params", lambda problem: (((), ()), ((), ()), {}))
+    assert cli.main(["search", str(CORPUS / "brouwer.horpo"), "--format", fmt]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: search result fails its check\n"

@@ -1,9 +1,13 @@
+import dataclasses
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from horpo import cli
+from horpo.harness import search_params
 from horpo.problems import (
     ProblemError,
     check_problem,
@@ -14,6 +18,7 @@ from horpo.problems import (
     report_to_text,
 )
 from horpo.terms import App, Arrow, Data, Var
+from horpo.typeorder import SortOrder
 
 
 def test_parse_brouwer(brouwer):
@@ -120,6 +125,25 @@ def test_precedence_cycle_rejected():
         )
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("sort L / n ;", "line 1, col 10: arity must be a number"),
+        (
+            "sort N ;\nfun f : [] -> N ;\nprec f > ( ;",
+            "line 3, col 10: expected a function symbol",
+        ),
+        ("sort N ;\norder N < M ;", "undeclared sort 'M' in order declaration"),
+        ("sort N ;\nstatus f mul ;", "status for undeclared symbol 'f'"),
+        ("sort N ;\nvar X : M ;", "undeclared sort 'M'"),
+    ],
+    ids=["arity", "prec-symbol", "order-sort", "status-symbol", "var-type"],
+)
+def test_declaration_errors(text, message):
+    with pytest.raises(ProblemError, match="^%s$" % re.escape(message)):
+        parse_problem(text)
+
+
 def test_duplicate_function():
     with pytest.raises(ProblemError, match="duplicate"):
         parse_problem("sort N ;\nfun f : [] -> N ;\nfun f : [] -> N ;\n")
@@ -132,13 +156,52 @@ def test_round_trip(brouwer, nat_rec, map_problem):
         assert print_problem(again) == text
 
 
+# a sort with an arity: List takes one type argument
+LISTS = (
+    "sort N ; sort List / 1 ; fun z : [] -> N ; fun s : [N] -> N ; "
+    "fun nil : [] -> List(N) ; fun cons : [N, List(N)] -> List(N) ; "
+    "fun len : [List(N)] -> N ; fun map : [N -> N, List(N)] -> List(N) ; "
+    "prec len > s ; prec len > z ; prec map > cons ; var X : N ; "
+    "var L : List(N) ; var F : N -> N ; rule len(nil) -> z ; "
+    "rule len(cons(X, L)) -> s(len(L)) ; "
+    "rule map(F, cons(X, L)) -> cons(@(F, X), map(F, L)) ;"
+)
+
+
+def test_parametric_sort(tmp_path, capsys):
+    p = parse_problem(LISTS)
+    assert p.vars["L"] == Data("List", (Data("N"),))
+    assert Data("List", (Data("N"),)) in p.ctx.universe
+    report = check_problem(p)
+    assert [r.verdict for r in report.rule_results] == ["oriented"] * 3
+    text = print_problem(p)
+    assert "fun nil : [] -> List(N) ;" in text
+    assert print_problem(parse_problem(text)) == text
+    path = tmp_path / "lists.horpo"
+    path.write_text(LISTS)
+    assert cli.main(["check", str(path)]) == 0
+    assert cli.main(["trace", str(path), "-r", "3"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("oriented") == 3
+    assert "case 1c: map(F,cons(X,L)) > cons(@(F,X),map(F,L))" in out
+    (sort_strict, sort_equiv), (strict, equiv), statuses = search_params(p)
+    found = dataclasses.replace(
+        p,
+        sort_order=SortOrder(["List", "N"], sort_strict, sort_equiv),
+        prec_strict=strict,
+        prec_equiv=equiv,
+        statuses=statuses,
+    )
+    assert check_problem(found).ok
+
+
 def test_report_serialization_deterministic(brouwer):
     r1 = check_problem(brouwer)
     r2 = check_problem(brouwer)
     j1 = dump_json(report_to_jsonable(brouwer, r1, with_traces=True))
     j2 = dump_json(report_to_jsonable(brouwer, r2, with_traces=True))
     assert j1 == j2
-    assert report_to_text(brouwer, r1, False) == report_to_text(brouwer, r2, False)
+    assert report_to_text(brouwer, r1) == report_to_text(brouwer, r2)
     # timing never leaks into serialized output
     assert "elapsed" not in j1 and "time" not in j1
 

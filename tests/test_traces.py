@@ -4,8 +4,8 @@ import json
 import pytest
 
 from horpo.engine import Engine
-from horpo.problems import check_problem, parse_problem, verify_report_traces
-from horpo.terms import Abs, Arrow, Data, Fun, Var
+from horpo.problems import check_problem, parse_problem
+from horpo.terms import Abs, App, Arrow, Data, Fun, Var
 from horpo.traces import (
     Trace,
     TraceError,
@@ -19,8 +19,7 @@ Nat = Data("Nat")
 
 def test_all_corpus_traces_replay(brouwer, nat_rec, map_problem):
     for p in (brouwer, nat_rec, map_problem):
-        report = check_problem(p)
-        verify_report_traces(p, report)  # raises on any bad node
+        check_problem(p)  # replays every trace; raises on any bad node
 
 
 def test_rule3_text_root_line(brouwer):
@@ -342,3 +341,197 @@ def test_jsonable_shares_dicts_and_unfolds_to_the_tree():
         stack.extend(node["children"])
     assert count == sum(paths.values())
     assert len(dicts) == len(nodes)
+
+
+# ---------------------------------------------------------------------------
+# One forgery per rejection of the replay checker: an engine-made trace (or a
+# hand-made node) with one field changed, and the message it must raise.
+
+Ord, A = Data("Ord"), Data("A")
+N_, U_, V_ = Var("N", Ord), Var("U", A), Var("V", Arrow(Ord, Arrow(A, A)))
+F_ = Var("F", Arrow(Nat, Ord))
+FN = App(F_, Var("n", Nat), Ord)  # @(F, n): an application, not a redex
+ZERO = Fun("0", (), Ord)
+LAM_NAT = Abs("x", Nat, ZERO, Arrow(Nat, Ord))  # no eta redex
+LAM_ORD = Abs("y", Ord, ZERO, Arrow(Ord, Ord))
+
+TWINS = (
+    "sort N ;\nfun z : [] -> N ;\nfun f : [N, N] -> N ;\nfun g : [N, N] -> N ;\n"
+    "fun h : [N] -> N ;\n"
+)
+
+
+def _brouwer_nodes(brouwer):
+    """Named nodes of the engine's traces for brouwer's rules 2 and 3."""
+    ctx = brouwer.ctx
+    r2 = Engine(ctx).orient_rule(brouwer.rules[1].lhs, brouwer.rules[1].rhs)
+    r3 = _rule3_trace(brouwer)
+    b2 = r2.children[2]  # 1b: rec(s(N),U,V,W) > rec(N,U,V,W)
+    fourb = r3.children[2]  # 4b: rec(lim(F),U,V,W) > \n:Nat.rec(@(F,n),U,V,W)
+    b3 = fourb.children[0]  # 1b under X = {n#0}
+    return {
+        "r3": r3,
+        "b2": b2,
+        "a_n": b2.children[0],  # 1a: rec(s(N),U,V,W) > N, w = N
+        "a_v": b2.children[2],  # 1a: rec(s(N),U,V,W) > V, w = V
+        "mul2": b2.children[-1],  # mulExt cancelling U, V, W
+        "tc": b2.children[-1].children[0],  # typeCheck: s(N) > N
+        "fourb": fourb,
+        "b3": b3,
+        "fourA": b3.children[0].children[1],  # 4a: rec(...) > n#0
+    }
+
+
+def _twins_ctx(equiv, statuses):
+    return parse_problem(TWINS).ctx.with_precedence((), equiv, statuses)
+
+
+def _twin(sym, *args):
+    return Fun(sym, args, Data("N"))
+
+
+def _forge(name, brouwer):
+    """(ctx, trace, kind, x) for the forgery `name`."""
+    ctx, n = brouwer.ctx, _brouwer_nodes(brouwer)
+    rep = dataclasses.replace
+    mul2 = n["mul2"]
+    with_mul2 = lambda node: rep(n["b2"], children=n["b2"].children[:-1] + (node,))
+    everything_equal = (("equal", ((0, 0), (1, 1))), ("cover", ()))
+    simple = {
+        "refl_unequal": Trace("refl", N_, Var("M", Ord)),
+        "unexpected_label": n["tc"],
+        "variable_lhs": Trace("1a", N_, N_),
+        "1a_lhs": Trace("1a", FN, N_),
+        "2a_lhs": rep(n["r3"], label="2a"),
+        "2b_lhs": rep(n["r3"], label="2b"),
+        "2c_redex": Trace("2c", FN, N_),
+        "3a_lhs": rep(n["r3"], label="3a"),
+        "3b_lhs": rep(n["r3"], label="3b"),
+        "3b_domain": Trace("3b", LAM_NAT, LAM_ORD, (), (), (("fresh", "z"),)),
+        "3c_redex": Trace("3c", LAM_NAT, ZERO),
+        "4a_rhs": Trace("4a", n["a_n"].lhs, N_),
+        "4b_lhs": Trace("4b", LAM_NAT, LAM_ORD),
+        "4b_rhs": rep(n["r3"], label="4b"),
+        "missing_fresh": rep(n["fourb"], aux=()),
+        "child_mismatch": rep(
+            n["r3"], children=(n["r3"].children[1],) + n["r3"].children[1:]
+        ),
+        "1a_index": _with_aux(n["a_n"], i=9),
+        "2a_side": Trace("2a", FN, N_, (), (), (("side", "head"),)),
+        "no_witness": _with_aux(n["a_n"], w=None),
+        "not_accessible": _with_aux(n["a_n"], w=U_),
+        "xs_unbound": _with_aux(n["a_n"], xs=("q",)),
+        "witness_type": rep(n["a_v"], rhs=N_),
+        "1b_shapes": rep(n["b2"], rhs=N_),
+        "1b_heads": rep(n["b2"], rhs=Fun("s", (N_,), Ord)),
+        "1c_lhs": Trace("1c", FN, N_),
+        "1c_rhs": rep(n["a_n"], label="1c"),
+        "not_mul": with_mul2(rep(mul2, label="lexExt")),
+        "mul_reuse": with_mul2(_with_aux(mul2, equal=((1, 1), (1, 1)))),
+        "mul_unequal": with_mul2(_with_aux(mul2, equal=((0, 0),))),
+        "mul_nothing_removed": Trace(
+            "2b", FN, FN, (), (Trace("mulExt", FN, FN, (), (), everything_equal),)
+        ),
+        "mul_cover_misses": with_mul2(rep(_with_aux(mul2, cover=()), children=())),
+        "mul_cover_cancelled": with_mul2(_with_aux(mul2, cover=((1, 0),))),
+        "pair_mismatch": with_mul2(
+            rep(mul2, children=(rep(n["tc"], lhs=ZERO),))
+        ),
+        "pair_label": with_mul2(rep(mul2, children=(rep(n["tc"], label="1a"),))),
+    }
+    if name in simple:
+        kind = {"refl_unequal": "ge"}.get(name, "gt")
+        return ctx, simple[name], kind, ()
+    if name == "typed_goal_label":
+        return ctx, n["r3"], "gt_type", ()
+    if name == "type_gate":
+        return ctx, rep(n["tc"], rhs=U_), "gt_type", ()
+    if name == "4a_children":
+        fourA = n["fourA"]
+        return ctx, rep(fourA, children=(Trace("refl", N_, N_),)), "gt", fourA.x
+    if name == "composite_x":
+        b3 = n["b3"]
+        mul = b3.children[-1]
+        composite = rep(mul.children[0], x=())
+        forged = rep(b3, children=b3.children[:-1] + (rep(mul, children=(composite,)),))
+        return ctx, forged, "gt", b3.x
+    lex = parse_problem(LEX_PROBLEM)
+    lex_tr = Engine(lex.ctx).orient_rule(lex.rules[1].lhs, lex.rules[1].rhs)
+    lex_ext = lex_tr.children[-1]
+    with_ext = lambda node: rep(lex_tr, children=lex_tr.children[:-1] + (node,))
+    if name == "not_lex":
+        return lex.ctx, with_ext(rep(lex_ext, label="mulExt")), "gt", ()
+    if name == "lex_pos":
+        return lex.ctx, with_ext(_with_aux(lex_ext, pos=7)), "gt", ()
+    z = _twin("z")
+    if name == "distinct_statuses":
+        ctx = _twins_ctx((("f", "g"),), {"f": "lex"})
+        return ctx, Trace("1b", _twin("f", z, z), _twin("g", z, z)), "gt", ()
+    assert name == "lex_lengths"
+    ctx = _twins_ctx((("f", "h"),), {"f": "lex", "h": "lex"})
+    s = _twin("f", z, z)
+    below = Engine(ctx).gt((), s, z)
+    ext = Trace("lexExt", z, z)
+    return ctx, Trace("1b", s, _twin("h", z), (), (below, ext)), "gt", ()
+
+
+FORGERIES = {
+    "refl_unequal": "refl on non-alpha-equal terms",
+    "typed_goal_label": "strict part of a typed goal must be typeCheck",
+    "type_gate": "type gate fails: Ord vs A",
+    "unexpected_label": "unexpected label 'typeCheck' for goal gt",
+    "variable_lhs": "no case applies to a variable left-hand side",
+    "1a_lhs": "case 1a needs an algebraic left-hand side",
+    "2a_lhs": "case 2a needs an application left-hand side",
+    "2b_lhs": "case 2b needs applications on both sides",
+    "2c_redex": "case 2c needs a beta redex on the left",
+    "3a_lhs": "case 3a needs an abstraction on the left",
+    "3b_lhs": "case 3b needs abstractions on both sides",
+    "3b_domain": "case 3b domain types not equivalent",
+    "3c_redex": "case 3c needs an eta redex on the left",
+    "4a_rhs": "case 4a needs a freed variable on the right",
+    "4b_lhs": "case 4b forbids an abstraction on the left",
+    "4b_rhs": "case 4b needs an abstraction on the right",
+    "4a_children": r"case 4a expects 0 child\(ren\), found 1",
+    "missing_fresh": "missing fresh-name annotation",
+    "child_mismatch": "child goal mismatch",
+    "1a_index": "case 1a argument index out of range",
+    "2a_side": "case 2a side annotation missing",
+    "no_witness": "missing accessible-subterm witness",
+    "not_accessible": r"s\(N\) is not acc-at-or-above U",
+    "xs_unbound": "applied variable 'q' not in the bound set",
+    "witness_type": "applied witness is ill-typed or not of a type equivalent to Ord",
+    "1b_shapes": "case 1b needs algebraic terms on both sides",
+    "1b_heads": "case 1b needs equivalent head symbols",
+    "distinct_statuses": "equivalent symbols with distinct statuses",
+    "1c_lhs": "case 1c needs an algebraic left-hand side",
+    "1c_rhs": "case 1c right-hand side must be algebraic or applied",
+    "not_mul": "expected a multiset-extension node",
+    "mul_reuse": "multiset cancellation reuses an element",
+    "mul_unequal": "cancelled pair is not alpha-equal",
+    "mul_nothing_removed": "strict multiset extension with nothing removed",
+    "mul_cover_misses": "multiset cover misses a right-hand element",
+    "mul_cover_cancelled": "cover uses a cancelled left element",
+    "not_lex": "expected a lexicographic-extension node",
+    "lex_lengths": "lexicographic extension on unequal lengths",
+    "lex_pos": "lexicographic position out of range",
+    "pair_mismatch": "extension pair mismatch",
+    "composite_x": "composite node carries the wrong bound set",
+    "pair_label": "unexpected extension pair label '1a'",
+}
+
+
+def test_unforged_nodes_replay(brouwer):
+    # the nodes the forgeries start from are valid as the engine made them
+    n = _brouwer_nodes(brouwer)
+    for name in ("r3", "b2", "a_n", "a_v", "fourb"):
+        check_trace(brouwer.ctx, n[name], "gt", ())
+    check_trace(brouwer.ctx, n["tc"], "gt_type", ())
+    check_trace(brouwer.ctx, n["b3"], "gt", n["b3"].x)
+
+
+@pytest.mark.parametrize("name", sorted(FORGERIES))
+def test_validator_rejects_forgery(brouwer, name):
+    ctx, forged, kind, x = _forge(name, brouwer)
+    with pytest.raises(TraceError, match="^" + FORGERIES[name]):
+        check_trace(ctx, forged, kind, x)
