@@ -48,6 +48,14 @@ def _load(path: str):
         raise SystemExit(2)
 
 
+def _axioms_violated(problem) -> bool:
+    """Report each violated type-order axiom on stderr; True if any is."""
+    violations = validate_axioms(problem.ctx.sort_order, problem.ctx.universe)
+    for v in violations:
+        print("axiom violation: %s" % v, file=sys.stderr)
+    return bool(violations)
+
+
 def _cmd_check(args) -> int:
     problem = _load(args.file)
     report = check_problem(problem)
@@ -71,10 +79,7 @@ def _cmd_trace(args) -> int:
     if not 1 <= args.rule <= len(problem.rules):
         print("error: rule index out of range", file=sys.stderr)
         return 2
-    violations = validate_axioms(problem.ctx.sort_order, problem.ctx.universe)
-    if violations:
-        for v in violations:
-            print("axiom violation: %s" % v, file=sys.stderr)
+    if _axioms_violated(problem):
         return 2
     rule = problem.rules[args.rule - 1]
     trace = orient(problem.ctx, rule)
@@ -156,10 +161,7 @@ def _cmd_search(args) -> int:
 
 def _cmd_properties(args) -> int:
     problem = _load(args.file)
-    violations = validate_axioms(problem.ctx.sort_order, problem.ctx.universe)
-    if violations:
-        for v in violations:
-            print("axiom violation: %s" % v, file=sys.stderr)
+    if _axioms_violated(problem):
         return 2
     findings = run_properties(
         problem.ctx,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import Iterator
 
 from .accessibility import APP_SYM, acc_candidates
 from .context import MUL, OrderingContext
@@ -44,6 +45,13 @@ class EngineError(Exception):
 
 EMPTY_X: XSet = ()
 
+# The cases tried on each kind of left-hand side, in order.
+_CASES = {
+    Fun: ("_case_1b", "_case_1c", "_case_1a", "_case_4a", "_case_4b"),
+    App: ("_case_2a", "_case_2b", "_case_2c", "_case_4a", "_case_4b"),
+    Abs: ("_case_3a", "_case_3b", "_case_3c", "_case_4a"),
+}
+
 
 @dataclass
 class Engine:
@@ -55,10 +63,7 @@ class Engine:
     # -- public entry points ------------------------------------------------
 
     def gt(self, x: XSet, s: Term, t: Term) -> Trace | None:
-        self._limit = max(
-            self._limit,
-            4 * (s.size + t.size) * (1 + t.abstractions),
-        )
+        self._raise_limit(s, t)
         return self._gt(x, s, t)
 
     def ge(self, x: XSet, s: Term, t: Term) -> Trace | None:
@@ -66,7 +71,8 @@ class Engine:
             trace = Trace("refl", s, t, x)
             self.memo.setdefault(("ge", x, s.alpha_class, t.alpha_class), trace)
             return trace
-        return self.gt(x, s, t)
+        self._raise_limit(s, t)
+        return self._gt(x, s, t)
 
     def gt_type(self, x: XSet, s: Term, t: Term) -> Trace | None:
         """s > t together with the type gate type(s) >= type(t)."""
@@ -75,14 +81,8 @@ class Engine:
         inner = self.gt(x, s, t)
         if inner is None:
             return None
-        return Trace(
-            "typeCheck",
-            s,
-            t,
-            x,
-            (inner,),
-            (("lhs_ty", ty_str(s.ty)), ("rhs_ty", ty_str(t.ty))),
-        )
+        aux = (("lhs_ty", ty_str(s.ty)), ("rhs_ty", ty_str(t.ty)))
+        return Trace("typeCheck", s, t, x, (inner,), aux)
 
     def ge_type(self, x: XSet, s: Term, t: Term) -> Trace | None:
         if alpha_eq(s, t):
@@ -101,6 +101,10 @@ class Engine:
 
     # -- main recursion -----------------------------------------------------
 
+    def _raise_limit(self, s: Term, t: Term) -> None:
+        """Let the recursion guard admit the goal s > t."""
+        self._limit = max(self._limit, 4 * (s.size + t.size) * (1 + t.abstractions))
+
     def _gt(self, x: XSet, s: Term, t: Term) -> Trace | None:
         if isinstance(s, Var):
             return None
@@ -113,36 +117,26 @@ class Engine:
                 "recursion guard exceeded on %s vs %s" % (term_str(s), term_str(t))
             )
         try:
-            result = self._gt_cases(x, s, t)
+            # looked up by name, so that a patched case method takes effect
+            for case in _CASES[type(s)]:
+                result = getattr(self, case)(x, s, t)
+                if result is not None:
+                    break
         finally:
             self._depth -= 1
         self.memo[key] = result
         return result
 
-    def _gt_cases(self, x: XSet, s: Term, t: Term) -> Trace | None:
-        cases: tuple[str, ...]
-        if isinstance(s, Fun):
-            cases = ("1b", "1c", "1a", "4a", "4b")
-        elif isinstance(s, App):
-            cases = ("2a", "2b", "2c", "4a", "4b")
-        else:
-            cases = ("3a", "3b", "3c", "4a")
-        for case in cases:
-            trace = getattr(self, "_case_%s" % case)(x, s, t)
-            if trace is not None:
-                return trace
-        return None
-
     # -- algebraic left-hand side -------------------------------------------
 
     def _case_1a(self, x: XSet, s: Term, t: Term) -> Trace | None:
         for i, si in enumerate(s.args, start=1):
-            found = self._acc_apply(x, si, t, strict=False)
-            if found is not None:
-                w, xs, inner = found
-                return Trace(
-                    "1a", s, t, x, (inner,), (("i", i), ("w", w), ("xs", xs))
-                )
+            for w, xs, wapp in self._witnesses(x, si, t, strict=False):
+                inner = self.ge(EMPTY_X, wapp, t)
+                if inner is not None:
+                    return Trace(
+                        "1a", s, t, x, (inner,), (("i", i), ("w", w), ("xs", xs))
+                    )
         return None
 
     def _case_1b(self, x: XSet, s: Term, t: Term) -> Trace | None:
@@ -157,7 +151,9 @@ class Engine:
                 return None
             children.append(tr)
         status = self.ctx.statuses[s.sym]
-        ext = self._extension(x, s.args, t.args, status, pair_kind="union")
+        ext = (self._mul_ext if status == MUL else self._lex_ext)(
+            x, s.args, t.args, "union"
+        )
         if ext is None:
             return None
         children.append(ext)
@@ -189,20 +185,18 @@ class Engine:
 
     def _case_2a(self, x: XSet, s: Term, t: Term) -> Trace | None:
         for side, u in (("fn", s.fn), ("arg", s.arg)):
-            found = self._acc_apply(x, u, t, strict=False)
-            if found is not None:
-                w, xs, inner = found
-                return Trace(
-                    "2a", s, t, x, (inner,), (("side", side), ("w", w), ("xs", xs))
-                )
+            for w, xs, wapp in self._witnesses(x, u, t, strict=False):
+                inner = self.ge(EMPTY_X, wapp, t)
+                if inner is not None:
+                    return Trace(
+                        "2a", s, t, x, (inner,), (("side", side), ("w", w), ("xs", xs))
+                    )
         return None
 
     def _case_2b(self, x: XSet, s: Term, t: Term) -> Trace | None:
         if not isinstance(t, App):
             return None
-        ext = self._extension(
-            x, (s.fn, s.arg), (t.fn, t.arg), MUL, pair_kind="type_x"
-        )
+        ext = self._mul_ext(x, (s.fn, s.arg), (t.fn, t.arg), "type_x")
         if ext is None:
             return None
         return Trace("2b", s, t, x, (ext,))
@@ -269,23 +263,19 @@ class Engine:
 
     # -- the accessible-subterm-then-apply composite --------------------------
 
-    def _acc_apply(
+    def _witnesses(
         self, x: XSet, base: Term, t: Term, strict: bool
-    ) -> tuple[Term, tuple[str, ...], Trace] | None:
-        """Find w acc-below `base` and a vector of freed variables such that
-        the applied witness compares against `t` with an empty bound set.
-
-        Returns (w, applied names, inner trace) or None."""
+    ) -> Iterator[tuple[Term, tuple[str, ...], Term]]:
+        """Each w acc-below `base` with a vector of freed variables whose
+        applied witness has a type equivalent to t's, as (w, applied names,
+        applied witness). The caller compares the applied witness against `t`
+        with an empty bound set, while this generator waits off the stack."""
         ctx = self.ctx
         for w in acc_candidates(ctx.acc, ctx.sort_order, ctx.min_types, base, strict):
             for xs in self._x_vectors(x, w):
                 wapp = apply_witness(ctx, w, xs, t.ty)
-                if wapp is None:
-                    continue
-                inner = self.ge(EMPTY_X, wapp, t)
-                if inner is not None:
-                    return w, tuple(name for name, _ in xs), inner
-        return None
+                if wapp is not None:
+                    yield w, tuple(name for name, _ in xs), wapp
 
     def _x_vectors(self, x: XSet, w: Term):
         """All typed vectors over X applicable to w, shortest first."""
@@ -317,25 +307,11 @@ class Engine:
         tr = self.gt_type(EMPTY_X, a, b)
         if tr is not None:
             return tr
-        found = self._acc_apply(x, a, b, strict=True)
-        if found is not None:
-            w, xs, inner = found
-            return Trace(
-                "accApply", a, b, x, (inner,), (("w", w), ("xs", xs))
-            )
+        for w, xs, wapp in self._witnesses(x, a, b, strict=True):
+            inner = self.ge(EMPTY_X, wapp, b)
+            if inner is not None:
+                return Trace("accApply", a, b, x, (inner,), (("w", w), ("xs", xs)))
         return None
-
-    def _extension(
-        self,
-        x: XSet,
-        left: tuple[Term, ...],
-        right: tuple[Term, ...],
-        status: str,
-        pair_kind: str,
-    ) -> Trace | None:
-        if status == MUL:
-            return self._mul_ext(x, left, right, pair_kind)
-        return self._lex_ext(x, left, right, pair_kind)
 
     def _mul_ext(
         self, x: XSet, left: tuple[Term, ...], right: tuple[Term, ...], pair_kind: str
@@ -368,17 +344,9 @@ class Engine:
                         ok = False
                         break
                 if ok:
-                    return Trace(
-                        "mulExt",
-                        Fun("<args>", left),
-                        Fun("<args>", right),
-                        x,
-                        tuple(children),
-                        (
-                            ("equal", tuple(equal_pairs)),
-                            ("cover", tuple(cover)),
-                        ),
-                    )
+                    lhs, rhs = Fun("<args>", left), Fun("<args>", right)
+                    aux = (("equal", tuple(equal_pairs)), ("cover", tuple(cover)))
+                    return Trace("mulExt", lhs, rhs, x, tuple(children), aux)
         return None
 
     def _match_equal(self, keep, left, right):
@@ -409,12 +377,6 @@ class Engine:
             tr = self._pair(x, a, b, pair_kind)
             if tr is None:
                 return None
-            return Trace(
-                "lexExt",
-                Fun("<args>", left),
-                Fun("<args>", right),
-                x,
-                (tr,),
-                (("pos", k),),
-            )
+            lhs, rhs = Fun("<args>", left), Fun("<args>", right)
+            return Trace("lexExt", lhs, rhs, x, (tr,), (("pos", k),))
         return None

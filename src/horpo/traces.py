@@ -173,7 +173,7 @@ def check_trace(ctx: OrderingContext, trace: Trace, kind: str, x: XSet) -> None:
     match of a child against the goal its parent assigns it runs on every
     path. The work is linear in the distinct goals, not in the unfolded
     tree."""
-    _check_goal(ctx, trace, kind, tuple(x), set())
+    _check_goal(ctx, trace, kind, tuple(x), trace.lhs, trace.rhs, set())
 
 
 # A replayed goal: the node's identity, the goal kind and the bound set.
@@ -181,16 +181,28 @@ Goal = tuple[int, str, XSet]
 
 
 def _check_goal(
-    ctx: OrderingContext, trace: Trace, kind: str, x: XSet, done: set[Goal]
+    ctx: OrderingContext,
+    trace: Trace,
+    kind: str,
+    x: XSet,
+    s: Term,
+    t: Term,
+    done: set[Goal],
 ) -> None:
-    """Replay one node as a proof of `kind` under `x`, unless `done` (the
-    goals replayed successfully so far in this call) already holds it.
-    Besides gt, ge, ge_type and gt_type, `kind` is accApply: the strict
-    composite that an extension pair may be."""
+    """Replay one node as a proof of the goal s `kind` t under `x`. Its sides
+    must match the goal's on every path; the rest is skipped when `done`
+    (the goals replayed successfully so far in this call) holds it. Besides
+    gt, ge, ge_type and gt_type, `kind` is accApply: the strict composite
+    that an extension pair may be."""
+    if not alpha_eq(trace.lhs, s) or not alpha_eq(trace.rhs, t):
+        raise TraceError(
+            "child goal mismatch: have %s vs %s, want %s vs %s"
+            % (term_str(trace.lhs), term_str(trace.rhs), term_str(s), term_str(t))
+        )
     goal = (id(trace), kind, x)
     if goal in done:
         return
-    s, t = trace.lhs, trace.rhs
+    s, t = trace.lhs, trace.rhs  # the local check reads the node's own sides
     label = trace.label
     xs_names = {name for name, _ in x}
     if tuple(trace.x) != tuple(x):
@@ -202,14 +214,14 @@ def _check_goal(
         if not alpha_eq(s, t):
             raise TraceError("refl on non-alpha-equal terms")
     elif kind == "accApply":  # the strict composite, as an extension pair
-        _check_acc_apply(ctx, trace, x, strict=True, done=done)
+        _check_witness(ctx, trace, x, strict=True, done=done)
     elif kind in ("ge_type", "gt_type"):
         if label != "typeCheck":
             raise TraceError("strict part of a typed goal must be typeCheck")
         if not ty_ge(ctx.sort_order, s.ty, t.ty):
             raise TraceError("type gate fails: %s vs %s" % (ty_str(s.ty), ty_str(t.ty)))
         _expect_children(trace, 1)
-        _check_child(ctx, trace.children[0], "gt", x, s, t, done)
+        _check_goal(ctx, trace.children[0], "gt", x, s, t, done)
     elif label not in GT_LABELS:
         raise TraceError("unexpected label %r for goal %s" % (label, kind))
     elif isinstance(s, Var):
@@ -217,7 +229,7 @@ def _check_goal(
     elif label == "1a":
         if not isinstance(s, Fun):
             raise TraceError("case 1a needs an algebraic left-hand side")
-        _check_acc_apply(ctx, trace, x, strict=False, done=done)
+        _check_witness(ctx, trace, x, strict=False, done=done)
     elif label == "1b":
         _check_1b(ctx, trace, x, done)
     elif label == "1c":
@@ -225,33 +237,27 @@ def _check_goal(
     elif label == "2a":
         if not isinstance(s, App):
             raise TraceError("case 2a needs an application left-hand side")
-        _check_acc_apply(ctx, trace, x, strict=False, done=done)
+        _check_witness(ctx, trace, x, strict=False, done=done)
     elif label == "2b":
         if not (isinstance(s, App) and isinstance(t, App)):
             raise TraceError("case 2b needs applications on both sides")
         _expect_children(trace, 1)
-        _check_ext(
-            ctx,
-            trace.children[0],
-            x,
-            left=(s.fn, s.arg),
-            right=(t.fn, t.arg),
-            status=MUL,
-            pair_kind="type_x",
-            done=done,
-        )
+        left, right = (s.fn, s.arg), (t.fn, t.arg)
+        _check_ext(ctx, trace.children[0], x, left, right, MUL, "type_x", done)
     elif label == "2c":
         reduct = beta_reduct(s)
         if reduct is None:
             raise TraceError("case 2c needs a beta redex on the left")
         _expect_children(trace, 1)
-        _check_child(ctx, trace.children[0], "ge", x, reduct, t, done)
+        _check_goal(ctx, trace.children[0], "ge", x, reduct, t, done)
     elif label == "3a":
         if not isinstance(s, Abs):
             raise TraceError("case 3a needs an abstraction on the left")
         z = _check_fresh(trace, s, t, xs_names)
         _expect_children(trace, 1)
-        _check_child(ctx, trace.children[0], "ge_type", x, open_abs(s, z), t, done)
+        _check_goal(
+            ctx, trace.children[0], "ge_type", x, open_abs(s, z), t, done
+        )
     elif label == "3b":
         if not (isinstance(s, Abs) and isinstance(t, Abs)):
             raise TraceError("case 3b needs abstractions on both sides")
@@ -259,7 +265,7 @@ def _check_goal(
             raise TraceError("case 3b domain types not equivalent")
         z = _check_fresh(trace, s, t, xs_names)
         _expect_children(trace, 1)
-        _check_child(
+        _check_goal(
             ctx, trace.children[0], "gt", x, open_abs(s, z), open_abs(t, z), done
         )
     elif label == "3c":
@@ -267,7 +273,7 @@ def _check_goal(
         if reduct is None:
             raise TraceError("case 3c needs an eta redex on the left")
         _expect_children(trace, 1)
-        _check_child(ctx, trace.children[0], "ge", x, reduct, t, done)
+        _check_goal(ctx, trace.children[0], "ge", x, reduct, t, done)
     elif label == "4a":
         if not (isinstance(t, Var) and t.name in xs_names):
             raise TraceError("case 4a needs a freed variable on the right")
@@ -279,7 +285,7 @@ def _check_goal(
             raise TraceError("case 4b needs an abstraction on the right")
         z = _check_fresh(trace, s, t, xs_names)
         _expect_children(trace, 1)
-        _check_child(
+        _check_goal(
             ctx,
             trace.children[0],
             "gt",
@@ -311,24 +317,7 @@ def _check_fresh(trace: Trace, s: Term, t: Term, xs_names: set[str]) -> str:
     return z
 
 
-def _check_child(
-    ctx: OrderingContext,
-    child: Trace,
-    kind: str,
-    x: XSet,
-    s: Term,
-    t: Term,
-    done: set[Goal],
-) -> None:
-    if not alpha_eq(child.lhs, s) or not alpha_eq(child.rhs, t):
-        raise TraceError(
-            "child goal mismatch: have %s vs %s, want %s vs %s"
-            % (term_str(child.lhs), term_str(child.rhs), term_str(s), term_str(t))
-        )
-    _check_goal(ctx, child, kind, x, done)
-
-
-def _check_acc_apply(
+def _check_witness(
     ctx: OrderingContext, trace: Trace, x: XSet, strict: bool, done: set[Goal]
 ) -> None:
     """Cases 1a/2a and the accApply composite share this shape."""
@@ -348,6 +337,8 @@ def _check_acc_apply(
     w = trace.get("w")
     if w is None:
         raise TraceError("missing accessible-subterm witness")
+    if not isinstance(w, Term):
+        raise TraceError("accessible-subterm witness %r is not a term" % (w,))
     rel = acc_gt if strict else acc_ge
     if not rel(ctx.acc, ctx.sort_order, ctx.min_types, base, w):
         raise TraceError(
@@ -355,6 +346,10 @@ def _check_acc_apply(
             % (term_str(base), "above" if strict else "at-or-above", term_str(w))
         )
     xs_raw = trace.get("xs") or ()
+    if not isinstance(xs_raw, (tuple, list)) or not all(
+        isinstance(name, str) for name in xs_raw
+    ):
+        raise TraceError("applied variables %r are not a list of names" % (xs_raw,))
     x_tys = dict(x)
     xs: list[tuple[str, Ty]] = []
     for name in xs_raw:
@@ -369,7 +364,7 @@ def _check_acc_apply(
         )
     _expect_children(trace, 1)
     # the inner comparison runs with an empty bound-variable set
-    _check_child(ctx, trace.children[0], "ge", (), wapp, t, done)
+    _check_goal(ctx, trace.children[0], "ge", (), wapp, t, done)
 
 
 def _check_1b(
@@ -378,6 +373,7 @@ def _check_1b(
     s, t = trace.lhs, trace.rhs
     if not (isinstance(s, Fun) and isinstance(t, Fun)):
         raise TraceError("case 1b needs algebraic terms on both sides")
+    _check_declared(ctx, trace, s.sym, t.sym)
     if ctx.prec.cmp(s.sym, t.sym) is not Cmp.EQ:
         raise TraceError("case 1b needs equivalent head symbols")
     status = ctx.statuses[s.sym]
@@ -385,17 +381,14 @@ def _check_1b(
         raise TraceError("equivalent symbols with distinct statuses")
     _expect_children(trace, len(t.args) + 1)
     for child, tj in zip(trace.children[:-1], t.args):
-        _check_child(ctx, child, "gt", x, s, tj, done)
-    _check_ext(
-        ctx,
-        trace.children[-1],
-        x,
-        left=s.args,
-        right=t.args,
-        status=status,
-        pair_kind="union",
-        done=done,
-    )
+        _check_goal(ctx, child, "gt", x, s, tj, done)
+    _check_ext(ctx, trace.children[-1], x, s.args, t.args, status, "union", done)
+
+
+def _check_declared(ctx: OrderingContext, trace: Trace, *syms: str) -> None:
+    for sym in syms:
+        if sym not in ctx.sig.fun_by_name:
+            raise TraceError("case %s on undeclared symbol %r" % (trace.label, sym))
 
 
 def _check_1c(
@@ -404,7 +397,9 @@ def _check_1c(
     s, t = trace.lhs, trace.rhs
     if not isinstance(s, Fun):
         raise TraceError("case 1c needs an algebraic left-hand side")
+    _check_declared(ctx, trace, s.sym)
     if isinstance(t, Fun):
+        _check_declared(ctx, trace, t.sym)
         if ctx.prec.cmp(s.sym, t.sym) is not Cmp.GT:
             raise TraceError("case 1c needs a strictly smaller head symbol")
         targs = list(t.args)
@@ -419,7 +414,7 @@ def _check_1c(
         raise TraceError("case 1c right-hand side must be algebraic or applied")
     _expect_children(trace, len(targs))
     for child, tj in zip(trace.children, targs):
-        _check_child(ctx, child, "gt", x, s, tj, done)
+        _check_goal(ctx, child, "gt", x, s, tj, done)
 
 
 def _check_ext(
@@ -435,8 +430,8 @@ def _check_ext(
     if status == MUL:
         if node.label != "mulExt":
             raise TraceError("expected a multiset-extension node")
-        equal = node.get("equal") or ()
-        cover = node.get("cover") or ()
+        equal = _index_pairs(node, "equal", len(left), len(right))
+        cover = _index_pairs(node, "cover", len(left), len(right))
         used_l: set[int] = set()
         used_r: set[int] = set()
         for i, j in equal:
@@ -472,6 +467,23 @@ def _check_ext(
         _check_pair(ctx, node.children[0], x, left[pos], right[pos], pair_kind, done)
 
 
+def _index_pairs(node: Trace, key: str, n: int, m: int) -> tuple | list:
+    """The node's `key` entries, each a pair (i, j) with i < n and j < m."""
+    pairs = node.get(key) or ()
+    if not isinstance(pairs, (tuple, list)) or not all(
+        isinstance(p, (tuple, list))
+        and len(p) == 2
+        and all(isinstance(k, int) for k in p)
+        and 0 <= p[0] < n
+        and 0 <= p[1] < m
+        for p in pairs
+    ):
+        raise TraceError(
+            "multiset %s %r is not a list of pairs in range" % (key, pairs)
+        )
+    return pairs
+
+
 def _check_pair(
     ctx: OrderingContext,
     child: Trace,
@@ -490,10 +502,10 @@ def _check_pair(
         raise TraceError("extension pair mismatch")
     if child.label == "typeCheck":
         inner_x: XSet = x if pair_kind == "type_x" else ()
-        _check_goal(ctx, child, "gt_type", inner_x, done)
+        _check_goal(ctx, child, "gt_type", inner_x, a, b, done)
     elif child.label == "accApply" and pair_kind == "union":
         if tuple(child.x) != tuple(x):
             raise TraceError("composite node carries the wrong bound set")
-        _check_goal(ctx, child, "accApply", x, done)
+        _check_goal(ctx, child, "accApply", x, a, b, done)
     else:
         raise TraceError("unexpected extension pair label %r" % child.label)

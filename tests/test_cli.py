@@ -8,6 +8,7 @@ import pytest
 from conftest import CORPUS
 from horpo import cli
 from horpo.engine import Engine, EngineError
+from horpo.traces import Trace
 
 
 @pytest.mark.parametrize(
@@ -24,7 +25,7 @@ def test_engine_error_is_one_line_and_exit_2(argv, monkeypatch, capsys):
     def fail(self, x, s, t):
         raise EngineError("recursion guard exceeded")
 
-    monkeypatch.setattr(Engine, "_gt_cases", fail)
+    monkeypatch.setattr(Engine, "_gt", fail)
     assert cli.main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -41,7 +42,7 @@ def _tower_file(tmp_path, lhs_depth, rhs_depth):
     return path
 
 
-# c^1200(z) is too deep for the parser; c^160(z) > c^80(z) parses but is too
+# c^1200(z) is too deep for the parser; c^300(z) > c^150(z) parses but is too
 # deep for the engine's recursion, which validate and properties never reach
 DEEP_CASES = [
     (1200, 0, "check"),
@@ -49,9 +50,9 @@ DEEP_CASES = [
     (1200, 0, "validate"),
     (1200, 0, "search"),
     (1200, 0, "properties"),
-    (160, 80, "check"),
-    (160, 80, "trace"),
-    (160, 80, "search"),
+    (300, 150, "check"),
+    (300, 150, "trace"),
+    (300, 150, "search"),
 ]
 
 
@@ -70,6 +71,20 @@ def test_deep_input_is_one_line_and_exit_2(tmp_path, lhs_depth, rhs_depth, comma
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "error: input nested too deeply\n"
+
+
+@pytest.mark.parametrize("lhs_depth,rhs_depth", [(200, 100), (220, 0)])
+def test_deep_tower_is_decided(tmp_path, lhs_depth, rhs_depth):
+    # one tower level costs the engine 3 frames (1a) or 2 (1b), and the
+    # replay 2; c^300(z) > c^150(z) above is the first size left too deep
+    path = _tower_file(tmp_path, lhs_depth, rhs_depth)
+    proc = subprocess.run(
+        [sys.executable, "-m", "horpo.cli", "check", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.endswith(" : oriented\nstatus: success\n")
 
 
 @pytest.mark.parametrize(
@@ -129,3 +144,29 @@ def test_search_answer_failing_its_check_is_one_line_and_exit_2(
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: search result fails its check\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_properties_findings_exit_1(fmt, monkeypatch, capsys):
+    # an ordering that orients every pair: irreflexivity fails, and no
+    # trace it makes replays
+    monkeypatch.setattr(Engine, "gt", lambda self, x, s, t: Trace("4a", s, t, x))
+    argv = ["properties", str(CORPUS / "nat_rec.horpo"), "--samples", "30"]
+    assert cli.main(argv + ["--seed", "3", "--format", fmt]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    if fmt == "json":
+        report = json.loads(out)
+        assert report["status"] == "failure"
+        findings = report["findings"]
+    else:
+        *lines, last = out.splitlines()
+        assert last == "status: failure"
+        assert all(line.startswith("finding: ") for line in lines)
+        findings = [line[len("finding: ") :] for line in lines]
+    assert {f.split(":")[0] for f in findings} == {
+        "irreflexivity",
+        "beta-trace",
+        "eta-trace",
+        "trace-trace",
+    }

@@ -31,9 +31,11 @@ from horpo.terms import (
     SortDecl,
     Var,
     alpha_eq,
+    term_str,
     ty_str,
     typecheck,
 )
+from horpo.traces import Trace
 from horpo.typeorder import SortOrder, validate_axioms
 
 Nat = Data("Nat")
@@ -101,6 +103,63 @@ def test_run_properties_catches_sabotage(brouwer, monkeypatch):
     monkeypatch.setattr(Engine, "_case_2c", lambda self, x, s, t: None)
     findings = run_properties(brouwer.ctx, brouwer.vars, samples=60, seed=2)
     assert any(f.prop == "beta" for f in findings)
+
+
+def _every_pair_oriented(self, x, s, t):
+    # 4a claims a freed variable on the right, so replay rejects every trace
+    return Trace("4a", s, t, x)
+
+
+def _shallow_strict_subterms(t):
+    """The strict subterms of `t` that no binder encloses."""
+    parts = (t.fn, t.arg) if isinstance(t, App) else getattr(t, "args", ())
+    for u in parts:
+        yield u
+        yield from _shallow_strict_subterms(u)
+
+
+def test_run_properties_reports_an_ordering_that_orients_everything(
+    nat_rec, monkeypatch
+):
+    monkeypatch.setattr(Engine, "gt", _every_pair_oriented)
+    shrunk, shrink = [], harness._shrink
+
+    def recording(check, t):
+        shrunk.append(shrink(check, t))
+        return shrunk[-1]
+
+    monkeypatch.setattr(harness, "_shrink", recording)
+    findings = run_properties(nat_rec.ctx, nat_rec.vars, samples=30, seed=3)
+    assert {f.prop for f in findings} == {
+        "irreflexivity",
+        "beta-trace",
+        "eta-trace",
+        "trace-trace",
+    }
+    assert "beta-trace: case 4a needs a freed variable on the right" in map(
+        str, findings
+    )
+    irreflexive = [str(f) for f in findings if f.prop == "irreflexivity"]
+    assert irreflexive == ["irreflexivity: %s > itself" % term_str(u) for u in shrunk]
+    # the shrink replaced every compound subterm it may reach by a variable
+    assert any(u.size > 1 and isinstance(u, Fun) for u in shrunk)
+    for u in shrunk:
+        assert all(v.size <= 1 for v in _shallow_strict_subterms(u))
+
+
+def test_exhaustive_check_reports_an_ordering_that_orients_everything(
+    nat_rec, monkeypatch
+):
+    monkeypatch.setattr(Engine, "gt", _every_pair_oriented)
+    findings = exhaustive_check(nat_rec.ctx, nat_rec.vars, Nat, max_size=4)
+    assert {f.prop for f in findings} == {
+        "irreflexivity",
+        "antisymmetry",
+        "termination",
+    }
+    assert "irreflexivity: z > itself" in map(str, findings)
+    assert "antisymmetry: z and succ(z) dominate each other" in map(str, findings)
+    assert [f.prop for f in findings].count("termination") == 1
 
 
 def test_enumerate_terms_small(toy_ctx, toy_env):

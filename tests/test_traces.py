@@ -246,10 +246,10 @@ def test_replay_visits_each_distinct_goal_once(monkeypatch):
     goals, visits = set(), []
     replay, expect = traces_mod._check_goal, traces_mod._expect_children
 
-    def reaching(ctx, trace, kind, x, done):
+    def reaching(ctx, trace, kind, x, s, t, done):
         if trace.label != "refl":
             goals.add((id(trace), kind, x))
-        replay(ctx, trace, kind, x, done)
+        replay(ctx, trace, kind, x, s, t, done)
 
     def visiting(trace, n):
         if trace.label not in ("mulExt", "lexExt"):  # part of the parent's check
@@ -354,6 +354,10 @@ FN = App(F_, Var("n", Nat), Ord)  # @(F, n): an application, not a redex
 ZERO = Fun("0", (), Ord)
 LAM_NAT = Abs("x", Nat, ZERO, Arrow(Nat, Ord))  # no eta redex
 LAM_ORD = Abs("y", Ord, ZERO, Arrow(Ord, Ord))
+Q = Fun("q", (), Ord)  # no symbol q is declared
+M_ = Var("m", Ord)
+FM = App(F_, M_, Ord)  # @(F, m) applies F : Nat -> Ord to m : Ord
+LIM_F = Fun("lim", (F_,), Ord)
 
 TWINS = (
     "sort N ;\nfun z : [] -> N ;\nfun f : [N, N] -> N ;\nfun g : [N, N] -> N ;\n"
@@ -421,14 +425,20 @@ def _forge(name, brouwer):
         "no_witness": _with_aux(n["a_n"], w=None),
         "not_accessible": _with_aux(n["a_n"], w=U_),
         "xs_unbound": _with_aux(n["a_n"], xs=("q",)),
+        "xs_not_names": _with_aux(n["a_n"], xs=5),
+        "witness_not_term": _with_aux(n["a_n"], w="N"),
         "witness_type": rep(n["a_v"], rhs=N_),
         "1b_shapes": rep(n["b2"], rhs=N_),
         "1b_heads": rep(n["b2"], rhs=Fun("s", (N_,), Ord)),
+        "1b_undeclared": Trace("1b", Q, Q),
+        "1c_undeclared": Trace("1c", Q, Q),
         "1c_lhs": Trace("1c", FN, N_),
         "1c_rhs": rep(n["a_n"], label="1c"),
         "not_mul": with_mul2(rep(mul2, label="lexExt")),
         "mul_reuse": with_mul2(_with_aux(mul2, equal=((1, 1), (1, 1)))),
         "mul_unequal": with_mul2(_with_aux(mul2, equal=((0, 0),))),
+        "mul_equal_range": with_mul2(_with_aux(mul2, equal=((9, 9),))),
+        "mul_cover_pair": with_mul2(_with_aux(mul2, cover=((0,),))),
         "mul_nothing_removed": Trace(
             "2b", FN, FN, (), (Trace("mulExt", FN, FN, (), (), everything_equal),)
         ),
@@ -446,6 +456,12 @@ def _forge(name, brouwer):
         return ctx, n["r3"], "gt_type", ()
     if name == "type_gate":
         return ctx, rep(n["tc"], rhs=U_), "gt_type", ()
+    if name == "witness_domain":
+        # 1a on lim(F) > @(F, m) with w = F applied to m: only the domain
+        # check of each applied variable rejects it
+        x = (("m", Ord),)
+        aux = (("i", 1), ("w", F_), ("xs", ("m",)))
+        return ctx, Trace("1a", LIM_F, FM, x, (Trace("refl", FM, FM),), aux), "gt", x
     if name == "4a_children":
         fourA = n["fourA"]
         return ctx, rep(fourA, children=(Trace("refl", N_, N_),)), "gt", fourA.x
@@ -500,15 +516,22 @@ FORGERIES = {
     "no_witness": "missing accessible-subterm witness",
     "not_accessible": r"s\(N\) is not acc-at-or-above U",
     "xs_unbound": "applied variable 'q' not in the bound set",
+    "xs_not_names": "applied variables 5 are not a list of names",
+    "witness_not_term": "accessible-subterm witness 'N' is not a term",
+    "witness_domain": "applied witness is ill-typed",
     "witness_type": "applied witness is ill-typed or not of a type equivalent to Ord",
     "1b_shapes": "case 1b needs algebraic terms on both sides",
     "1b_heads": "case 1b needs equivalent head symbols",
+    "1b_undeclared": "case 1b on undeclared symbol 'q'",
+    "1c_undeclared": "case 1c on undeclared symbol 'q'",
     "distinct_statuses": "equivalent symbols with distinct statuses",
     "1c_lhs": "case 1c needs an algebraic left-hand side",
     "1c_rhs": "case 1c right-hand side must be algebraic or applied",
     "not_mul": "expected a multiset-extension node",
     "mul_reuse": "multiset cancellation reuses an element",
     "mul_unequal": "cancelled pair is not alpha-equal",
+    "mul_equal_range": r"multiset equal \(\(9, 9\),\) is not a list of pairs in range",
+    "mul_cover_pair": r"multiset cover \(\(0,\),\) is not a list of pairs in range",
     "mul_nothing_removed": "strict multiset extension with nothing removed",
     "mul_cover_misses": "multiset cover misses a right-hand element",
     "mul_cover_cancelled": "cover uses a cancelled left element",
