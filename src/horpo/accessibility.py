@@ -87,12 +87,6 @@ def _reachable(acc: AccTable, s: Fun) -> frozenset[AlphaClass]:
     return reach
 
 
-def accessible(acc: AccTable, u: Term, s: Term) -> bool:
-    """True iff `u` is reachable from the algebraic term `s` through
-    accessible argument positions."""
-    return isinstance(s, Fun) and u.alpha_class in _reachable(acc, s)
-
-
 def _acc_below(
     acc: AccTable, order: SortOrder, min_types: Sequence[Ty], s: Term
 ) -> Callable[[Term], bool] | None:
@@ -115,14 +109,15 @@ def acc_gt(
     min_types: Sequence[Ty],
     s: Term,
     v: Term,
-) -> bool:
-    """The strict accessible-subterm relation: `v` is alpha-equal to a
-    strict subterm of `s` and acc-below it."""
+) -> Term | None:
+    """The strict accessible-subterm relation: the first strict subterm of
+    `s`, in pre-order, that is alpha-equal to `v` and acc-below `s`, with
+    its own annotations (not `v`'s); None when there is none."""
     below = _acc_below(acc, order, min_types, s)
-    return (
-        below is not None
-        and below(v)
-        and any(alpha_eq(v, u) for u in strict_subterms(s))
+    if below is None:
+        return None
+    return next(
+        (u for u in strict_subterms(s) if alpha_eq(v, u) and below(u)), None
     )
 
 
@@ -132,8 +127,9 @@ def acc_ge(
     min_types: Sequence[Ty],
     s: Term,
     v: Term,
-) -> bool:
-    return alpha_eq(s, v) or acc_gt(acc, order, min_types, s, v)
+) -> Term | None:
+    """`s` itself when it is alpha-equal to `v`, else `acc_gt`."""
+    return s if alpha_eq(s, v) else acc_gt(acc, order, min_types, s, v)
 
 
 def acc_candidates(

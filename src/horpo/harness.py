@@ -597,20 +597,22 @@ _LEVEL_CMP = {1: Cmp.GT, 0: Cmp.EQ, -1: Cmp.LT}
 
 class _Reads:
     """Stands in for a context's precedence and statuses while the engine
-    orients one rule, recording each answer: comparisons by symbol pair,
-    statuses by symbol."""
+    orients one rule: answers from a candidate's levels and statuses (`mul`
+    by default), recording comparisons by symbol pair, statuses by symbol."""
 
-    def __init__(self, ctx: OrderingContext):
-        self.ctx = ctx
+    def __init__(self, level: dict[str, int], statuses: dict[str, str]):
+        self.level = level
+        self.statuses = statuses
         self.cmps: dict[tuple[str, str], Cmp] = {}
         self.stats: dict[str, str] = {}
 
     def cmp(self, f: str, g: str) -> Cmp:
-        answer = self.cmps[f, g] = self.ctx.prec.cmp(f, g)
+        a, b = self.level[f], self.level[g]
+        answer = self.cmps[f, g] = _LEVEL_CMP[(a > b) - (a < b)]
         return answer
 
     def __getitem__(self, f: str) -> str:
-        answer = self.stats[f] = self.ctx.statuses[f]
+        answer = self.stats[f] = self.statuses.get(f, MUL)
         return answer
 
     def agree(self, level: dict[str, int], statuses: dict[str, str]) -> bool:
@@ -667,20 +669,16 @@ def search_params(problem):
                     continue
                 level = dict(zip(fun_names, assign))
                 level[APP_SYM] = -1
-                ctx = None
                 for rule, known in zip(problem.rules, outcomes):
                     oriented = next(
                         (ok for reads, ok in known if reads.agree(level, statuses)),
                         None,
                     )
                     if oriented is None:
-                        if ctx is None:
-                            prec = _order_pairs(fun_names, assign)
-                            ctx = order_ctx.with_precedence(*prec, statuses)
                         # a fresh engine per rule: a memo shared across
                         # rules would hold answers resting on other reads
-                        reads = _Reads(ctx)
-                        engine = Engine(replace(ctx, prec=reads, statuses=reads))
+                        reads = _Reads(level, statuses)
+                        engine = Engine(replace(order_ctx, prec=reads, statuses=reads))
                         oriented = engine.orient_rule(rule.lhs, rule.rhs) is not None
                         known.append((reads, oriented))
                     if not oriented:

@@ -59,9 +59,13 @@ class Trace:
     aux: tuple[tuple[str, object], ...] = ()
 
     def get(self, key: str):
-        for k, v in self.aux:
-            if k == key:
-                return v
+        """The aux value under `key`, or None; a non-pair entry is malformed."""
+        try:
+            for k, v in self.aux:
+                if k == key:
+                    return v
+        except (TypeError, ValueError):
+            raise TraceError("malformed trace node %.60r" % (self.label,)) from None
         return None
 
 
@@ -168,6 +172,10 @@ def check_trace(ctx: OrderingContext, trace: Trace, kind: str, x: XSet) -> None:
     """Replay `trace` as a proof of the goal `kind` (gt/ge/ge_type) under
     bound-variable set `x`; raises TraceError on any local mismatch.
 
+    The root's sides are its goal, and each other node's goal is the one
+    its parent's case assigns. The checks read the goal's terms: a node's
+    sides only have to match it up to alpha-equivalence.
+
     A subtrace the engine shared is one node object reached along several
     paths. Each distinct goal (node, kind, X) is replayed once per call; the
     match of a child against the goal its parent assigns it runs on every
@@ -178,6 +186,8 @@ def check_trace(ctx: OrderingContext, trace: Trace, kind: str, x: XSet) -> None:
 
 # A replayed goal: the node's identity, the goal kind and the bound set.
 Goal = tuple[int, str, XSet]
+# The types a sequence read from a node may have.
+_SEQ = (tuple, list)
 
 
 def _check_goal(
@@ -190,22 +200,23 @@ def _check_goal(
     done: set[Goal],
 ) -> None:
     """Replay one node as a proof of the goal s `kind` t under `x`. Its sides
-    must match the goal's on every path; the rest is skipped when `done`
-    (the goals replayed successfully so far in this call) holds it. Besides
-    gt, ge, ge_type and gt_type, `kind` is accApply: the strict composite
-    that an extension pair may be."""
+    must match the goal's on every path; the rest, its shape check first, is
+    skipped when `done` (the goals replayed successfully so far in this
+    call) holds it. Besides gt, ge, ge_type and gt_type, `kind` is accApply:
+    the strict composite that an extension pair may be."""
+    goal = (id(trace), kind, x)
+    replayed = goal in done
+    if not replayed:
+        _check_shape(trace)
     if not alpha_eq(trace.lhs, s) or not alpha_eq(trace.rhs, t):
         raise TraceError(
             "child goal mismatch: have %s vs %s, want %s vs %s"
             % (term_str(trace.lhs), term_str(trace.rhs), term_str(s), term_str(t))
         )
-    goal = (id(trace), kind, x)
-    if goal in done:
+    if replayed:
         return
-    s, t = trace.lhs, trace.rhs  # the local check reads the node's own sides
     label = trace.label
-    xs_names = {name for name, _ in x}
-    if tuple(trace.x) != tuple(x):
+    if tuple(trace.x) != x:
         raise TraceError("node X %r differs from goal X %r" % (trace.x, x))
 
     if label == "refl":
@@ -214,12 +225,15 @@ def _check_goal(
         if not alpha_eq(s, t):
             raise TraceError("refl on non-alpha-equal terms")
     elif kind == "accApply":  # the strict composite, as an extension pair
-        _check_witness(ctx, trace, x, strict=True, done=done)
+        _check_witness(ctx, trace, x, s, t, done)
     elif kind in ("ge_type", "gt_type"):
         if label != "typeCheck":
             raise TraceError("strict part of a typed goal must be typeCheck")
         if not ty_ge(ctx.sort_order, s.ty, t.ty):
             raise TraceError("type gate fails: %s vs %s" % (ty_str(s.ty), ty_str(t.ty)))
+        printed = (trace.get("lhs_ty"), trace.get("rhs_ty"))
+        if printed != (ty_str(s.ty), ty_str(t.ty)):
+            raise TraceError("typeCheck prints the types %r vs %r" % printed)
         _expect_children(trace, 1)
         _check_goal(ctx, trace.children[0], "gt", x, s, t, done)
     elif label not in GT_LABELS:
@@ -229,15 +243,15 @@ def _check_goal(
     elif label == "1a":
         if not isinstance(s, Fun):
             raise TraceError("case 1a needs an algebraic left-hand side")
-        _check_witness(ctx, trace, x, strict=False, done=done)
+        _check_witness(ctx, trace, x, s, t, done)
     elif label == "1b":
-        _check_1b(ctx, trace, x, done)
+        _check_1b(ctx, trace, x, s, t, done)
     elif label == "1c":
-        _check_1c(ctx, trace, x, done)
+        _check_1c(ctx, trace, x, s, t, done)
     elif label == "2a":
         if not isinstance(s, App):
             raise TraceError("case 2a needs an application left-hand side")
-        _check_witness(ctx, trace, x, strict=False, done=done)
+        _check_witness(ctx, trace, x, s, t, done)
     elif label == "2b":
         if not (isinstance(s, App) and isinstance(t, App)):
             raise TraceError("case 2b needs applications on both sides")
@@ -253,17 +267,15 @@ def _check_goal(
     elif label == "3a":
         if not isinstance(s, Abs):
             raise TraceError("case 3a needs an abstraction on the left")
-        z = _check_fresh(trace, s, t, xs_names)
+        z = _check_fresh(trace, s, t, x)
         _expect_children(trace, 1)
-        _check_goal(
-            ctx, trace.children[0], "ge_type", x, open_abs(s, z), t, done
-        )
+        _check_goal(ctx, trace.children[0], "ge_type", x, open_abs(s, z), t, done)
     elif label == "3b":
         if not (isinstance(s, Abs) and isinstance(t, Abs)):
             raise TraceError("case 3b needs abstractions on both sides")
         if not ty_eq(ctx.sort_order, s.var_ty, t.var_ty):
             raise TraceError("case 3b domain types not equivalent")
-        z = _check_fresh(trace, s, t, xs_names)
+        z = _check_fresh(trace, s, t, x)
         _expect_children(trace, 1)
         _check_goal(
             ctx, trace.children[0], "gt", x, open_abs(s, z), open_abs(t, z), done
@@ -275,7 +287,7 @@ def _check_goal(
         _expect_children(trace, 1)
         _check_goal(ctx, trace.children[0], "ge", x, reduct, t, done)
     elif label == "4a":
-        if not (isinstance(t, Var) and t.name in xs_names):
+        if not (isinstance(t, Var) and t.name in dict(x)):
             raise TraceError("case 4a needs a freed variable on the right")
         _expect_children(trace, 0)
     elif label == "4b":
@@ -283,18 +295,27 @@ def _check_goal(
             raise TraceError("case 4b forbids an abstraction on the left")
         if not isinstance(t, Abs):
             raise TraceError("case 4b needs an abstraction on the right")
-        z = _check_fresh(trace, s, t, xs_names)
+        z = _check_fresh(trace, s, t, x)
         _expect_children(trace, 1)
-        _check_goal(
-            ctx,
-            trace.children[0],
-            "gt",
-            x_add(x, z, t.var_ty),
-            s,
-            open_abs(t, z),
-            done,
-        )
+        x_z = x_add(x, z, t.var_ty)
+        _check_goal(ctx, trace.children[0], "gt", x_z, s, open_abs(t, z), done)
     done.add(goal)
+
+
+def _check_shape(trace: Trace) -> None:
+    """The node's fields have the types the checker reads them at; its
+    children are checked when replayed, its aux entries by `Trace.get`."""
+    if not (
+        isinstance(trace, Trace)
+        and isinstance(trace.label, str)
+        and isinstance(trace.lhs, Term)
+        and isinstance(trace.rhs, Term)
+        and isinstance(trace.x, _SEQ)
+        and isinstance(trace.children, _SEQ)
+        and isinstance(trace.aux, _SEQ)
+    ):
+        what = trace.label if isinstance(trace, Trace) else trace
+        raise TraceError("malformed trace node %.60r" % (what,))
 
 
 def _expect_children(trace: Trace, n: int) -> None:
@@ -305,12 +326,12 @@ def _expect_children(trace: Trace, n: int) -> None:
         )
 
 
-def _check_fresh(trace: Trace, s: Term, t: Term, xs_names: set[str]) -> str:
+def _check_fresh(trace: Trace, s: Term, t: Term, x: XSet) -> str:
     """The node's fresh name, which must be new to X and to both sides."""
     z = trace.get("fresh")
     if not isinstance(z, str) or not z:
         raise TraceError("missing fresh-name annotation")
-    if z in xs_names:
+    if z in dict(x):
         raise TraceError("fresh name %r collides with the bound set" % z)
     if z in free_vars(s) or z in free_vars(t):
         raise TraceError("fresh name %r occurs free in the goal" % z)
@@ -318,10 +339,11 @@ def _check_fresh(trace: Trace, s: Term, t: Term, xs_names: set[str]) -> str:
 
 
 def _check_witness(
-    ctx: OrderingContext, trace: Trace, x: XSet, strict: bool, done: set[Goal]
+    ctx: OrderingContext, trace: Trace, x: XSet, s: Term, t: Term, done: set[Goal]
 ) -> None:
-    """Cases 1a/2a and the accApply composite share this shape."""
-    s, t = trace.lhs, trace.rhs
+    """Cases 1a/2a and the accApply composite share this shape. The witness
+    applied is the base's own subterm that `w` names."""
+    rel = acc_ge
     if trace.label == "1a":
         i = trace.get("i")
         if not isinstance(i, int) or not 1 <= i <= len(s.args):
@@ -332,31 +354,25 @@ def _check_witness(
         if side not in ("fn", "arg"):
             raise TraceError("case 2a side annotation missing")
         base = s.fn if side == "fn" else s.arg
-    else:  # accApply: the base is the left-hand side itself
-        base = s
+    else:  # accApply: strictly below the left-hand side itself
+        base, rel = s, acc_gt
     w = trace.get("w")
     if w is None:
         raise TraceError("missing accessible-subterm witness")
     if not isinstance(w, Term):
         raise TraceError("accessible-subterm witness %r is not a term" % (w,))
-    rel = acc_gt if strict else acc_ge
-    if not rel(ctx.acc, ctx.sort_order, ctx.min_types, base, w):
-        raise TraceError(
-            "%s is not acc-%s %s"
-            % (term_str(base), "above" if strict else "at-or-above", term_str(w))
-        )
-    xs_raw = trace.get("xs") or ()
-    if not isinstance(xs_raw, (tuple, list)) or not all(
-        isinstance(name, str) for name in xs_raw
-    ):
-        raise TraceError("applied variables %r are not a list of names" % (xs_raw,))
+    w_base = rel(ctx.acc, ctx.sort_order, ctx.min_types, base, w)
+    if w_base is None:
+        above = "above" if rel is acc_gt else "at-or-above"
+        raise TraceError("%s is not acc-%s %s" % (term_str(base), above, term_str(w)))
+    names = trace.get("xs") or ()
+    if not isinstance(names, _SEQ) or not all(isinstance(n, str) for n in names):
+        raise TraceError("applied variables %r are not a list of names" % (names,))
     x_tys = dict(x)
-    xs: list[tuple[str, Ty]] = []
-    for name in xs_raw:
+    for name in names:
         if name not in x_tys:
             raise TraceError("applied variable %r not in the bound set" % name)
-        xs.append((name, x_tys[name]))
-    wapp = apply_witness(ctx, w, tuple(xs), t.ty)
+    wapp = apply_witness(ctx, w_base, tuple((n, x_tys[n]) for n in names), t.ty)
     if wapp is None:
         raise TraceError(
             "applied witness is ill-typed or not of a type equivalent to %s"
@@ -368,9 +384,8 @@ def _check_witness(
 
 
 def _check_1b(
-    ctx: OrderingContext, trace: Trace, x: XSet, done: set[Goal]
+    ctx: OrderingContext, trace: Trace, x: XSet, s: Term, t: Term, done: set[Goal]
 ) -> None:
-    s, t = trace.lhs, trace.rhs
     if not (isinstance(s, Fun) and isinstance(t, Fun)):
         raise TraceError("case 1b needs algebraic terms on both sides")
     _check_declared(ctx, trace, s.sym, t.sym)
@@ -379,6 +394,8 @@ def _check_1b(
     status = ctx.statuses[s.sym]
     if status != ctx.statuses[t.sym]:
         raise TraceError("equivalent symbols with distinct statuses")
+    if trace.get("status") != status:
+        raise TraceError("case 1b claims status %r" % (trace.get("status"),))
     _expect_children(trace, len(t.args) + 1)
     for child, tj in zip(trace.children[:-1], t.args):
         _check_goal(ctx, child, "gt", x, s, tj, done)
@@ -392,9 +409,8 @@ def _check_declared(ctx: OrderingContext, trace: Trace, *syms: str) -> None:
 
 
 def _check_1c(
-    ctx: OrderingContext, trace: Trace, x: XSet, done: set[Goal]
+    ctx: OrderingContext, trace: Trace, x: XSet, s: Term, t: Term, done: set[Goal]
 ) -> None:
-    s, t = trace.lhs, trace.rhs
     if not isinstance(s, Fun):
         raise TraceError("case 1c needs an algebraic left-hand side")
     _check_declared(ctx, trace, s.sym)
@@ -427,6 +443,7 @@ def _check_ext(
     pair_kind: str,
     done: set[Goal],
 ) -> None:
+    _check_shape(node)
     if status == MUL:
         if node.label != "mulExt":
             raise TraceError("expected a multiset-extension node")
@@ -470,10 +487,11 @@ def _check_ext(
 def _index_pairs(node: Trace, key: str, n: int, m: int) -> tuple | list:
     """The node's `key` entries, each a pair (i, j) with i < n and j < m."""
     pairs = node.get(key) or ()
-    if not isinstance(pairs, (tuple, list)) or not all(
-        isinstance(p, (tuple, list))
+    if not isinstance(pairs, _SEQ) or not all(
+        isinstance(p, _SEQ)
         and len(p) == 2
-        and all(isinstance(k, int) for k in p)
+        and isinstance(p[0], int)
+        and isinstance(p[1], int)
         and 0 <= p[0] < n
         and 0 <= p[1] < m
         for p in pairs
@@ -498,14 +516,11 @@ def _check_pair(
     `union`  : typed comparison with empty X, or the strict composite with X
     `type_x` : typed comparison carrying X (application status case)
     """
-    if not alpha_eq(child.lhs, a) or not alpha_eq(child.rhs, b):
-        raise TraceError("extension pair mismatch")
-    if child.label == "typeCheck":
+    label = child.label if isinstance(child, Trace) else None
+    if label == "typeCheck":
         inner_x: XSet = x if pair_kind == "type_x" else ()
         _check_goal(ctx, child, "gt_type", inner_x, a, b, done)
-    elif child.label == "accApply" and pair_kind == "union":
-        if tuple(child.x) != tuple(x):
-            raise TraceError("composite node carries the wrong bound set")
+    elif label == "accApply" and pair_kind == "union":
         _check_goal(ctx, child, "accApply", x, a, b, done)
     else:
-        raise TraceError("unexpected extension pair label %r" % child.label)
+        raise TraceError("unexpected extension pair label %r" % (label,))

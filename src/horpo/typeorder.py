@@ -123,16 +123,6 @@ def ty_ge(order: SortOrder, a: Ty, b: Ty) -> bool:
     return ty_eq(order, a, b) or ty_gt(order, a, b)
 
 
-def cmp_types(order: SortOrder, a: Ty, b: Ty) -> Cmp:
-    if ty_eq(order, a, b):
-        return Cmp.EQ
-    if ty_gt(order, a, b):
-        return Cmp.GT
-    if ty_gt(order, b, a):
-        return Cmp.LT
-    return Cmp.INCOMP
-
-
 # ---------------------------------------------------------------------------
 # Polarity of data-type occurrences
 

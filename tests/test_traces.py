@@ -363,6 +363,13 @@ TWINS = (
     "sort N ;\nfun z : [] -> N ;\nfun f : [N, N] -> N ;\nfun g : [N, N] -> N ;\n"
     "fun h : [N] -> N ;\n"
 )
+# f(lim(F), F) > g(F, F) needs lim(F) : Ord >_type F : Nat -> Ord, whose type
+# gate fails
+LIMITS = (
+    "sort Nat ;\nsort Ord ;\norder Nat < Ord ;\nfun lim : [Nat -> Ord] -> Ord ;\n"
+    "fun f : [Ord, Nat -> Ord] -> Ord ;\nfun g : [Nat -> Ord, Nat -> Ord] -> Ord ;\n"
+    "prec f = g ;\n"
+)
 
 
 def _brouwer_nodes(brouwer):
@@ -374,6 +381,7 @@ def _brouwer_nodes(brouwer):
     fourb = r3.children[2]  # 4b: rec(lim(F),U,V,W) > \n:Nat.rec(@(F,n),U,V,W)
     b3 = fourb.children[0]  # 1b under X = {n#0}
     return {
+        "r2": r2,  # 1c: rec(s(N),U,V,W) > @(@(V,N),rec(N,U,V,W))
         "r3": r3,
         "b2": b2,
         "a_n": b2.children[0],  # 1a: rec(s(N),U,V,W) > N, w = N
@@ -401,6 +409,8 @@ def _forge(name, brouwer):
     mul2 = n["mul2"]
     with_mul2 = lambda node: rep(n["b2"], children=n["b2"].children[:-1] + (node,))
     everything_equal = (("equal", ((0, 0), (1, 1))), ("cover", ()))
+    r2 = n["r2"]
+    with_first = lambda node: rep(r2, children=(node,) + r2.children[1:])
     simple = {
         "refl_unequal": Trace("refl", N_, Var("M", Ord)),
         "unexpected_label": n["tc"],
@@ -448,6 +458,17 @@ def _forge(name, brouwer):
             rep(mul2, children=(rep(n["tc"], lhs=ZERO),))
         ),
         "pair_label": with_mul2(rep(mul2, children=(rep(n["tc"], label="1a"),))),
+        "1b_status": _with_aux(n["b2"], status="lex"),
+        "shape_child_none": with_first(None),
+        "shape_label": rep(r2, label=["1c"]),
+        "shape_child_lhs": with_first(rep(r2.children[0], lhs=None)),
+        "shape_child_x": with_first(rep(r2.children[0], x=None)),
+        "shape_child_aux": with_first(rep(r2.children[0], aux=None)),
+        "shape_children": rep(r2, children=None),
+        "shape_aux_pair": with_first(rep(r2.children[0], aux=(5,))),
+        "shape_ext_aux": with_mul2(rep(mul2, aux=None)),
+        "shape_ext_children": with_mul2(rep(mul2, children=None)),
+        "shape_pair_none": with_mul2(rep(mul2, children=(None,))),
     }
     if name in simple:
         kind = {"refl_unequal": "ge"}.get(name, "gt")
@@ -456,12 +477,32 @@ def _forge(name, brouwer):
         return ctx, n["r3"], "gt_type", ()
     if name == "type_gate":
         return ctx, rep(n["tc"], rhs=U_), "gt_type", ()
-    if name == "witness_domain":
+    if name == "typecheck_types":
+        return ctx, _with_aux(n["tc"], lhs_ty="Nat", rhs_ty="A -> A"), "gt_type", ()
+    if name in ("witness_domain", "witness_annotation"):
         # 1a on lim(F) > @(F, m) with w = F applied to m: only the domain
-        # check of each applied variable rejects it
+        # check of each applied variable rejects it, also when the witness
+        # is annotated with the domain the application wants
         x = (("m", Ord),)
-        aux = (("i", 1), ("w", F_), ("xs", ("m",)))
+        w = F_ if name == "witness_domain" else Var("F", Arrow(Ord, Ord))
+        aux = (("i", 1), ("w", w), ("xs", ("m",)))
         return ctx, Trace("1a", LIM_F, FM, x, (Trace("refl", FM, FM),), aux), "gt", x
+    if name == "typecheck_annotation":
+        # the typeCheck pair's lim(F) annotated with an arrow type that
+        # passes the gate against F : Nat -> Ord
+        ctx = parse_problem(LIMITS).ctx
+        s, t = Fun("f", (LIM_F, F_), Ord), Fun("g", (F_, F_), Ord)
+        below = Engine(ctx).gt((), s, F_)
+        lim = rep(LIM_F, ty=Arrow(Nat, Arrow(Nat, Ord)))
+        aux = (("i", 1), ("w", F_), ("xs", ()))
+        inner = Trace("1a", lim, F_, (), (Trace("refl", F_, F_),), aux)
+        printed = (("lhs_ty", "Nat -> Nat -> Ord"), ("rhs_ty", "Nat -> Ord"))
+        pair = Trace("typeCheck", lim, F_, (), (inner,), printed)
+        cover = (("equal", ((1, 0),)), ("cover", ((0, 1),)))
+        args = lambda *ts: Fun("<args>", ts)
+        mul = Trace("mulExt", args(LIM_F, F_), args(F_, F_), (), (pair,), cover)
+        status = (("status", "mul"),)
+        return ctx, Trace("1b", s, t, (), (below, below, mul), status), "gt", ()
     if name == "4a_children":
         fourA = n["fourA"]
         return ctx, rep(fourA, children=(Trace("refl", N_, N_),)), "gt", fourA.x
@@ -488,13 +529,16 @@ def _forge(name, brouwer):
     s = _twin("f", z, z)
     below = Engine(ctx).gt((), s, z)
     ext = Trace("lexExt", z, z)
-    return ctx, Trace("1b", s, _twin("h", z), (), (below, ext)), "gt", ()
+    lex_status = (("status", "lex"),)
+    return ctx, Trace("1b", s, _twin("h", z), (), (below, ext), lex_status), "gt", ()
 
 
 FORGERIES = {
     "refl_unequal": "refl on non-alpha-equal terms",
     "typed_goal_label": "strict part of a typed goal must be typeCheck",
     "type_gate": "type gate fails: Ord vs A",
+    "typecheck_annotation": "type gate fails: Ord vs Nat -> Ord",
+    "typecheck_types": "typeCheck prints the types 'Nat' vs 'A -> A'",
     "unexpected_label": "unexpected label 'typeCheck' for goal gt",
     "variable_lhs": "no case applies to a variable left-hand side",
     "1a_lhs": "case 1a needs an algebraic left-hand side",
@@ -519,12 +563,14 @@ FORGERIES = {
     "xs_not_names": "applied variables 5 are not a list of names",
     "witness_not_term": "accessible-subterm witness 'N' is not a term",
     "witness_domain": "applied witness is ill-typed",
+    "witness_annotation": "applied witness is ill-typed",
     "witness_type": "applied witness is ill-typed or not of a type equivalent to Ord",
     "1b_shapes": "case 1b needs algebraic terms on both sides",
     "1b_heads": "case 1b needs equivalent head symbols",
     "1b_undeclared": "case 1b on undeclared symbol 'q'",
     "1c_undeclared": "case 1c on undeclared symbol 'q'",
     "distinct_statuses": "equivalent symbols with distinct statuses",
+    "1b_status": "case 1b claims status 'lex'",
     "1c_lhs": "case 1c needs an algebraic left-hand side",
     "1c_rhs": "case 1c right-hand side must be algebraic or applied",
     "not_mul": "expected a multiset-extension node",
@@ -538,9 +584,19 @@ FORGERIES = {
     "not_lex": "expected a lexicographic-extension node",
     "lex_lengths": "lexicographic extension on unequal lengths",
     "lex_pos": "lexicographic position out of range",
-    "pair_mismatch": "extension pair mismatch",
-    "composite_x": "composite node carries the wrong bound set",
+    "pair_mismatch": r"child goal mismatch: have 0 vs N, want s\(N\) vs N",
+    "composite_x": r"node X \(\) differs from goal X \(\('n#0'",
     "pair_label": "unexpected extension pair label '1a'",
+    "shape_child_none": "malformed trace node None",
+    "shape_label": r"malformed trace node \['1c'\]",
+    "shape_child_lhs": "malformed trace node '1a'",
+    "shape_child_x": "malformed trace node '1a'",
+    "shape_child_aux": "malformed trace node '1a'",
+    "shape_children": "malformed trace node '1c'",
+    "shape_aux_pair": "malformed trace node '1a'",
+    "shape_ext_aux": "malformed trace node 'mulExt'",
+    "shape_ext_children": "malformed trace node 'mulExt'",
+    "shape_pair_none": "unexpected extension pair label None",
 }
 
 

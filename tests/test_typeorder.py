@@ -6,7 +6,6 @@ from horpo.typeorder import (
     Cmp,
     QuasiOrder,
     SortOrder,
-    cmp_types,
     is_minimal_type,
     minimal_types,
     occurs_negatively,
@@ -40,13 +39,14 @@ def test_quasiorder_basics():
     assert not cyclic.is_well_founded()
 
 
-def test_cmp_types_examples(order):
-    assert cmp_types(order, Nat, Ord) is Cmp.LT
-    assert cmp_types(order, Ord, Ord) is Cmp.EQ
-    assert cmp_types(order, Arrow(Nat, Ord), Arrow(Nat, Ord)) is Cmp.EQ
+def test_type_comparison_examples(order):
+    assert ty_gt(order, Ord, Nat) and not ty_ge(order, Nat, Ord)
+    assert ty_eq(order, Ord, Ord)
+    assert ty_eq(order, Arrow(Nat, Ord), Arrow(Nat, Ord))
     # arrow decreasingness with cod >= target
-    assert cmp_types(order, Arrow(Nat, Ord), Ord) is Cmp.GT
-    assert cmp_types(order, Nat, A) is Cmp.INCOMP
+    assert ty_gt(order, Arrow(Nat, Ord), Ord) and not ty_ge(order, Ord, Arrow(Nat, Ord))
+    # incomparable
+    assert not ty_ge(order, Nat, A) and not ty_ge(order, A, Nat)
 
 
 def test_data_never_above_arrow(order):
