@@ -1,7 +1,7 @@
 """Accessible argument positions and the accessible-subterm relations."""
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .terms import (
     AlphaClass,
@@ -87,20 +87,36 @@ def _reachable(acc: AccTable, s: Fun) -> frozenset[AlphaClass]:
     return reach
 
 
-def _acc_below(
+def _candidates(
     acc: AccTable, order: SortOrder, min_types: Sequence[Ty], s: Term
-) -> Callable[[Term], bool] | None:
-    """The test "v is acc-below `s`" for a strict subterm v of `s`: v is
-    accessible in `s`, or of minimal type with every free variable free in
-    `s`. None when `s` is not headed by a function symbol or an
-    application, as then nothing is acc-below it."""
-    if not isinstance(s, (Fun, App)):
-        return None
-    reach = _reachable(acc, s) if isinstance(s, Fun) else frozenset()
-    fv_s = free_vars(s)
-    return lambda v: v.alpha_class in reach or (
-        is_minimal_type(order, min_types, v.ty) and free_vars(v) <= fv_s
-    )
+) -> dict[AlphaClass, Term]:
+    """The first strict subterm of `s`, in pre-order, of each class that is
+    acc-below `s`, keyed by class in that order; cached on `s` for the
+    table, sort order and minimal types (by identity). A strict subterm v is
+    acc-below `s` when it is accessible in `s`, or of minimal type with
+    every free variable free in `s`. Nothing is acc-below a variable or an
+    abstraction."""
+    cached = s.__dict__.get("_acc_cands")
+    if (
+        cached is not None
+        and cached[0] is acc
+        and cached[1] is order
+        and cached[2] is min_types
+    ):
+        return cached[3]
+    out: dict[AlphaClass, Term] = {}
+    if isinstance(s, (Fun, App)):
+        reach = _reachable(acc, s) if isinstance(s, Fun) else frozenset()
+        fv_s = free_vars(s)
+        for v in strict_subterms(s):
+            cls = v.alpha_class
+            if cls not in out and (
+                cls in reach
+                or (is_minimal_type(order, min_types, v.ty) and free_vars(v) <= fv_s)
+            ):
+                out[cls] = v
+    s.__dict__["_acc_cands"] = (acc, order, min_types, out)
+    return out
 
 
 def acc_gt(
@@ -113,12 +129,7 @@ def acc_gt(
     """The strict accessible-subterm relation: the first strict subterm of
     `s`, in pre-order, that is alpha-equal to `v` and acc-below `s`, with
     its own annotations (not `v`'s); None when there is none."""
-    below = _acc_below(acc, order, min_types, s)
-    if below is None:
-        return None
-    return next(
-        (u for u in strict_subterms(s) if alpha_eq(v, u) and below(u)), None
-    )
+    return _candidates(acc, order, min_types, s).get(v.alpha_class)
 
 
 def acc_ge(
@@ -144,16 +155,5 @@ def acc_candidates(
     Pre-order over subterm positions, deduplicated up to alpha; the reflexive
     candidate (s itself) comes first unless `strict`.
     """
-    out: list[Term] = []
-    seen: set[AlphaClass] = set()
-    if not strict:
-        out.append(s)
-        seen.add(s.alpha_class)
-    below = _acc_below(acc, order, min_types, s)
-    if below is not None:
-        for v in strict_subterms(s):
-            cls = v.alpha_class
-            if cls not in seen and below(v):
-                out.append(v)
-                seen.add(cls)
-    return out
+    below = _candidates(acc, order, min_types, s).values()
+    return list(below) if strict else [s, *below]

@@ -121,6 +121,8 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        # one object per distinct type of the problem
+        self.types: dict[Ty, Ty] = {}
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -156,7 +158,8 @@ class _Parser:
         left = self.parse_atom_type()
         if self.peek().kind == "->":
             self.next()
-            return Arrow(left, self.parse_type())
+            ty = Arrow(left, self.parse_type())
+            return self.types.setdefault(ty, ty)
         return left
 
     def parse_atom_type(self) -> Ty:
@@ -175,7 +178,8 @@ class _Parser:
                 self.next()
                 args.append(self.parse_type())
             self.expect(")")
-        return Data(name.text, tuple(args))
+        ty = Data(name.text, tuple(args))
+        return self.types.setdefault(ty, ty)
 
     # -- terms -------------------------------------------------------------
 
@@ -373,8 +377,8 @@ def parse_problem(text: str) -> Problem:
     rules: list[Rule] = []
     for lhs, rhs, tok in raw_rules:
         try:
-            lhs_t = typecheck(sig, var_env, lhs)
-            rhs_t = typecheck(sig, var_env, rhs)
+            lhs_t = typecheck(sig, var_env, lhs, p.types)
+            rhs_t = typecheck(sig, var_env, rhs, p.types)
         except TypingError as exc:
             raise ProblemError(str(exc), tok.line, tok.col) from exc
         if not free_vars(rhs_t) <= free_vars(lhs_t):

@@ -11,8 +11,11 @@ instantiates a binder with a fresh variable, and `beta_reduct` and
 
 Each node caches facts derived from it on first use: its size, its number
 of abstractions and its alpha-equivalence class (`alpha_class`). The
-accessibility layer also caches on a node the classes reachable from it.
-The contract for every such cache:
+accessibility layer also caches on a node the classes reachable from it,
+keyed by the `AccTable`, and its acc-below candidates (the first strict
+subterm of each class that is acc-below it), keyed by the `AccTable`, the
+sort order and the minimal types, all by identity. The contract for every
+such cache:
   - nodes are immutable, so a cached value never goes stale;
   - caches are not dataclass fields and never affect equality, hashing or
     printing;
@@ -304,9 +307,14 @@ def fresh_var(base: str, avoid: frozenset[str] | set[str]) -> str:
 # Typing (returns an annotated copy)
 
 
-def typecheck(sig: Signature, env: Mapping[str, Ty], t: Term) -> Term:
+def typecheck(
+    sig: Signature, env: Mapping[str, Ty], t: Term, types: dict[Ty, Ty] | None = None
+) -> Term:
     """Type the raw term `t` under `env`, annotating every node. Types at
-    application and argument positions must be syntactically equal."""
+    application and argument positions must be syntactically equal. An
+    abstraction's type is taken from the table `types` of shared types
+    (and added to it), so that equal types stay one object."""
+    types = {} if types is None else types
 
     def go(env: dict[str, Ty], t: Term) -> Term:
         if isinstance(t, Var):
@@ -346,7 +354,8 @@ def typecheck(sig: Signature, env: Mapping[str, Ty], t: Term) -> Term:
         inner = dict(env)
         inner[t.var] = t.var_ty
         body = go(inner, t.body)
-        return Abs(t.var, t.var_ty, body, Arrow(t.var_ty, body.ty))
+        ty = Arrow(t.var_ty, body.ty)
+        return Abs(t.var, t.var_ty, body, types.setdefault(ty, ty))
 
     return go(dict(env), t)
 

@@ -181,6 +181,7 @@ def check_trace(ctx: OrderingContext, trace: Trace, kind: str, x: XSet) -> None:
     match of a child against the goal its parent assigns it runs on every
     path. The work is linear in the distinct goals, not in the unfolded
     tree."""
+    _check_shape(trace)
     _check_goal(ctx, trace, kind, tuple(x), trace.lhs, trace.rhs, set())
 
 

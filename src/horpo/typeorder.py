@@ -93,6 +93,8 @@ SortOrder = QuasiOrder
 
 
 def ty_eq(order: SortOrder, a: Ty, b: Ty) -> bool:
+    if a is b:
+        return True
     if isinstance(a, Data) and isinstance(b, Data):
         return (
             order.cmp(a.sort, b.sort) is Cmp.EQ

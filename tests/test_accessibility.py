@@ -5,8 +5,22 @@ from horpo.accessibility import (
     acc_indices,
     _reachable,
 )
+from conftest import CORPUS, load
+from horpo.context import OrderingContext
 from horpo.harness import enumerate_terms
-from horpo.terms import Abs, App, Arrow, Data, Fun, Var, subterms
+from horpo.terms import (
+    Abs,
+    App,
+    Arrow,
+    Data,
+    Fun,
+    Var,
+    alpha_eq,
+    free_vars,
+    strict_subterms,
+    subterms,
+)
+from horpo.typeorder import SortOrder, is_minimal_type
 
 Nat = Data("Nat")
 Ord = Data("Ord")
@@ -98,19 +112,127 @@ def test_acc_candidates_order(brouwer):
 
 def test_acc_gt_agrees_with_strict_candidates(brouwer, nat_rec, map_problem):
     # v is acc-below s exactly when some strict candidate of s is alpha-equal
-    # to v, over rule subterms and all small enumerated terms
+    # to v, over rule subterms and all small enumerated terms; the witness is
+    # the one the uncached walk finds
     for p in (brouwer, nat_rec, map_problem):
-        ctx = p.ctx
         pool = [u for r in p.rules for side in (r.lhs, r.rhs) for u in subterms(side)]
         pool += [
-            t for ty in ctx.universe for t in enumerate_terms(p.sig, p.vars, ty, 4)
+            t for ty in p.ctx.universe for t in enumerate_terms(p.sig, p.vars, ty, 4)
         ]
         for s in pool:
-            below = {
-                w.alpha_class
-                for w in acc_candidates(ctx.acc, ctx.sort_order, ctx.min_types, s, True)
-            }
-            for v in pool:
-                want = v.alpha_class in below
-                got = acc_gt(ctx.acc, ctx.sort_order, ctx.min_types, s, v)
-                assert (got is not None) == want
+            for view in _views(p.ctx):
+                below = {w.alpha_class for w in acc_candidates(*view, s, True)}
+                for v in pool:
+                    got = acc_gt(*view, s, v)
+                    assert (got is not None) == (v.alpha_class in below)
+                    assert got is _oracle_gt(*view, s, v)
+
+
+# The uncached walk `acc_candidates` and `acc_gt` made before the candidate
+# list was cached on the base term: the oracle for the cached answers.
+
+
+def _oracle_below(acc, order, min_types, s):
+    if not isinstance(s, (Fun, App)):
+        return None
+    reach = _reachable(acc, s) if isinstance(s, Fun) else frozenset()
+    fv_s = free_vars(s)
+    return lambda v: v.alpha_class in reach or (
+        is_minimal_type(order, min_types, v.ty) and free_vars(v) <= fv_s
+    )
+
+
+def _oracle_candidates(acc, order, min_types, s, strict):
+    out, seen = [], set()
+    if not strict:
+        out.append(s)
+        seen.add(s.alpha_class)
+    below = _oracle_below(acc, order, min_types, s)
+    if below is not None:
+        for v in strict_subterms(s):
+            if v.alpha_class not in seen and below(v):
+                out.append(v)
+                seen.add(v.alpha_class)
+    return out
+
+
+def _oracle_gt(acc, order, min_types, s, v):
+    below = _oracle_below(acc, order, min_types, s)
+    if below is None:
+        return None
+    return next(
+        (u for u in strict_subterms(s) if alpha_eq(v, u) and below(u)), None
+    )
+
+
+def _corpus_problems():
+    return [
+        load(path.name)
+        for path in sorted(CORPUS.glob("*.horpo"))
+        if path.name != "bad_freevar.horpo"
+    ]
+
+
+def _views(ctx):
+    # one table under its own inputs and under a changed sort order or set
+    # of minimal types: a cache keyed on the table alone answers stale
+    flat = SortOrder(ctx.sort_order.elements)
+    return [
+        (ctx.acc, ctx.sort_order, ctx.min_types),
+        (ctx.acc, ctx.sort_order, ()),
+        (ctx.acc, flat, ctx.min_types),
+    ]
+
+
+def _same(got, want):
+    return len(got) == len(want) and all(a is b for a, b in zip(got, want))
+
+
+def test_cached_candidates_match_the_uncached_walk(brouwer, nat_rec, map_problem):
+    bases = [
+        (p.ctx, u)
+        for p in _corpus_problems()
+        for r in p.rules
+        for side in (r.lhs, r.rhs)
+        for u in subterms(side)
+    ]
+    bases += [
+        (p.ctx, u)
+        for p in (brouwer, nat_rec, map_problem)
+        for ty in p.ctx.universe
+        for t in enumerate_terms(p.sig, p.vars, ty, 4)
+        for u in subterms(t)
+    ]
+    for ctx, s in bases:
+        for view in _views(ctx):
+            for strict in (True, False):
+                got = acc_candidates(*view, s, strict)
+                assert _same(got, _oracle_candidates(*view, s, strict))
+
+
+def test_each_context_gets_its_own_candidates(brouwer):
+    limF = brouwer.rules[2].lhs.args[0]
+    F = limF.args[0]
+    assert (limF.sym, F) == ("lim", Var("F", Arrow(Nat, Ord)))
+    nat_above = OrderingContext.build(
+        brouwer.sig, SortOrder(brouwer.ctx.sort_order.elements, (("Nat", "Ord"),))
+    )
+    want = {id(brouwer.ctx): [F], id(nat_above): []}
+    for ctxs in ((brouwer.ctx, nat_above), (nat_above, brouwer.ctx)):
+        for ctx in ctxs + ctxs:
+            got = acc_candidates(ctx.acc, ctx.sort_order, ctx.min_types, limF, True)
+            assert _same(got, want[id(ctx)])
+            w = acc_gt(ctx.acc, ctx.sort_order, ctx.min_types, limF, F)
+            assert w is (F if want[id(ctx)] else None)
+
+
+def test_mutating_candidates_leaves_the_cache_alone(brouwer):
+    ctx = brouwer.ctx
+    limF = brouwer.rules[2].lhs.args[0]
+    args = (ctx.acc, ctx.sort_order, ctx.min_types, limF)
+    for strict in (True, False):
+        got = acc_candidates(*args, strict)
+        want = list(got)
+        got.append(limF)
+        del got[0]
+        assert _same(acc_candidates(*args, strict), want)

@@ -3,6 +3,7 @@ import json
 import re
 
 import pytest
+from conftest import CORPUS
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +18,7 @@ from horpo.problems import (
     report_to_jsonable,
     report_to_text,
 )
-from horpo.terms import App, Arrow, Data, Var
+from horpo.terms import Abs, App, Arrow, Data, Var, subterms, ty_subterms
 from horpo.typeorder import SortOrder
 
 
@@ -257,3 +258,23 @@ def test_dump_json_pastes_a_shared_container_at_every_depth():
     mid = [leaf, {"x": leaf}]
     obj = {"b": [mid, [[mid]]], "a": leaf, "c": (leaf, True)}
     assert dump_json(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def test_equal_types_of_a_parsed_problem_are_one_object():
+    for path in sorted(CORPUS.glob("*.horpo")):
+        if path.name == "bad_freevar.horpo":
+            continue
+        p = parse_problem(path.read_text())
+        tys = [ty for f in p.sig.funs for ty in (*f.arg_tys, f.out_ty)]
+        tys += p.vars.values()
+        for r in p.rules:
+            for side in (r.lhs, r.rhs):
+                for u in subterms(side):
+                    tys.append(u.ty)
+                    if isinstance(u, Abs):
+                        tys.append(u.var_ty)
+        ids: dict = {}
+        for ty in tys:
+            for sub in ty_subterms(ty):
+                ids.setdefault(sub, set()).add(id(sub))
+        assert all(len(found) == 1 for found in ids.values()), path.name

@@ -460,6 +460,7 @@ def _forge(name, brouwer):
         "pair_label": with_mul2(rep(mul2, children=(rep(n["tc"], label="1a"),))),
         "1b_status": _with_aux(n["b2"], status="lex"),
         "shape_child_none": with_first(None),
+        "shape_root_none": None,
         "shape_label": rep(r2, label=["1c"]),
         "shape_child_lhs": with_first(rep(r2.children[0], lhs=None)),
         "shape_child_x": with_first(rep(r2.children[0], x=None)),
@@ -588,6 +589,7 @@ FORGERIES = {
     "composite_x": r"node X \(\) differs from goal X \(\('n#0'",
     "pair_label": "unexpected extension pair label '1a'",
     "shape_child_none": "malformed trace node None",
+    "shape_root_none": "malformed trace node None",
     "shape_label": r"malformed trace node \['1c'\]",
     "shape_child_lhs": "malformed trace node '1a'",
     "shape_child_x": "malformed trace node '1a'",

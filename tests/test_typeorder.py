@@ -180,3 +180,19 @@ def test_monotonicity_matches_all_triples_under_every_sort_order():
             expected = _monotonicity_over_all_triples(order, uni)
             got = [v for v in validate_axioms(order, uni) if "monotonicity" in v]
             assert got == expected
+
+
+def test_ty_eq_is_structural_on_distinct_objects():
+    # equal types built twice, and types equal under an equivalence of sorts
+    order = SortOrder(("A", "B", "Nat"), equiv_pairs=(("A", "B"),))
+    B = Data("B")
+    pairs = [
+        (Arrow(A, Arrow(Nat, A)), Arrow(Data("A"), Arrow(Data("Nat"), Data("A")))),
+        (Arrow(A, Nat), Arrow(B, Nat)),
+        (Arrow(Arrow(Nat, B), A), Arrow(Arrow(Nat, A), B)),
+    ]
+    for a, b in pairs:
+        assert a is not b
+        assert ty_eq(order, a, b) and ty_eq(order, b, a)
+        assert ty_ge(order, a, b) and not ty_gt(order, a, b)
+    assert not ty_eq(order, Arrow(A, Nat), Arrow(Nat, A))
