@@ -119,6 +119,23 @@ def _candidates(
     return out
 
 
+def acc_new_candidates(
+    acc: AccTable, order: SortOrder, min_types: Sequence[Ty], s: Fun
+) -> list[Term]:
+    """The strict candidates of `s` that are not, by node identity, an
+    argument of `s` or a strict candidate of one; cached beside them."""
+    below = _candidates(acc, order, min_types, s)
+    cached = s.__dict__.get("_acc_new")
+    if cached is not None and cached[0] is below:
+        return cached[1]
+    offered = {id(a) for a in s.args}
+    for a in s.args:
+        offered.update(map(id, _candidates(acc, order, min_types, a).values()))
+    new = [w for w in below.values() if id(w) not in offered]
+    s.__dict__["_acc_new"] = (below, new)
+    return new
+
+
 def acc_gt(
     acc: AccTable,
     order: SortOrder,

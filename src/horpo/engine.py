@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterator
 
-from .accessibility import APP_SYM, acc_candidates
+from .accessibility import APP_SYM, acc_candidates, acc_new_candidates
 from .context import MUL, OrderingContext
 from .terms import (
     Abs,
@@ -44,6 +44,7 @@ class EngineError(Exception):
 
 
 EMPTY_X: XSet = ()
+_MISS = object()
 
 # The cases tried on each kind of left-hand side, in order.
 _CASES = {
@@ -72,7 +73,8 @@ class Engine:
             self.memo.setdefault(("ge", x, s.alpha_class, t.alpha_class), trace)
             return trace
         self._raise_limit(s, t)
-        return self._gt(x, s, t)
+        known = self.memo.get(("gt", x, s.alpha_class, t.alpha_class), _MISS)
+        return self._gt(x, s, t) if known is _MISS else known
 
     def gt_type(self, x: XSet, s: Term, t: Term) -> Trace | None:
         """s > t together with the type gate type(s) >= type(t)."""
@@ -130,8 +132,21 @@ class Engine:
     # -- algebraic left-hand side -------------------------------------------
 
     def _case_1a(self, x: XSet, s: Term, t: Term) -> Trace | None:
+        """Some witness at or acc-below an argument s_i, applied to variables
+        of X, is >= t under an empty X. When X is empty and s_i is algebraic
+        of t's type (up to equivalence), s_i is tried first; if s_i >= t
+        fails, s_i > t failed after its own case 1a asked s_i's arguments and
+        their strict candidates (failures are reported only after every
+        applicable case was tried), so only s_i's other candidates are asked.
+        Re-asking skipped nodes would only read the memo, within s_i's guard limit."""
+        ctx, order = self.ctx, self.ctx.sort_order
         for i, si in enumerate(s.args, start=1):
-            for w, xs, wapp in self._witnesses(x, si, t, strict=False):
+            if x or not isinstance(si, Fun) or not ty_eq(order, si.ty, t.ty):
+                cands = self._witnesses(x, si, t, strict=False)
+            else:
+                new = acc_new_candidates(ctx.acc, order, ctx.min_types, si)
+                cands = ((w, (), w) for w in (si, *new) if ty_eq(order, w.ty, t.ty))
+            for w, xs, wapp in cands:
                 inner = self.ge(EMPTY_X, wapp, t)
                 if inner is not None:
                     return Trace(
@@ -268,20 +283,21 @@ class Engine:
     ) -> Iterator[tuple[Term, tuple[str, ...], Term]]:
         """Each w acc-below `base` with a vector of freed variables whose
         applied witness has a type equivalent to t's, as (w, applied names,
-        applied witness). The caller compares the applied witness against `t`
-        with an empty bound set, while this generator waits off the stack."""
+        applied witness), shortest vector first (only the empty one when X
+        is empty). The caller compares the applied witness against `t` with
+        an empty bound set, while this generator waits off the stack."""
         ctx = self.ctx
         for w in acc_candidates(ctx.acc, ctx.sort_order, ctx.min_types, base, strict):
-            for xs in self._x_vectors(x, w):
-                wapp = apply_witness(ctx, w, xs, t.ty)
-                if wapp is not None:
-                    yield w, tuple(name for name, _ in xs), wapp
+            if ty_eq(ctx.sort_order, w.ty, t.ty):
+                yield w, (), w
+            if x:
+                for xs in self._x_vectors(x, w):
+                    wapp = apply_witness(ctx, w, xs, t.ty)
+                    if wapp is not None:
+                        yield w, tuple(name for name, _ in xs), wapp
 
     def _x_vectors(self, x: XSet, w: Term):
-        """All typed vectors over X applicable to w, shortest first."""
-        yield ()
-        if not x:
-            return
+        """All non-empty typed vectors over X applicable to w, shortest first."""
         frontier: list[tuple[tuple[tuple[str, Ty], ...], Ty]] = [((), w.ty)]
         while frontier:
             nxt = []

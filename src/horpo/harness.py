@@ -288,13 +288,14 @@ def run_properties(
     seed: int = 0,
     config: GenConfig | None = None,
 ) -> list[Finding]:
-    """Probe the ordering on random terms; returns a list of findings
-    (empty means every probe passed)."""
+    """Probe the ordering on random terms, all with one engine as they share
+    one context; returns a list of findings (empty means every probe passed)."""
     rng = random.Random(seed)
     config = config or GenConfig()
     findings: list[Finding] = []
     sig = ctx.sig
     tys = _candidate_arg_types(sig, env)
+    engine = Engine(ctx)
 
     for k in range(samples):
         ty = rng.choice(tys)
@@ -304,14 +305,14 @@ def run_properties(
             continue
 
         # irreflexivity
-        if Engine(ctx).gt((), s, s) is not None:
+        if engine.gt((), s, s) is not None:
             bad = _shrink(lambda u: Engine(ctx).gt((), u, u) is not None, s)
             findings.append(Finding("irreflexivity", "%s > itself" % term_str(bad)))
 
         # beta compatibility: a term strictly dominates its one-step reducts
         with_redex = inject_beta_redex(sig, env, s, rng)
         for reduct in beta_step(with_redex):
-            tr = Engine(ctx).gt_type((), with_redex, reduct)
+            tr = engine.gt_type((), with_redex, reduct)
             if tr is None:
                 findings.append(
                     Finding(
@@ -329,7 +330,7 @@ def run_properties(
         if with_eta is not None:
             reducts = eta_step(with_eta)
             if reducts:
-                tr = Engine(ctx).gt_type((), with_eta, reducts[0])
+                tr = engine.gt_type((), with_eta, reducts[0])
                 if tr is None:
                     findings.append(
                         Finding(
@@ -346,14 +347,14 @@ def run_properties(
             t = gen_term(sig, env, ty, rng, config)
         except GenError:
             continue
-        tr = Engine(ctx).gt_type((), s, t)
+        tr = engine.gt_type((), s, t)
         if tr is None:
             continue
         _validate(ctx, tr, findings, "trace")
         theta = _gen_subst(sig, env, s, t, rng)
         if theta:
             s2, t2 = substitute(s, theta), substitute(t, theta)
-            if Engine(ctx).gt_type((), s2, t2) is None:
+            if engine.gt_type((), s2, t2) is None:
                 findings.append(
                     Finding(
                         "stability",
@@ -364,7 +365,7 @@ def run_properties(
         wrapped = _wrap_context(sig, s, t, rng)
         if wrapped is not None:
             ws, wt = wrapped
-            if Engine(ctx).gt_type((), ws, wt) is None:
+            if engine.gt_type((), ws, wt) is None:
                 findings.append(
                     Finding(
                         "monotonicity",

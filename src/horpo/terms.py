@@ -14,7 +14,8 @@ of abstractions and its alpha-equivalence class (`alpha_class`). The
 accessibility layer also caches on a node the classes reachable from it,
 keyed by the `AccTable`, and its acc-below candidates (the first strict
 subterm of each class that is acc-below it), keyed by the `AccTable`, the
-sort order and the minimal types, all by identity. The contract for every
+sort order and the minimal types, all by identity, and beside them those
+candidates that no argument of the node offers. The contract for every
 such cache:
   - nodes are immutable, so a cached value never goes stale;
   - caches are not dataclass fields and never affect equality, hashing or

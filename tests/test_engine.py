@@ -1,8 +1,15 @@
-import pytest
+import random
 
-from horpo.engine import Engine
-from horpo.harness import count_calls
-from horpo.terms import Abs, App, Arrow, Data, Fun, Var, typecheck
+import pytest
+from conftest import CORPUS, load
+
+from horpo.accessibility import acc_candidates
+from horpo.engine import Engine, EngineError
+from horpo.harness import GenError, count_calls, enumerate_terms, gen_term
+from horpo.problems import parse_problem
+from horpo.terms import Abs, App, Arrow, Data, Fun, Var, alpha_eq, term_str, typecheck
+from horpo.traces import Trace, apply_witness, trace_to_jsonable
+from horpo.typeorder import ty_eq
 
 Nat = Data("Nat")
 Ord = Data("Ord")
@@ -169,3 +176,168 @@ def test_eta_case_3c(brouwer):
     eta = Abs("x", Nat, App(F, Var("x", Nat), Ord), Arrow(Nat, Ord))
     tr = Engine(brouwer.ctx).gt((), eta, F)
     assert tr is not None and tr.label == "3c"
+
+
+# ---------------------------------------------------------------------------
+# Case 1a against the generic witness loop
+
+
+class _GenericWitnessEngine(Engine):
+    """The reference: case 1a's generic witness loop, which asks every
+    candidate of every argument with every vector over X (the empty one
+    included) through `apply_witness`, and a `ge` that always enters `_gt`.
+    It retires no witness, so the engine must agree with it on every
+    verdict, trace and memo key."""
+
+    def ge(self, x, s, t):
+        if alpha_eq(s, t):
+            trace = Trace("refl", s, t, x)
+            self.memo.setdefault(("ge", x, s.alpha_class, t.alpha_class), trace)
+            return trace
+        self._raise_limit(s, t)
+        return self._gt(x, s, t)
+
+    def _case_1a(self, x, s, t):
+        for i, si in enumerate(s.args, start=1):
+            for w, xs, wapp in self._witnesses(x, si, t, strict=False):
+                inner = self.ge((), wapp, t)
+                if inner is not None:
+                    return Trace(
+                        "1a", s, t, x, (inner,), (("i", i), ("w", w), ("xs", xs))
+                    )
+        return None
+
+    def _witnesses(self, x, base, t, strict):
+        ctx = self.ctx
+        for w in acc_candidates(ctx.acc, ctx.sort_order, ctx.min_types, base, strict):
+            for xs in self._x_vectors(x, w):
+                wapp = apply_witness(ctx, w, xs, t.ty)
+                if wapp is not None:
+                    yield w, tuple(name for name, _ in xs), wapp
+
+    def _x_vectors(self, x, w):
+        yield ()
+        frontier = [((), w.ty)]
+        while frontier:
+            nxt = []
+            for vec, ty in frontier:
+                if not isinstance(ty, Arrow):
+                    continue
+                for name, vty in x:
+                    if ty_eq(self.ctx.sort_order, ty.dom, vty):
+                        ext = vec + ((name, vty),)
+                        yield ext
+                        nxt.append((ext, ty.cod))
+            frontier = nxt
+
+
+def _outcome(engine, kind, x, s, t):
+    try:
+        trace = getattr(engine, kind)(x, s, t)
+    except (EngineError, RecursionError) as exc:
+        return type(exc).__name__
+    return None if trace is None else trace_to_jsonable(trace)
+
+
+def _assert_agrees(ctx, goals, shared=True):
+    """Each goal (kind, x, s, t) gives the same outcome, trace JSON and memo
+    (keys, and which of them hold a proof) on the engine and the reference;
+    with `shared`, one pair of engines answers the goals in turn."""
+    new, ref = Engine(ctx), _GenericWitnessEngine(ctx)
+    for kind, x, s, t in goals:
+        if not shared:
+            new, ref = Engine(ctx), _GenericWitnessEngine(ctx)
+        goal = (kind, term_str(s), term_str(t))
+        assert _outcome(new, kind, x, s, t) == _outcome(ref, kind, x, s, t), goal
+        memo = {key: trace is None for key, trace in new.memo.items()}
+        assert memo == {key: trace is None for key, trace in ref.memo.items()}, goal
+
+
+def _corpus_problems():
+    return [
+        load(path.name)
+        for path in sorted(CORPUS.glob("*.horpo"))
+        if path.name != "bad_freevar.horpo"
+    ]
+
+
+def _unary(lhs, rhs):
+    return parse_problem(
+        "sort N ;\nfun z : [] -> N ;\nfun c : [N] -> N ;\nfun d : [N] -> N ;\n"
+        "rule %s -> %s ;\n" % (lhs, rhs)
+    )
+
+
+def _nest(sym, k):
+    return "%s(" % sym * k + "z" + ")" * k
+
+
+def test_case_1a_agrees_with_the_generic_loop_on_rules_and_towers():
+    problems = _corpus_problems()
+    for k in (2, 5, 8, 16):
+        problems.append(_unary(_nest("c", k), _nest("c", k // 2)))
+        problems.append(_unary(_nest("c", k // 2), _nest("c", k)))
+        problems.append(_unary(_nest("c", k), _nest("d", k)))
+    for p in problems:
+        goals = []
+        for rule in p.rules:
+            for s, t in ((rule.lhs, rule.rhs), (rule.rhs, rule.lhs)):
+                goals += [(kind, (), s, t) for kind in ("gt", "ge", "gt_type")]
+        _assert_agrees(p.ctx, goals, shared=False)
+
+
+def test_case_1a_agrees_with_the_generic_loop_on_seeded_terms():
+    for seed, p in enumerate(_corpus_problems()):
+        rng = random.Random(seed)
+        types = list(p.ctx.universe)
+        goals = []
+        for _ in range(400):
+            try:
+                s = gen_term(p.sig, p.vars, rng.choice(types), rng)
+                t = gen_term(p.sig, p.vars, rng.choice((s.ty, *types)), rng)
+            except GenError:
+                continue
+            goals += [(kind, (), s, t) for kind in ("gt", "ge", "gt_type")]
+        _assert_agrees(p.ctx, goals)
+
+
+def test_case_1a_agrees_with_the_generic_loop_on_small_terms():
+    for p in _corpus_problems():
+        for ty in p.ctx.universe:
+            terms = enumerate_terms(p.sig, p.vars, ty, 4)
+            _assert_agrees(p.ctx, [("gt", (), s, t) for s in terms for t in terms])
+
+
+def test_witness_under_a_binder_orients():
+    # without parameters, 0 is the one witness: it sits under the binder of
+    # lim's argument, so no argument of lim(\x:Nat. 0) offers it
+    zero = Fun("0", (), Ord)
+    s = Fun("s", (Fun("lim", (Abs("x", Nat, zero, Arrow(Nat, Ord)),), Ord),), Ord)
+    tr = Engine(load("brouwer_search.horpo").ctx).gt((), s, zero)
+    assert tr is not None and tr.label == "1a"
+    assert alpha_eq(tr.get("w"), zero)
+
+
+@pytest.mark.parametrize(
+    "lhs, rhs, calls, entries",
+    [
+        (_nest("c", 16), _nest("c", 32), 528, 562),
+        (_nest("c", 32), _nest("c", 64), 2080, 2146),
+        (_nest("c", 32), _nest("d", 32), 32, 33),
+    ],
+    ids=["tower_rev32", "tower_rev64", "incomparable32"],
+)
+def test_not_oriented_tower_work_is_pinned(monkeypatch, lhs, rhs, calls, entries):
+    # pinned; the generic witness loop makes 3,128, 23,408 and 528 calls,
+    # about k^3 against a memo of about k^2 goals
+    ge, made = Engine.ge, []
+
+    def counted(engine, x, s, t):
+        made.append(None)
+        return ge(engine, x, s, t)
+
+    monkeypatch.setattr(Engine, "ge", counted)
+    p = _unary(lhs, rhs)
+    engine = Engine(p.ctx)
+    assert engine.orient_rule(p.rules[0].lhs, p.rules[0].rhs) is None
+    assert (len(made), count_calls(engine)) == (calls, entries)

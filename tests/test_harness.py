@@ -94,9 +94,19 @@ def test_reducts_preserve_type(brouwer):
             assert ty_str(typecheck(brouwer.sig, brouwer.vars, r).ty) == ty_str(t.ty)
 
 
-def test_run_properties_clean(brouwer):
+def test_run_properties_clean(brouwer, monkeypatch):
+    made = []
+
+    class Counted(Engine):
+        def __init__(self, ctx):
+            made.append(ctx)
+            super().__init__(ctx)
+
+    monkeypatch.setattr(harness, "Engine", Counted)
     findings = run_properties(brouwer.ctx, brouwer.vars, samples=60, seed=2)
     assert findings == []
+    # one engine answers every probe of the run; only shrinking makes more
+    assert made == [brouwer.ctx]
 
 
 def test_run_properties_catches_sabotage(brouwer, monkeypatch):
