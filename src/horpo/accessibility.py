@@ -12,9 +12,9 @@ from .terms import (
     Term,
     Ty,
     alpha_eq,
-    data_types_in,
     free_vars,
     strict_subterms,
+    ty_subterms,
 )
 from .typeorder import (
     SortOrder,
@@ -39,22 +39,22 @@ def acc_indices(decl: FunDecl, order: SortOrder) -> frozenset[int]:
     out = decl.out_ty
     if not isinstance(out, Data):
         return frozenset()
-    acc = set()
-    for i, arg_ty in enumerate(decl.arg_tys, start=1):
-        ok = True
-        for dt in data_types_in(arg_ty):
-            if not ty_ge(order, out, dt):
-                ok = False
-                break
-            if ty_eq(order, dt, out):
-                if not occurs_positively(order, dt, arg_ty) or occurs_negatively(
-                    order, dt, arg_ty
-                ):
-                    ok = False
-                    break
-        if ok:
-            acc.add(i)
-    return frozenset(acc)
+    return frozenset(
+        i
+        for i, arg_ty in enumerate(decl.arg_tys, start=1)
+        if all(
+            ty_ge(order, out, dt)
+            and not (
+                ty_eq(order, dt, out)
+                and (
+                    not occurs_positively(order, dt, arg_ty)
+                    or occurs_negatively(order, dt, arg_ty)
+                )
+            )
+            for dt in ty_subterms(arg_ty)
+            if isinstance(dt, Data)
+        )
+    )
 
 
 class AccTable:
@@ -70,23 +70,6 @@ class AccTable:
         return self._table[sym]
 
 
-def _reachable(acc: AccTable, s: Fun) -> frozenset[AlphaClass]:
-    """Classes of the terms reachable from `s` through accessible argument
-    positions, cached on `s` for the table `acc`."""
-    cached = s.__dict__.get("_acc_reach")
-    if cached is not None and cached[0] is acc:
-        return cached[1]
-    out: set[AlphaClass] = set()
-    for i in acc[s.sym]:
-        arg = s.args[i - 1]
-        out.add(arg.alpha_class)
-        if isinstance(arg, Fun):
-            out |= _reachable(acc, arg)
-    reach = frozenset(out)
-    s.__dict__["_acc_reach"] = (acc, reach)
-    return reach
-
-
 def _candidates(
     acc: AccTable, order: SortOrder, min_types: Sequence[Ty], s: Term
 ) -> dict[AlphaClass, Term]:
@@ -95,7 +78,11 @@ def _candidates(
     table, sort order and minimal types (by identity). A strict subterm v is
     acc-below `s` when it is accessible in `s`, or of minimal type with
     every free variable free in `s`. Nothing is acc-below a variable or an
-    abstraction."""
+    abstraction.
+
+    The accessible classes, `reach`, are built first by a walk down the
+    accessible positions of `Fun` nodes from `s`. A class in `reach` has
+    as candidate its first occurrence in pre-order, accessible or not."""
     cached = s.__dict__.get("_acc_cands")
     if (
         cached is not None
@@ -106,7 +93,17 @@ def _candidates(
         return cached[3]
     out: dict[AlphaClass, Term] = {}
     if isinstance(s, (Fun, App)):
-        reach = _reachable(acc, s) if isinstance(s, Fun) else frozenset()
+        reach: set[AlphaClass] = set()
+        stack = [s] if isinstance(s, Fun) else []
+        while stack:
+            f = stack.pop()
+            for i in acc[f.sym]:
+                arg = f.args[i - 1]
+                # a class reached before has its arguments walked or queued
+                if arg.alpha_class not in reach:
+                    reach.add(arg.alpha_class)
+                    if isinstance(arg, Fun):
+                        stack.append(arg)
         fv_s = free_vars(s)
         for v in strict_subterms(s):
             cls = v.alpha_class

@@ -84,10 +84,12 @@ def _cmd_trace(args) -> int:
     rule = problem.rules[args.rule - 1]
     trace = orient(problem.ctx, rule)
     if trace is None:
-        print(
-            "rule %d: %s -> %s : not-oriented"
-            % (args.rule, term_str(rule.lhs), term_str(rule.rhs))
-        )
+        lhs, rhs, verdict = term_str(rule.lhs), term_str(rule.rhs), "not-oriented"
+        if args.format == "json":
+            entry = {"index": args.rule, "lhs": lhs, "rhs": rhs, "verdict": verdict}
+            print(dump_json(entry), end="")
+        else:
+            print("rule %d: %s -> %s : %s" % (args.rule, lhs, rhs, verdict))
         return 1
     if args.format == "json":
         print(dump_json(trace_to_jsonable(trace)), end="")
@@ -120,7 +122,10 @@ def _cmd_search(args) -> int:
     problem = _load(args.file)
     found = search_params(problem)
     if found is None:
-        print("search: exhausted without orienting all rules")
+        if args.format == "json":
+            print(dump_json({"status": "exhausted"}), end="")
+        else:
+            print("search: exhausted without orienting all rules")
         return 1
     (sort_strict, sort_equiv), (prec_strict, prec_equiv), statuses = found
     # the answer is printed only once every rule's trace under it replays

@@ -11,12 +11,11 @@ instantiates a binder with a fresh variable, and `beta_reduct` and
 
 Each node caches facts derived from it on first use: its size, its number
 of abstractions and its alpha-equivalence class (`alpha_class`). The
-accessibility layer also caches on a node the classes reachable from it,
-keyed by the `AccTable`, and its acc-below candidates (the first strict
-subterm of each class that is acc-below it), keyed by the `AccTable`, the
-sort order and the minimal types, all by identity, and beside them those
-candidates that no argument of the node offers. The contract for every
-such cache:
+accessibility layer also caches on a node its acc-below candidates (the
+first strict subterm of each class that is acc-below it), keyed by the
+`AccTable`, the sort order and the minimal types, all by identity, and
+beside them those candidates that no argument of the node offers. The
+contract for every such cache:
   - nodes are immutable, so a cached value never goes stale;
   - caches are not dataclass fields and never affect equality, hashing or
     printing;
@@ -70,28 +69,20 @@ def ty_str(ty: Ty) -> str:
     return "%s -> %s" % (dom, ty_str(ty.cod))
 
 
-def ty_size(ty: Ty) -> int:
-    if isinstance(ty, Data):
-        return 1 + sum(ty_size(a) for a in ty.args)
-    return 1 + ty_size(ty.dom) + ty_size(ty.cod)
-
-
 def ty_subterms(ty: Ty) -> Iterator[Ty]:
     """All type subterms including the type itself, pre-order."""
-    yield ty
-    if isinstance(ty, Data):
-        for a in ty.args:
-            yield from ty_subterms(a)
-    else:
-        yield from ty_subterms(ty.dom)
-        yield from ty_subterms(ty.cod)
+    stack = [ty]
+    while stack:
+        ty = stack.pop()
+        yield ty
+        if isinstance(ty, Data):
+            stack.extend(reversed(ty.args))
+        else:
+            stack += (ty.cod, ty.dom)
 
 
-def data_types_in(ty: Ty) -> Iterator[Data]:
-    """Every data type occurring anywhere inside `ty` (including itself)."""
-    for sub in ty_subterms(ty):
-        if isinstance(sub, Data):
-            yield sub
+def ty_size(ty: Ty) -> int:
+    return sum(1 for _ in ty_subterms(ty))
 
 
 # ---------------------------------------------------------------------------
@@ -249,15 +240,16 @@ def term_str(t: Term) -> str:
 
 def subterms(t: Term) -> Iterator[Term]:
     """All subterms including `t` itself, pre-order, descending under binders."""
-    yield t
-    if isinstance(t, Abs):
-        yield from subterms(t.body)
-    elif isinstance(t, App):
-        yield from subterms(t.fn)
-        yield from subterms(t.arg)
-    elif isinstance(t, Fun):
-        for a in t.args:
-            yield from subterms(a)
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        yield t
+        if isinstance(t, Abs):
+            stack.append(t.body)
+        elif isinstance(t, App):
+            stack += (t.arg, t.fn)
+        elif isinstance(t, Fun):
+            stack.extend(reversed(t.args))
 
 
 def strict_subterms(t: Term) -> Iterator[Term]:
@@ -281,16 +273,13 @@ def free_vars(t: Term) -> frozenset[str]:
 
 def all_names(t: Term) -> frozenset[str]:
     """Every identifier occurring in `t`, free or bound, binders included."""
-    if isinstance(t, Var):
-        return frozenset((t.name,))
-    if isinstance(t, Abs):
-        return all_names(t.body) | {t.var}
-    if isinstance(t, App):
-        return all_names(t.fn) | all_names(t.arg)
-    out: frozenset[str] = frozenset()
-    for a in t.args:
-        out |= all_names(a)
-    return out
+    out: set[str] = set()
+    for u in subterms(t):
+        if isinstance(u, Var):
+            out.add(u.name)
+        elif isinstance(u, Abs):
+            out.add(u.var)
+    return frozenset(out)
 
 
 def fresh_var(base: str, avoid: frozenset[str] | set[str]) -> str:

@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 
@@ -170,3 +172,37 @@ def test_properties_findings_exit_1(fmt, monkeypatch, capsys):
         "eta-trace",
         "trace-trace",
     }
+
+
+@pytest.mark.parametrize("path", sorted(CORPUS.glob("*.horpo")), ids=lambda p: p.stem)
+def test_json_mode_prints_json_on_every_exit_code(path, capsys):
+    rules = len(re.findall(r"^rule ", path.read_text(), re.M))
+    commands = [
+        ["check"],
+        ["check", "--traces"],
+        ["validate"],
+        ["search"],
+        ["properties", "--samples", "10"],
+    ]
+    commands += [["trace", "-r", str(k)] for k in range(1, rules + 2)]
+    for command in commands:
+        argv = [command[0], str(path), *command[1:], "--format", "json"]
+        # a file that fails to load exits through SystemExit
+        with contextlib.suppress(SystemExit):
+            cli.main(argv)
+        out, _ = capsys.readouterr()
+        if out:
+            json.loads(out)
+
+
+def test_json_failure_shapes(capsys):
+    path = str(CORPUS / "not_orientable.horpo")
+    assert cli.main(["trace", path, "-r", "1", "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "index": 1,
+        "lhs": "f(N)",
+        "rhs": "f(s(N))",
+        "verdict": "not-oriented",
+    }
+    assert cli.main(["search", path, "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"status": "exhausted"}

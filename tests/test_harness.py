@@ -384,3 +384,23 @@ def test_search_without_function_symbols_needs_no_parameters():
     # precedence is the one weak order on no symbols
     p = parse_problem("sort N ;\nvar F : N -> N ;\nvar y : N ;\nrule @(F, y) -> y ;\n")
     assert search_params(p) == (((), ()), ((), ()), {})
+
+
+@pytest.mark.parametrize(
+    "name,sabotage,prop",
+    [
+        # a "reduct" that is the term itself: no ordering puts it below
+        ("eta_step", lambda t: [t], "eta"),
+        # a "substitution" that turns both sides into one variable
+        ("substitute", lambda t, theta: Var("zz", t.ty), "stability"),
+        # a "context" that swaps the two sides
+        ("_wrap_context", lambda sig, s, t, rng: (t, s), "monotonicity"),
+    ],
+    ids=["eta", "stability", "monotonicity"],
+)
+def test_run_properties_reports_each_finding_kind(
+    nat_rec, monkeypatch, name, sabotage, prop
+):
+    monkeypatch.setattr(harness, name, sabotage)
+    findings = run_properties(nat_rec.ctx, nat_rec.vars, samples=40, seed=3)
+    assert {f.prop for f in findings} == {prop}

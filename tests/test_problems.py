@@ -157,6 +157,30 @@ def test_round_trip(brouwer, nat_rec, map_problem):
         assert print_problem(again) == text
 
 
+def test_round_trip_sort_of_two_arguments():
+    text = (
+        "sort Nat ; sort Ord ; sort Pair / 2 ; fun 0 : [] -> Ord ; "
+        "fun pair : [Nat, Ord] -> Pair(Nat, Ord) ; "
+        "fun fst : [Pair(Nat, Ord)] -> Nat ; var X : Nat ; var Y : Ord ; "
+        "rule fst(pair(X, Y)) -> X ;"
+    )
+    p = parse_problem(text)
+    pair = Data("Pair", (Data("Nat"), Data("Ord")))
+    assert p.sig.fun("pair").out_ty == pair
+    assert p.sig.fun("fst").arg_tys == (pair,)
+    printed = print_problem(p)
+    assert "fun fst : [Pair(Nat,Ord)] -> Nat ;" in printed
+    assert print_problem(parse_problem(printed)) == printed
+
+
+def test_application_of_one_argument_is_a_positioned_error():
+    with pytest.raises(
+        ProblemError,
+        match="^line 3, col 6: application needs at least two arguments$",
+    ):
+        parse_problem("sort N ;\nvar x : N ;\nrule @(x) -> x ;\n")
+
+
 # a sort with an arity: List takes one type argument
 LISTS = (
     "sort N ; sort List / 1 ; fun z : [] -> N ; fun s : [N] -> N ; "
