@@ -7,18 +7,22 @@
     horpo properties FILE  randomized metatheory probes
 
 Exit codes: 0 success, 1 a check failed (rule not oriented, property
-finding, search exhausted), 2 invalid input or parameters, input nested
-too deeply for the recursive term walks, an internal engine error, a
-proof trace that fails replay, or search parameters that fail their check.
+finding, search exhausted), 2 invalid input or parameters, a file that
+cannot be read (missing, a directory, or not UTF-8), input nested too
+deeply for the recursive term walks, an internal engine error, a proof
+trace that fails replay, or search parameters that fail their check: one
+`error:` line on stderr, or one `axiom violation:` line per violated axiom.
+A closed stdout ends the run quietly, with the command's own exit code.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 from .engine import EngineError
-from .harness import GenConfig, exhaustive_check, run_properties, search_params
+from .harness import exhaustive_check, run_properties, search_params
 from .problems import (
     ProblemError,
     check_problem,
@@ -28,105 +32,85 @@ from .problems import (
     parse_problem,
     report_to_jsonable,
     report_to_text,
+    rule_entry,
+    rule_line,
 )
-from .terms import term_str
 from .traces import TraceError, trace_to_jsonable, trace_to_text
 from .typeorder import SortOrder, validate_axioms
 
 
+class _Failure(Exception):
+    """A command's own failure; its message is the `error:` line."""
+
+
+# Each failure a command may raise, with its `error:` line; all exit 2.
+_ERRORS = {
+    OSError: "{}",  # the file is missing, a directory, or unreadable
+    UnicodeDecodeError: "{}",  # the file is not UTF-8
+    ProblemError: "{}",
+    EngineError: "{}",
+    _Failure: "{}",
+    TraceError: "trace fails replay: {}",
+    RecursionError: "input nested too deeply",
+}
+
+
 def _load(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        raise SystemExit(2)
-    try:
-        return parse_problem(text)
-    except ProblemError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        raise SystemExit(2)
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_problem(fh.read())
+
+
+def _axiom_lines(violations) -> list[str]:
+    return ["axiom violation: %s" % v for v in violations]
 
 
 def _axioms_violated(problem) -> bool:
     """Report each violated type-order axiom on stderr; True if any is."""
     violations = validate_axioms(problem.ctx.sort_order, problem.ctx.universe)
-    for v in violations:
-        print("axiom violation: %s" % v, file=sys.stderr)
+    for line in _axiom_lines(violations):
+        print(line, file=sys.stderr)
     return bool(violations)
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args):
     problem = _load(args.file)
     report = check_problem(problem)
     if report.axiom_violations:
-        if args.format == "json":
-            print(dump_json(report_to_jsonable(problem, report, False)), end="")
-        else:
-            for v in report.axiom_violations:
-                print("axiom violation: %s" % v)
-            print("status: invalid")
-        return 2
-    if args.format == "json":
-        print(dump_json(report_to_jsonable(problem, report, args.traces)), end="")
-    else:
-        print(report_to_text(problem, report), end="")
-    return 0 if report.ok else 1
+        lines = _axiom_lines(report.axiom_violations) + ["status: invalid"]
+        return 2, report_to_jsonable(problem, report, False), lines
+    doc = report_to_jsonable(problem, report, args.traces)
+    return (0 if report.ok else 1), doc, report_to_text(problem, report).splitlines()
 
 
-def _cmd_trace(args) -> int:
+def _cmd_trace(args):
     problem = _load(args.file)
     if not 1 <= args.rule <= len(problem.rules):
-        print("error: rule index out of range", file=sys.stderr)
-        return 2
+        raise _Failure("rule index out of range")
     if _axioms_violated(problem):
-        return 2
-    rule = problem.rules[args.rule - 1]
-    trace = orient(problem.ctx, rule)
+        return 2, None, None
+    trace = orient(problem.ctx, problem.rules[args.rule - 1])
     if trace is None:
-        lhs, rhs, verdict = term_str(rule.lhs), term_str(rule.rhs), "not-oriented"
-        if args.format == "json":
-            entry = {"index": args.rule, "lhs": lhs, "rhs": rhs, "verdict": verdict}
-            print(dump_json(entry), end="")
-        else:
-            print("rule %d: %s -> %s : %s" % (args.rule, lhs, rhs, verdict))
-        return 1
-    if args.format == "json":
-        print(dump_json(trace_to_jsonable(trace)), end="")
-    else:
-        print(trace_to_text(trace))
-    return 0
+        entry = rule_entry(problem, args.rule, "not-oriented")
+        return 1, entry, [rule_line(entry)]
+    # lazy: the text unfolds every shared subtrace, so only text mode pays it
+    return 0, trace_to_jsonable(trace), map(trace_to_text, [trace])
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args):
     problem = _load(args.file)
     violations = validate_axioms(problem.ctx.sort_order, problem.ctx.universe)
-    if args.format == "json":
-        print(
-            dump_json(
-                {
-                    "violations": list(violations),
-                    "status": "valid" if not violations else "invalid",
-                }
-            ),
-            end="",
-        )
-    else:
-        for v in violations:
-            print("axiom violation: %s" % v)
-        print("status: %s" % ("valid" if not violations else "invalid"))
-    return 0 if not violations else 2
+    status = "invalid" if violations else "valid"
+    doc = {"violations": list(violations), "status": status}
+    lines = _axiom_lines(violations) + ["status: " + status]
+    return (2 if violations else 0), doc, lines
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args):
     problem = _load(args.file)
     found = search_params(problem)
     if found is None:
-        if args.format == "json":
-            print(dump_json({"status": "exhausted"}), end="")
-        else:
-            print("search: exhausted without orienting all rules")
-        return 1
+        lines = ["search: exhausted without orienting all rules"]
+        return 1, {"status": "exhausted"}, lines
     (sort_strict, sort_equiv), (prec_strict, prec_equiv), statuses = found
     # the answer is printed only once every rule's trace under it replays
     sorts = sorted(s.name for s in problem.sig.sorts)
@@ -138,63 +122,47 @@ def _cmd_search(args) -> int:
         statuses=statuses,
     )
     if not check_problem(checked).ok:
-        print("error: search result fails its check", file=sys.stderr)
-        return 2
-    if args.format == "json":
-        print(
-            dump_json(
-                {
-                    "sort_order": {
-                        "strict": [list(p) for p in sort_strict],
-                        "equiv": [list(p) for p in sort_equiv],
-                    },
-                    "precedence": {
-                        "strict": [list(p) for p in prec_strict],
-                        "equiv": [list(p) for p in prec_equiv],
-                    },
-                    "statuses": statuses,
-                    "status": "success",
-                }
-            ),
-            end="",
-        )
-    else:
-        for line in parameter_statements(*found):
-            print(line)
-    return 0
+        raise _Failure("search result fails its check")
+    doc = {
+        "sort_order": {"strict": sort_strict, "equiv": sort_equiv},
+        "precedence": {"strict": prec_strict, "equiv": prec_equiv},
+        "statuses": statuses,
+        "status": "success",
+    }
+    return 0, doc, parameter_statements(*found)
 
 
-def _cmd_properties(args) -> int:
+def _cmd_properties(args):
     problem = _load(args.file)
     if _axioms_violated(problem):
-        return 2
-    findings = run_properties(
-        problem.ctx,
-        problem.vars,
-        samples=args.samples,
-        seed=args.seed,
-        config=GenConfig(),
-    )
-    if args.exhaustive_size:
-        for ty in problem.ctx.universe:
-            findings += exhaustive_check(
-                problem.ctx, problem.vars, ty, max_size=args.exhaustive_size
-            )
-    if args.format == "json":
-        print(
-            dump_json(
-                {
-                    "findings": [str(f) for f in findings],
-                    "status": "success" if not findings else "failure",
-                }
-            ),
-            end="",
-        )
-    else:
-        for f in findings:
-            print("finding: %s" % f)
-        print("status: %s" % ("success" if not findings else "failure"))
-    return 0 if not findings else 1
+        return 2, None, None
+    ctx, env, size = problem.ctx, problem.vars, args.exhaustive_size
+    findings = run_properties(ctx, env, args.samples, args.seed)
+    for ty in ctx.universe if size else ():
+        findings += exhaustive_check(ctx, env, ty, size)
+    status = "failure" if findings else "success"
+    doc = {"findings": [str(f) for f in findings], "status": status}
+    lines = ["finding: %s" % f for f in findings] + ["status: " + status]
+    return (1 if findings else 0), doc, lines
+
+
+# (name, help, command, its options besides FILE and --format)
+_COMMANDS = (
+    ("check", "orient every rule of a problem file", _cmd_check, [
+        ("--traces", {"action": "store_true", "help": "include traces in JSON output"}),
+    ]),
+    ("trace", "print the proof trace for one rule", _cmd_trace, [
+        ("-r --rule", {"type": int, "default": 1, "help": "1-based rule index"}),
+    ]),
+    ("validate", "check the ordering parameters only", _cmd_validate, []),
+    ("search", "search parameters that orient all rules", _cmd_search, []),
+    ("properties", "randomized metatheory probes", _cmd_properties, [
+        ("--samples", {"type": int, "default": 50}),
+        ("--seed", {"type": int, "default": 0}),
+        ("--exhaustive-size", {"type": int, "default": 0, "help": "also enumerate "
+                               "all terms up to this size and cross-check"}),
+    ]),
+)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -208,61 +176,34 @@ def main(argv: list[str] | None = None) -> int:
         "--format", choices=("text", "json"), default="text", help="output format"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "check", help="orient every rule of a problem file", parents=[common]
-    )
-    p.add_argument("file")
-    p.add_argument(
-        "--traces", action="store_true", help="include traces in JSON output"
-    )
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser(
-        "trace", help="print the proof trace for one rule", parents=[common]
-    )
-    p.add_argument("file")
-    p.add_argument("-r", "--rule", type=int, default=1, help="1-based rule index")
-    p.set_defaults(func=_cmd_trace)
-
-    p = sub.add_parser(
-        "validate", help="check the ordering parameters only", parents=[common]
-    )
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser(
-        "search", help="search parameters that orient all rules", parents=[common]
-    )
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_search)
-
-    p = sub.add_parser(
-        "properties", help="randomized metatheory probes", parents=[common]
-    )
-    p.add_argument("file")
-    p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--exhaustive-size",
-        type=int,
-        default=0,
-        help="also enumerate all terms up to this size and cross-check",
-    )
-    p.set_defaults(func=_cmd_properties)
+    for name, help_text, command, options in _COMMANDS:
+        p = sub.add_parser(name, help=help_text, parents=[common])
+        p.add_argument("file")
+        for flags, kwargs in options:
+            p.add_argument(*flags.split(), **kwargs)
+        p.set_defaults(func=command)
 
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except EngineError as exc:
-        print("error: %s" % exc, file=sys.stderr)
+        # each command returns (exit code, JSON object, text lines); a None
+        # object leaves stdout empty, as the command reported on stderr
+        code, doc, lines = args.func(args)
+        if doc is None:
+            out = ""
+        elif args.format == "json":
+            out = dump_json(doc)
+        else:
+            out = "".join(line + "\n" for line in lines)
+    except tuple(_ERRORS) as exc:
+        message = next(m for t, m in _ERRORS.items() if isinstance(exc, t))
+        print("error: " + message.format(exc), file=sys.stderr)
         return 2
-    except TraceError as exc:
-        print("error: trace fails replay: %s" % exc, file=sys.stderr)
-        return 2
-    except RecursionError:
-        print("error: input nested too deeply", file=sys.stderr)
-        return 2
+    try:
+        print(out, end="", flush=True)
+    except BrokenPipeError:
+        # the reader is gone, and stdout is flushed again at exit: to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -498,21 +498,30 @@ def check_problem(problem: Problem) -> Report:
     return Report(axiom_violations=violations, rule_results=results)
 
 
+def rule_entry(
+    problem: Problem, index: int, verdict: str, trace: Trace | None = None
+) -> dict:
+    """The JSON entry of rule `index` (1-based) with its verdict, and its
+    trace when one is given: `check` reports one per rule, and `trace` one
+    for a rule it cannot orient."""
+    rule = problem.rules[index - 1]
+    lhs, rhs = term_str(rule.lhs), term_str(rule.rhs)
+    entry = {"index": index, "lhs": lhs, "rhs": rhs, "verdict": verdict}
+    if trace is not None:
+        entry["trace"] = trace_to_jsonable(trace)
+    return entry
+
+
+def rule_line(entry: dict) -> str:
+    """The text line of a `rule_entry`, without its trace."""
+    return "rule %(index)d: %(lhs)s -> %(rhs)s : %(verdict)s" % entry
+
+
 def report_to_jsonable(problem: Problem, report: Report, with_traces: bool) -> dict:
     return {
         "axioms": list(report.axiom_violations),
         "rules": [
-            {
-                "index": r.index,
-                "lhs": term_str(problem.rules[r.index - 1].lhs),
-                "rhs": term_str(problem.rules[r.index - 1].rhs),
-                "verdict": r.verdict,
-                **(
-                    {"trace": trace_to_jsonable(r.trace)}
-                    if with_traces and r.trace is not None
-                    else {}
-                ),
-            }
+            rule_entry(problem, r.index, r.verdict, r.trace if with_traces else None)
             for r in report.rule_results
         ],
         "status": "success" if report.ok else "failure",
@@ -524,11 +533,7 @@ def report_to_text(problem: Problem, report: Report) -> str:
     for v in report.axiom_violations:
         lines.append("axiom violation: %s" % v)
     for r in report.rule_results:
-        rule = problem.rules[r.index - 1]
-        lines.append(
-            "rule %d: %s -> %s : %s"
-            % (r.index, term_str(rule.lhs), term_str(rule.rhs), r.verdict)
-        )
+        lines.append(rule_line(rule_entry(problem, r.index, r.verdict)))
     lines.append("status: %s" % ("success" if report.ok else "failure"))
     return "\n".join(lines) + "\n"
 

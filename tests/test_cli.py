@@ -1,4 +1,3 @@
-import contextlib
 import dataclasses
 import json
 import re
@@ -187,9 +186,7 @@ def test_json_mode_prints_json_on_every_exit_code(path, capsys):
     commands += [["trace", "-r", str(k)] for k in range(1, rules + 2)]
     for command in commands:
         argv = [command[0], str(path), *command[1:], "--format", "json"]
-        # a file that fails to load exits through SystemExit
-        with contextlib.suppress(SystemExit):
-            cli.main(argv)
+        cli.main(argv)
         out, _ = capsys.readouterr()
         if out:
             json.loads(out)
@@ -206,3 +203,34 @@ def test_json_failure_shapes(capsys):
     }
     assert cli.main(["search", path, "--format", "json"]) == 1
     assert json.loads(capsys.readouterr().out) == {"status": "exhausted"}
+
+
+def test_trace_reports_an_unoriented_rule_as_its_check_entry(capsys):
+    path = str(CORPUS / "brouwer_search.horpo")
+    assert cli.main(["check", path, "--format", "json"]) == 1
+    entries = json.loads(capsys.readouterr().out)["rules"]
+    assert cli.main(["check", path]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    unoriented = [e["index"] for e in entries if e["verdict"] == "not-oriented"]
+    assert unoriented
+    for k in unoriented:
+        assert cli.main(["trace", path, "-r", str(k), "--format", "json"]) == 1
+        assert json.loads(capsys.readouterr().out) == entries[k - 1]
+        assert cli.main(["trace", path, "-r", str(k)]) == 1
+        assert capsys.readouterr().out == lines[k - 1] + "\n"
+
+
+def test_closed_stdout_ends_the_run_quietly(tmp_path):
+    # c^24(z) > c^12(z): about 10 MB of text, far more than a pipe holds
+    path = _tower_file(tmp_path, 24, 12)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "horpo.cli", "trace", str(path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(100).startswith(b"case ")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (0, b"")
+

@@ -1,15 +1,16 @@
 """Seeded fuzz of the command line: random token streams and mutated corpus
-files through every subcommand, in process. Whatever the input, the exit
-code is a documented one, nothing but SystemExit escapes, and stdout is the
-same on a rerun."""
+files through every subcommand, in process, and every input file of the
+repository besides. Whatever the input, the exit code is a documented one,
+nothing but SystemExit escapes, and stdout is the same on a rerun."""
 import contextlib
 import io
+import json
 import random
 import re
 
 import pytest
 
-from conftest import CORPUS
+from conftest import CORPUS, ROOT
 from horpo import cli
 
 VOCAB = [
@@ -109,3 +110,35 @@ def test_fuzzed_input_exits_documented_codes(tmp_path, seed):
             if code == 2 and not out:
                 assert err.startswith("error: ") or err.startswith("axiom violation: ")
             assert _run(argv)[1] == out, (argv, text)
+
+
+INPUTS = sorted(
+    p for d in ("corpus", "tests/data") for p in (ROOT / d).rglob("*") if p.is_file()
+)
+GATE_COMMANDS = [
+    ["check"],
+    ["check", "--traces"],
+    ["trace", "-r", "1"],
+    ["validate"],
+    ["search"],
+    ["properties", "--samples", "5"],
+]
+
+
+def test_every_input_exits_a_documented_code(tmp_path):
+    bad_utf8 = tmp_path / "bad_utf8.horpo"
+    bad_utf8.write_bytes(b"\xff\xfe")
+    unreadable = [tmp_path / "missing.horpo", tmp_path, bad_utf8]
+    for path in INPUTS + unreadable:
+        for command in GATE_COMMANDS:
+            for fmt in ("text", "json"):
+                argv = [command[0], str(path), *command[1:], "--format", fmt]
+                code, out, err = _run(argv)
+                assert code in (0, 1, 2), argv
+                assert "Traceback" not in err, argv
+                if fmt == "json" and out:
+                    json.loads(out)
+                assert _run(argv) == (code, out, err), argv
+                if path in unreadable:
+                    assert (code, out) == (2, ""), argv
+                    assert err.startswith("error: ") and err.count("\n") == 1, argv

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from conftest import CORPUS, load
+from conftest import CORPUS, ROOT, load
 from horpo import harness
 from horpo.context import LEX, MUL, OrderingContext
 from horpo.engine import Engine
@@ -107,6 +107,16 @@ def test_run_properties_clean(brouwer, monkeypatch):
     assert findings == []
     # one engine answers every probe of the run; only shrinking makes more
     assert made == [brouwer.ctx]
+
+
+@pytest.mark.parametrize("name", ["mendler", "nested_copy"])
+def test_run_properties_skips_a_beta_probe_without_a_small_argument(name):
+    # some sample's redex argument has a type that no closed term of size 2
+    # inhabits: gen_term raises GenError, and only that beta probe is skipped
+    path = ROOT / "tests" / "data" / "loops" / (name + ".horpo")
+    problem = parse_problem(path.read_text())
+    for seed in (0, 3, 7):
+        assert run_properties(problem.ctx, problem.vars, seed=seed) == []
 
 
 def test_run_properties_catches_sabotage(brouwer, monkeypatch):
