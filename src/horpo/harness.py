@@ -156,24 +156,40 @@ def _candidate_arg_types(sig: Signature, env: dict[str, Ty]) -> list[Ty]:
 # Reduction steps
 
 
+def _places(t: Term, binders: bool) -> list[tuple[Term, Callable[[Term], Term]]]:
+    """Each subterm occurrence u of `t`, pre-order, left to right, with
+    `plug`, which rebuilds `t` with a given term in u's place. Abstraction
+    bodies are entered only when `binders` is true: a term put there may
+    capture the bound variable."""
+    out = []
+    stack = [(t, lambda v: v)]
+    while stack:
+        u, plug = stack.pop()
+        out.append((u, plug))
+        if isinstance(u, App):
+            stack.append((u.arg, lambda v, u=u, plug=plug: plug(App(u.fn, v, u.ty))))
+            stack.append((u.fn, lambda v, u=u, plug=plug: plug(App(v, u.arg, u.ty))))
+        elif isinstance(u, Fun):
+            for i in reversed(range(len(u.args))):
+                def put(v, u=u, i=i, plug=plug):
+                    return plug(Fun(u.sym, u.args[:i] + (v,) + u.args[i + 1 :], u.ty))
+                stack.append((u.args[i], put))
+        elif binders and isinstance(u, Abs):
+            def put(v, u=u, plug=plug):
+                return plug(Abs(u.var, u.var_ty, v, u.ty))
+            stack.append((u.body, put))
+    return out
+
+
 def _steps(t: Term, root: Callable[[Term], Term | None]) -> list[Term]:
     """All one-step reducts of `t`, annotations preserved, where `root(u)`
     is the reduct of a redex u and None on any other term. The reduct at
     the root comes first, then those inside the parts, left to right."""
-    out: list[Term] = []
-    reduct = root(t)
-    if reduct is not None:
-        out.append(reduct)
-    if isinstance(t, App):
-        out += [App(fn2, t.arg, t.ty) for fn2 in _steps(t.fn, root)]
-        out += [App(t.fn, arg2, t.ty) for arg2 in _steps(t.arg, root)]
-    elif isinstance(t, Abs):
-        out += [Abs(t.var, t.var_ty, b2, t.ty) for b2 in _steps(t.body, root)]
-    elif isinstance(t, Fun):
-        for i, a in enumerate(t.args):
-            for a2 in _steps(a, root):
-                out.append(Fun(t.sym, t.args[:i] + (a2,) + t.args[i + 1 :], t.ty))
-    return out
+    return [
+        plug(reduct)
+        for u, plug in _places(t, True)
+        if (reduct := root(u)) is not None
+    ]
 
 
 def beta_step(t: Term) -> list[Term]:
@@ -190,63 +206,25 @@ def inject_beta_redex(
     sig: Signature, env: dict[str, Ty], t: Term, rng: random.Random
 ) -> Term:
     """Replace one random subterm u of `t` by @(\\x:T. u', a) reducing to u."""
-    positions = _positions(t)
-    pos = rng.choice(positions)
-    u = _at(t, pos)
+    u, plug = rng.choice(_places(t, False))
     arg_ty = rng.choice(_candidate_arg_types(sig, env))
     arg = gen_term(sig, env, arg_ty, rng, size=2)
     x = fresh_var("b", free_vars(t) | set(env))
     # \x. u  ignores x, so the redex reduces to u itself
     redex = App(Abs(x, arg_ty, u, Arrow(arg_ty, u.ty)), arg, u.ty)
-    return _replace(t, pos, redex)
+    return plug(redex)
 
 
 def inject_eta_redex(t: Term, rng: random.Random) -> Term | None:
     """Wrap one random arrow-typed subterm w as \\x:dom. @(w, x)."""
-    positions = [p for p in _positions(t) if isinstance(_at(t, p).ty, Arrow)]
-    if not positions:
+    places = [(w, plug) for w, plug in _places(t, False) if isinstance(w.ty, Arrow)]
+    if not places:
         return None
-    pos = rng.choice(positions)
-    w = _at(t, pos)
+    w, plug = rng.choice(places)
     ty = w.ty
     x = fresh_var("e", free_vars(w))
     wrapped = Abs(x, ty.dom, App(w, Var(x, ty.dom), ty.cod), ty)
-    return _replace(t, pos, wrapped)
-
-
-def _positions(t: Term, prefix: tuple[int, ...] = ()) -> list[tuple[int, ...]]:
-    out = [prefix]
-    if isinstance(t, Abs):
-        # skipped: replacing under a binder may capture the bound variable
-        pass
-    elif isinstance(t, App):
-        out += _positions(t.fn, prefix + (0,))
-        out += _positions(t.arg, prefix + (1,))
-    elif isinstance(t, Fun):
-        for i, a in enumerate(t.args):
-            out += _positions(a, prefix + (i,))
-    return out
-
-
-def _at(t: Term, pos: tuple[int, ...]) -> Term:
-    for i in pos:
-        if isinstance(t, App):
-            t = t.fn if i == 0 else t.arg
-        else:
-            t = t.args[i]
-    return t
-
-
-def _replace(t: Term, pos: tuple[int, ...], new: Term) -> Term:
-    if not pos:
-        return new
-    i, rest = pos[0], pos[1:]
-    if isinstance(t, App):
-        if i == 0:
-            return App(_replace(t.fn, rest, new), t.arg, t.ty)
-        return App(t.fn, _replace(t.arg, rest, new), t.ty)
-    args = t.args[:i] + (_replace(t.args[i], rest, new),) + t.args[i + 1 :]
-    return Fun(t.sym, args, t.ty)
+    return plug(wrapped)
 
 
 # ---------------------------------------------------------------------------
@@ -269,11 +247,10 @@ def _shrink(check, t: Term) -> Term:
     changed = True
     while changed:
         changed = False
-        for pos in _positions(t)[1:]:
-            sub = _at(t, pos)
+        for sub, plug in _places(t, False)[1:]:
             if sub.size <= 1:
                 continue
-            candidate = _replace(t, pos, Var(fresh_var("s", free_vars(t)), sub.ty))
+            candidate = plug(Var(fresh_var("s", free_vars(t)), sub.ty))
             if check(candidate):
                 t = candidate
                 changed = True
@@ -309,42 +286,25 @@ def run_properties(
             bad = _shrink(lambda u: Engine(ctx).gt((), u, u) is not None, s)
             findings.append(Finding("irreflexivity", "%s > itself" % term_str(bad)))
 
-        # beta compatibility: a term strictly dominates its one-step reducts
-        try:
-            with_redex = inject_beta_redex(sig, env, s, rng)
-            reducts = beta_step(with_redex)
-        except GenError:  # no small closed argument for the redex: no probe
-            reducts = []
-        for reduct in reducts:
-            tr = engine.gt_type((), with_redex, reduct)
+        # beta, then eta compatibility: a term strictly dominates its
+        # one-step reducts; one reduct per sample keeps the suite fast
+        for prop, inject, step in (
+            ("beta", lambda: inject_beta_redex(sig, env, s, rng), beta_step),
+            ("eta", lambda: inject_eta_redex(s, rng), eta_step),
+        ):
+            try:
+                redex = inject()
+            except GenError:  # no small closed argument for the redex: no probe
+                continue
+            reducts = step(redex) if redex is not None else []
+            if not reducts:
+                continue
+            tr = engine.gt_type((), redex, reducts[0])
             if tr is None:
-                findings.append(
-                    Finding(
-                        "beta",
-                        "%s not > its reduct %s"
-                        % (term_str(with_redex), term_str(reduct)),
-                    )
-                )
+                shown = term_str(redex), term_str(reducts[0])
+                findings.append(Finding(prop, "%s not > its reduct %s" % shown))
             else:
-                _validate(ctx, tr, findings, "beta")
-            break  # one reduct per sample keeps the suite fast
-
-        # eta compatibility
-        with_eta = inject_eta_redex(s, rng)
-        if with_eta is not None:
-            reducts = eta_step(with_eta)
-            if reducts:
-                tr = engine.gt_type((), with_eta, reducts[0])
-                if tr is None:
-                    findings.append(
-                        Finding(
-                            "eta",
-                            "%s not > its reduct %s"
-                            % (term_str(with_eta), term_str(reducts[0])),
-                        )
-                    )
-                else:
-                    _validate(ctx, tr, findings, "eta")
+                _validate(ctx, tr, findings, prop)
 
         # stability and monotonicity against a second sample
         try:
@@ -693,7 +653,3 @@ def search_params(problem):
                     return (sort_strict, sort_equiv), prec, statuses
     return None
 
-
-def count_calls(engine: Engine) -> int:
-    """Distinct memoized comparison goals the engine has resolved."""
-    return len(engine.memo)

@@ -18,7 +18,9 @@ binary applications), `\x:T. t` (λ accepted as well). Types: `S`,
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
+from functools import partial
 
 from .context import LEX, MUL, OrderingContext
 from .accessibility import APP_SYM
@@ -57,8 +59,15 @@ class ProblemError(Exception):
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-_IDENT_CHARS = set(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_'"
+# One alternative per token kind, tried in this order at each position.
+_TOKEN = re.compile(
+    r"""(?P<newline>\n)
+      | (?P<space>[ \t\r]+)
+      | (?P<comment>\#[^\n]*)
+      | (?P<ident>[A-Za-z0-9_']+)
+      | (?P<punct>->|[()\[\],;:.<>=\\/@λ])
+      | (?P<bad>.)""",
+    re.VERBOSE | re.DOTALL,
 )
 
 
@@ -72,48 +81,21 @@ class Token:
 
 def _tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c == "λ":
-            tokens.append(Token("\\", "\\", line, col))
-            i += 1
-            col += 1
-            continue
-        if text.startswith("->", i):
-            tokens.append(Token("->", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if c in "()[],;:.<>=\\/@":
-            tokens.append(Token(c, c, line, col))
-            i += 1
-            col += 1
-            continue
-        if c in _IDENT_CHARS:
-            j = i
-            while j < n and text[j] in _IDENT_CHARS:
-                j += 1
-            tokens.append(Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ProblemError("unexpected character %r" % c, line, col)
-    tokens.append(Token("eof", "", line, col))
+    line, start = 1, 0  # start: the offset of the line's first character
+    for m in _TOKEN.finditer(text):
+        kind, lexeme, col = m.lastgroup, m.group(), m.start() - start + 1
+        if kind == "newline":
+            line, start = line + 1, m.end()
+        elif kind == "bad":
+            raise ProblemError("unexpected character %r" % lexeme, line, col)
+        elif kind == "ident":
+            tokens.append(Token("ident", lexeme, line, col))
+        elif kind == "punct":  # punctuation is its own kind; λ means \
+            lexeme = "\\" if lexeme == "λ" else lexeme
+            tokens.append(Token(lexeme, lexeme, line, col))
+    # a comment moves no column: end of input after one is placed at its '#'
+    end = text.find("#", start)
+    tokens.append(Token("eof", "", line, (len(text) if end < 0 else end) - start + 1))
     return tokens
 
 
@@ -132,25 +114,26 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect(self, kind: str) -> Token:
+    def expect(self, kind: str, what: str | None = None) -> Token:
         tok = self.next()
         if tok.kind != kind:
+            found = tok.text or "end of input"
             raise ProblemError(
-                "expected %r, found %r" % (kind, tok.text or "end of input"),
-                tok.line,
-                tok.col,
+                "expected %s, found %r" % (what or repr(kind), found), tok.line, tok.col
             )
         return tok
 
-    def ident(self, what: str = "identifier") -> Token:
-        tok = self.next()
-        if tok.kind != "ident":
-            raise ProblemError(
-                "expected %s, found %r" % (what, tok.text or "end of input"),
-                tok.line,
-                tok.col,
-            )
-        return tok
+    def ident(self, what: str) -> Token:
+        return self.expect("ident", what)
+
+    def items(self, parse, close: str) -> list:
+        """One or more `parse`d items separated by commas, then `close`."""
+        out = [parse()]
+        while self.peek().kind == ",":
+            self.next()
+            out.append(parse())
+        self.expect(close)
+        return out
 
     # -- types -------------------------------------------------------------
 
@@ -173,11 +156,7 @@ class _Parser:
         args: list[Ty] = []
         if self.peek().kind == "(":
             self.next()
-            args.append(self.parse_type())
-            while self.peek().kind == ",":
-                self.next()
-                args.append(self.parse_type())
-            self.expect(")")
+            args = self.items(self.parse_type, ")")
         ty = Data(name.text, tuple(args))
         return self.types.setdefault(ty, ty)
 
@@ -196,11 +175,8 @@ class _Parser:
         if tok.kind == "@":
             self.next()
             self.expect("(")
-            args = [self.parse_term(funs)]
-            while self.peek().kind == ",":
-                self.next()
-                args.append(self.parse_term(funs))
-            self.expect(")")
+            # partial, not a lambda, which would add a frame per nesting level
+            args = self.items(partial(self.parse_term, funs), ")")
             if len(args) < 2:
                 raise ProblemError(
                     "application needs at least two arguments", tok.line, tok.col
@@ -217,11 +193,7 @@ class _Parser:
         name = self.ident("term")
         if self.peek().kind == "(":
             self.next()
-            args = [self.parse_term(funs)]
-            while self.peek().kind == ",":
-                self.next()
-                args.append(self.parse_term(funs))
-            self.expect(")")
+            args = self.items(partial(self.parse_term, funs), ")")
             if name.text not in funs:
                 raise ProblemError(
                     "unknown function symbol %r" % name.text, name.line, name.col
@@ -299,13 +271,11 @@ def parse_problem(text: str) -> Problem:
             name = p.ident("function symbol")
             p.expect(":")
             p.expect("[")
-            arg_tys: list[Ty] = []
-            if p.peek().kind != "]":
-                arg_tys.append(p.parse_type())
-                while p.peek().kind == ",":
-                    p.next()
-                    arg_tys.append(p.parse_type())
-            p.expect("]")
+            if p.peek().kind == "]":
+                p.next()
+                arg_tys = []
+            else:
+                arg_tys = p.items(p.parse_type, "]")
             p.expect("->")
             out_ty = p.parse_type()
             fun_decls.append(FunDecl(name.text, tuple(arg_tys), out_ty))

@@ -10,12 +10,12 @@ instantiates a binder with a fresh variable, and `beta_reduct` and
 `eta_reduct` recognise a redex at the root and return its reduct.
 
 Each node caches facts derived from it on first use: its size, its number
-of abstractions and its alpha-equivalence class (`alpha_class`). The
-accessibility layer also caches on a node its acc-below candidates (the
-first strict subterm of each class that is acc-below it), keyed by the
-`AccTable`, the sort order and the minimal types, all by identity, and
-beside them those candidates that no argument of the node offers. The
-contract for every such cache:
+of abstractions, its free variables and its alpha-equivalence class
+(`alpha_class`). The accessibility layer also caches on a node its
+acc-below candidates (the first strict subterm of each class that is
+acc-below it), keyed by the `AccTable`, the sort order and the minimal
+types, all by identity, and beside them those candidates that no argument
+of the node offers. The contract for every such cache:
   - nodes are immutable, so a cached value never goes stale;
   - caches are not dataclass fields and never affect equality, hashing or
     printing;
@@ -160,6 +160,10 @@ class Var:
     size = 1
     abstractions = 0
 
+    @property  # not cached: that would keep a set on every variable node
+    def free_vars(self) -> frozenset[str]:
+        return frozenset((self.name,))
+
     @cached_property
     def alpha_class(self) -> AlphaClass:
         return _intern(("var", self.name))
@@ -181,6 +185,10 @@ class Abs:
         return 1 + self.body.abstractions
 
     @cached_property
+    def free_vars(self) -> frozenset[str]:
+        return self.body.free_vars - {self.var}
+
+    @cached_property
     def alpha_class(self) -> AlphaClass:
         return _nameless(self, {}, 0)
 
@@ -200,6 +208,10 @@ class App:
         return self.fn.abstractions + self.arg.abstractions
 
     @cached_property
+    def free_vars(self) -> frozenset[str]:
+        return self.fn.free_vars | self.arg.free_vars
+
+    @cached_property
     def alpha_class(self) -> AlphaClass:
         return _intern(("app", self.fn.alpha_class, self.arg.alpha_class))
 
@@ -217,6 +229,13 @@ class Fun:
     @cached_property
     def abstractions(self) -> int:
         return sum(a.abstractions for a in self.args)
+
+    @cached_property
+    def free_vars(self) -> frozenset[str]:
+        out: frozenset[str] = frozenset()
+        for a in self.args:  # a loop: a comprehension would add a frame per level
+            out |= a.free_vars
+        return out
 
     @cached_property
     def alpha_class(self) -> AlphaClass:
@@ -259,16 +278,7 @@ def strict_subterms(t: Term) -> Iterator[Term]:
 
 
 def free_vars(t: Term) -> frozenset[str]:
-    if isinstance(t, Var):
-        return frozenset((t.name,))
-    if isinstance(t, Abs):
-        return free_vars(t.body) - {t.var}
-    if isinstance(t, App):
-        return free_vars(t.fn) | free_vars(t.arg)
-    out: frozenset[str] = frozenset()
-    for a in t.args:
-        out |= free_vars(a)
-    return out
+    return t.free_vars
 
 
 def all_names(t: Term) -> frozenset[str]:

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from conftest import CORPUS
+from conftest import CORPUS, ROOT
 from horpo import cli
 from horpo.engine import Engine, EngineError
 from horpo.traces import Trace
@@ -132,6 +132,17 @@ def test_shared_trace_json_is_the_stdlib_text(tmp_path, command):
     assert len(proc.stdout) > 1_900_000
     expected = json.dumps(json.loads(proc.stdout), sort_keys=True, indent=2) + "\n"
     assert proc.stdout == expected
+
+
+def test_golden_trace_json_is_byte_identical():
+    # the parsed JSON is compared in test_acceptance; here the bytes are
+    argv = ["trace", str(CORPUS / "brouwer.horpo"), "-r", "3", "--format", "json"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "horpo.cli", *argv], capture_output=True
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    golden = ROOT / "tests" / "data" / "brouwer_rule3_trace.json"
+    assert proc.stdout == golden.read_bytes()
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

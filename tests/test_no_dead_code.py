@@ -6,9 +6,6 @@ import pathlib
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "horpo"
 
-# kept for the acceptance tests, which count the engine's memo entries
-KEPT = {"count_calls"}
-
 
 def _trees():
     return {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
@@ -54,7 +51,7 @@ def test_every_top_level_name_is_exported_or_used():
     unused = []
     for module, tree in trees.items():
         for name, defn in _definitions(tree):
-            if name.startswith("__") or name in exported or name in KEPT:
+            if name.startswith("__") or name in exported:
                 continue
             if not any(name in names for node, names in uses if node is not defn):
                 unused.append("%s.%s" % (module[:-3], name))

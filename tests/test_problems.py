@@ -137,8 +137,16 @@ def test_precedence_cycle_rejected():
         ("sort N ;\norder N < M ;", "undeclared sort 'M' in order declaration"),
         ("sort N ;\nstatus f mul ;", "status for undeclared symbol 'f'"),
         ("sort N ;\nvar X : M ;", "undeclared sort 'M'"),
+        # the scanner's columns: a tab is one column, and λ one column wide
+        ("rule\tλ:", "line 1, col 7: expected bound variable, found ':'"),
+        ("sort Nat€", "line 1, col 9: unexpected character '€'"),
+        # a comment moves no column: end of input is placed at its '#'
+        ("var # x", "line 1, col 5: expected variable name, found 'end of input'"),
     ],
-    ids=["arity", "prec-symbol", "order-sort", "status-symbol", "var-type"],
+    ids=[
+        "arity", "prec-symbol", "order-sort", "status-symbol", "var-type",
+        "lambda-after-tab", "char-after-identifier", "eof-after-comment",
+    ],
 )
 def test_declaration_errors(text, message):
     with pytest.raises(ProblemError, match="^%s$" % re.escape(message)):
