@@ -163,14 +163,13 @@ def trace_to_text(trace: Trace) -> str:
 # Independent replay
 
 
-GT_LABELS = {
-    "1a", "1b", "1c", "2a", "2b", "2c", "3a", "3b", "3c", "4a", "4b",
-}
+GT_LABELS = {"1a", "1b", "1c", "2a", "2b", "2c", "3a", "3b", "3c", "4a", "4b"}
 
 
 def check_trace(ctx: OrderingContext, trace: Trace, kind: str, x: XSet) -> None:
-    """Replay `trace` as a proof of the goal `kind` (gt/ge/ge_type) under
-    bound-variable set `x`; raises TraceError on any local mismatch.
+    """Replay `trace` as a proof of the goal `kind` (gt, ge, ge_type or
+    gt_type) under bound-variable set `x`; raises TraceError on any local
+    mismatch.
 
     The root's sides are its goal, and each other node's goal is the one
     its parent's case assigns. The checks read the goal's terms: a node's
@@ -185,122 +184,133 @@ def check_trace(ctx: OrderingContext, trace: Trace, kind: str, x: XSet) -> None:
     _check_goal(ctx, trace, kind, tuple(x), trace.lhs, trace.rhs, set())
 
 
+# A goal's kind: gt, ge, ge_type, gt_type or accApply. An extension pair's
+# kind is how it may be proved: `union` (a typed comparison with empty X, or
+# the strict composite with X) or `type_x` (a typed comparison carrying X,
+# for application status). An extension node's is (status, pair kind), and
+# its sides are the argument lists its parent compares.
+Kind = str | tuple[str, str]
+Side = Term | tuple[Term, ...]
 # A replayed goal: the node's identity, the goal kind and the bound set.
-Goal = tuple[int, str, XSet]
+Goal = tuple[int, Kind, XSet]
+# A child's goal: (kind, X, s, t).
+Premise = tuple[Kind, XSet, Side, Side]
 # The types a sequence read from a node may have.
 _SEQ = (tuple, list)
 
 
 def _check_goal(
-    ctx: OrderingContext,
-    trace: Trace,
-    kind: str,
-    x: XSet,
-    s: Term,
-    t: Term,
+    ctx: OrderingContext, trace: Trace, kind: Kind, x: XSet, s: Side, t: Side,
     done: set[Goal],
 ) -> None:
     """Replay one node as a proof of the goal s `kind` t under `x`. Its sides
     must match the goal's on every path; the rest, its shape check first, is
     skipped when `done` (the goals replayed successfully so far in this
-    call) holds it. Besides gt, ge, ge_type and gt_type, `kind` is accApply:
-    the strict composite that an extension pair may be."""
+    call) holds it. An extension node's sides are its parent's argument
+    lists, never matched against its own, so its goal is not recorded:
+    another parent that shares the node replays it on its own lists."""
+    if kind in ("union", "type_x"):
+        label = trace.label if isinstance(trace, Trace) else None
+        if label == "typeCheck":
+            kind, x = "gt_type", (x if kind == "type_x" else ())
+        elif label == "accApply" and kind == "union":
+            kind = "accApply"
+        else:
+            raise TraceError("unexpected extension pair label %r" % (label,))
     goal = (id(trace), kind, x)
     replayed = goal in done
     if not replayed:
         _check_shape(trace)
-    if not alpha_eq(trace.lhs, s) or not alpha_eq(trace.rhs, t):
+    ext = isinstance(kind, tuple)
+    if not (ext or alpha_eq(trace.lhs, s) and alpha_eq(trace.rhs, t)):
         raise TraceError(
             "child goal mismatch: have %s vs %s, want %s vs %s"
             % (term_str(trace.lhs), term_str(trace.rhs), term_str(s), term_str(t))
         )
     if replayed:
         return
-    label = trace.label
-    if tuple(trace.x) != x:
-        raise TraceError("node X %r differs from goal X %r" % (trace.x, x))
+    premises = _premises(ctx, trace, kind, x, s, t)
+    _expect_children(trace, len(premises))
+    for child, (k, cx, cs, ct) in zip(trace.children, premises):
+        _check_goal(ctx, child, k, cx, cs, ct, done)
+    if not ext:
+        done.add(goal)
 
+
+def _premises(
+    ctx: OrderingContext, node: Trace, kind: Kind, x: XSet, s: Side, t: Side
+) -> list[Premise]:
+    """Check the node's bound set and side conditions as a proof of the goal
+    s `kind` t under `x`; its children's goals, in order."""
+    if isinstance(kind, tuple):
+        return _ext_premises(node, x, s, t, *kind)
+    label = node.label
+    if tuple(node.x) != x:
+        raise TraceError("node X %r differs from goal X %r" % (node.x, x))
     if label == "refl":
         if kind not in ("ge", "ge_type"):
             raise TraceError("refl proves only non-strict goals")
         if not alpha_eq(s, t):
             raise TraceError("refl on non-alpha-equal terms")
-    elif kind == "accApply":  # the strict composite, as an extension pair
-        _check_witness(ctx, trace, x, s, t, done)
-    elif kind in ("ge_type", "gt_type"):
+        return []
+    if kind == "accApply":  # the strict composite, as an extension pair
+        return _witness_premises(ctx, node, x, s, t)
+    if kind in ("ge_type", "gt_type"):
         if label != "typeCheck":
             raise TraceError("strict part of a typed goal must be typeCheck")
         if not ty_ge(ctx.sort_order, s.ty, t.ty):
             raise TraceError("type gate fails: %s vs %s" % (ty_str(s.ty), ty_str(t.ty)))
-        printed = (trace.get("lhs_ty"), trace.get("rhs_ty"))
+        printed = (node.get("lhs_ty"), node.get("rhs_ty"))
         if printed != (ty_str(s.ty), ty_str(t.ty)):
             raise TraceError("typeCheck prints the types %r vs %r" % printed)
-        _expect_children(trace, 1)
-        _check_goal(ctx, trace.children[0], "gt", x, s, t, done)
-    elif label not in GT_LABELS:
+        return [("gt", x, s, t)]
+    if label not in GT_LABELS:
         raise TraceError("unexpected label %r for goal %s" % (label, kind))
-    elif isinstance(s, Var):
+    if isinstance(s, Var):
         raise TraceError("no case applies to a variable left-hand side")
-    elif label == "1a":
-        if not isinstance(s, Fun):
-            raise TraceError("case 1a needs an algebraic left-hand side")
-        _check_witness(ctx, trace, x, s, t, done)
-    elif label == "1b":
-        _check_1b(ctx, trace, x, s, t, done)
-    elif label == "1c":
-        _check_1c(ctx, trace, x, s, t, done)
-    elif label == "2a":
-        if not isinstance(s, App):
-            raise TraceError("case 2a needs an application left-hand side")
-        _check_witness(ctx, trace, x, s, t, done)
-    elif label == "2b":
+    if label in ("1a", "2a"):
+        return _witness_premises(ctx, node, x, s, t)
+    if label == "1b":
+        return _1b_premises(ctx, node, x, s, t)
+    if label == "1c":
+        return _1c_premises(ctx, node, x, s, t)
+    if label == "2b":
         if not (isinstance(s, App) and isinstance(t, App)):
             raise TraceError("case 2b needs applications on both sides")
-        _expect_children(trace, 1)
-        left, right = (s.fn, s.arg), (t.fn, t.arg)
-        _check_ext(ctx, trace.children[0], x, left, right, MUL, "type_x", done)
-    elif label == "2c":
+        return [((MUL, "type_x"), x, (s.fn, s.arg), (t.fn, t.arg))]
+    if label == "2c":
         reduct = beta_reduct(s)
         if reduct is None:
             raise TraceError("case 2c needs a beta redex on the left")
-        _expect_children(trace, 1)
-        _check_goal(ctx, trace.children[0], "ge", x, reduct, t, done)
-    elif label == "3a":
+        return [("ge", x, reduct, t)]
+    if label == "3a":
         if not isinstance(s, Abs):
             raise TraceError("case 3a needs an abstraction on the left")
-        z = _check_fresh(trace, s, t, x)
-        _expect_children(trace, 1)
-        _check_goal(ctx, trace.children[0], "ge_type", x, open_abs(s, z), t, done)
-    elif label == "3b":
+        z = _check_fresh(node, s, t, x)
+        return [("ge_type", x, open_abs(s, z), t)]
+    if label == "3b":
         if not (isinstance(s, Abs) and isinstance(t, Abs)):
             raise TraceError("case 3b needs abstractions on both sides")
         if not ty_eq(ctx.sort_order, s.var_ty, t.var_ty):
             raise TraceError("case 3b domain types not equivalent")
-        z = _check_fresh(trace, s, t, x)
-        _expect_children(trace, 1)
-        _check_goal(
-            ctx, trace.children[0], "gt", x, open_abs(s, z), open_abs(t, z), done
-        )
-    elif label == "3c":
+        z = _check_fresh(node, s, t, x)
+        return [("gt", x, open_abs(s, z), open_abs(t, z))]
+    if label == "3c":
         reduct = eta_reduct(s)
         if reduct is None:
             raise TraceError("case 3c needs an eta redex on the left")
-        _expect_children(trace, 1)
-        _check_goal(ctx, trace.children[0], "ge", x, reduct, t, done)
-    elif label == "4a":
+        return [("ge", x, reduct, t)]
+    if label == "4a":
         if not (isinstance(t, Var) and t.name in dict(x)):
             raise TraceError("case 4a needs a freed variable on the right")
-        _expect_children(trace, 0)
-    elif label == "4b":
-        if isinstance(s, Abs):
-            raise TraceError("case 4b forbids an abstraction on the left")
-        if not isinstance(t, Abs):
-            raise TraceError("case 4b needs an abstraction on the right")
-        z = _check_fresh(trace, s, t, x)
-        _expect_children(trace, 1)
-        x_z = x_add(x, z, t.var_ty)
-        _check_goal(ctx, trace.children[0], "gt", x_z, s, open_abs(t, z), done)
-    done.add(goal)
+        return []
+    # 4b
+    if isinstance(s, Abs):
+        raise TraceError("case 4b forbids an abstraction on the left")
+    if not isinstance(t, Abs):
+        raise TraceError("case 4b needs an abstraction on the right")
+    z = _check_fresh(node, s, t, x)
+    return [("gt", x_add(x, z, t.var_ty), s, open_abs(t, z))]
 
 
 def _check_shape(trace: Trace) -> None:
@@ -339,25 +349,29 @@ def _check_fresh(trace: Trace, s: Term, t: Term, x: XSet) -> str:
     return z
 
 
-def _check_witness(
-    ctx: OrderingContext, trace: Trace, x: XSet, s: Term, t: Term, done: set[Goal]
-) -> None:
+def _witness_premises(
+    ctx: OrderingContext, node: Trace, x: XSet, s: Term, t: Term
+) -> list[Premise]:
     """Cases 1a/2a and the accApply composite share this shape. The witness
     applied is the base's own subterm that `w` names."""
     rel = acc_ge
-    if trace.label == "1a":
-        i = trace.get("i")
+    if node.label == "1a":
+        if not isinstance(s, Fun):
+            raise TraceError("case 1a needs an algebraic left-hand side")
+        i = node.get("i")
         if not isinstance(i, int) or not 1 <= i <= len(s.args):
             raise TraceError("case 1a argument index out of range")
         base = s.args[i - 1]
-    elif trace.label == "2a":
-        side = trace.get("side")
+    elif node.label == "2a":
+        if not isinstance(s, App):
+            raise TraceError("case 2a needs an application left-hand side")
+        side = node.get("side")
         if side not in ("fn", "arg"):
             raise TraceError("case 2a side annotation missing")
         base = s.fn if side == "fn" else s.arg
     else:  # accApply: strictly below the left-hand side itself
         base, rel = s, acc_gt
-    w = trace.get("w")
+    w = node.get("w")
     if w is None:
         raise TraceError("missing accessible-subterm witness")
     if not isinstance(w, Term):
@@ -366,7 +380,7 @@ def _check_witness(
     if w_base is None:
         above = "above" if rel is acc_gt else "at-or-above"
         raise TraceError("%s is not acc-%s %s" % (term_str(base), above, term_str(w)))
-    names = trace.get("xs") or ()
+    names = node.get("xs") or ()
     if not isinstance(names, _SEQ) or not all(isinstance(n, str) for n in names):
         raise TraceError("applied variables %r are not a list of names" % (names,))
     x_tys = dict(x)
@@ -379,28 +393,25 @@ def _check_witness(
             "applied witness is ill-typed or not of a type equivalent to %s"
             % ty_str(t.ty)
         )
-    _expect_children(trace, 1)
     # the inner comparison runs with an empty bound-variable set
-    _check_goal(ctx, trace.children[0], "ge", (), wapp, t, done)
+    return [("ge", (), wapp, t)]
 
 
-def _check_1b(
-    ctx: OrderingContext, trace: Trace, x: XSet, s: Term, t: Term, done: set[Goal]
-) -> None:
+def _1b_premises(
+    ctx: OrderingContext, node: Trace, x: XSet, s: Term, t: Term
+) -> list[Premise]:
     if not (isinstance(s, Fun) and isinstance(t, Fun)):
         raise TraceError("case 1b needs algebraic terms on both sides")
-    _check_declared(ctx, trace, s.sym, t.sym)
+    _check_declared(ctx, node, s.sym, t.sym)
     if ctx.prec.cmp(s.sym, t.sym) is not Cmp.EQ:
         raise TraceError("case 1b needs equivalent head symbols")
     status = ctx.statuses[s.sym]
     if status != ctx.statuses[t.sym]:
         raise TraceError("equivalent symbols with distinct statuses")
-    if trace.get("status") != status:
-        raise TraceError("case 1b claims status %r" % (trace.get("status"),))
-    _expect_children(trace, len(t.args) + 1)
-    for child, tj in zip(trace.children[:-1], t.args):
-        _check_goal(ctx, child, "gt", x, s, tj, done)
-    _check_ext(ctx, trace.children[-1], x, s.args, t.args, status, "union", done)
+    if node.get("status") != status:
+        raise TraceError("case 1b claims status %r" % (node.get("status"),))
+    ext = ((status, "union"), x, s.args, t.args)
+    return [("gt", x, s, tj) for tj in t.args] + [ext]
 
 
 def _check_declared(ctx: OrderingContext, trace: Trace, *syms: str) -> None:
@@ -409,14 +420,14 @@ def _check_declared(ctx: OrderingContext, trace: Trace, *syms: str) -> None:
             raise TraceError("case %s on undeclared symbol %r" % (trace.label, sym))
 
 
-def _check_1c(
-    ctx: OrderingContext, trace: Trace, x: XSet, s: Term, t: Term, done: set[Goal]
-) -> None:
+def _1c_premises(
+    ctx: OrderingContext, node: Trace, x: XSet, s: Term, t: Term
+) -> list[Premise]:
     if not isinstance(s, Fun):
         raise TraceError("case 1c needs an algebraic left-hand side")
-    _check_declared(ctx, trace, s.sym)
+    _check_declared(ctx, node, s.sym)
     if isinstance(t, Fun):
-        _check_declared(ctx, trace, t.sym)
+        _check_declared(ctx, node, t.sym)
         if ctx.prec.cmp(s.sym, t.sym) is not Cmp.GT:
             raise TraceError("case 1c needs a strictly smaller head symbol")
         targs = list(t.args)
@@ -424,27 +435,17 @@ def _check_1c(
         # every declared symbol is above @; the split is the one whose
         # length matches the children
         splits = app_splits(t)
-        targs = next(
-            (a for a in splits if len(a) == len(trace.children)), splits[0]
-        )
+        targs = next((a for a in splits if len(a) == len(node.children)), splits[0])
     else:
         raise TraceError("case 1c right-hand side must be algebraic or applied")
-    _expect_children(trace, len(targs))
-    for child, tj in zip(trace.children, targs):
-        _check_goal(ctx, child, "gt", x, s, tj, done)
+    return [("gt", x, s, tj) for tj in targs]
 
 
-def _check_ext(
-    ctx: OrderingContext,
-    node: Trace,
-    x: XSet,
-    left: tuple[Term, ...],
-    right: tuple[Term, ...],
-    status: str,
-    pair_kind: str,
-    done: set[Goal],
-) -> None:
-    _check_shape(node)
+def _ext_premises(
+    node: Trace, x: XSet, left: tuple[Term, ...], right: tuple[Term, ...],
+    status: str, pair: str,
+) -> list[Premise]:
+    """An extension node's checks; its children are the pairs it compares."""
     if status == MUL:
         if node.label != "mulExt":
             raise TraceError("expected a multiset-extension node")
@@ -459,30 +460,25 @@ def _check_ext(
                 raise TraceError("cancelled pair is not alpha-equal")
             used_l.add(i)
             used_r.add(j)
-        removed = [i for i in range(len(left)) if i not in used_l]
-        leftover_r = [j for j in range(len(right)) if j not in used_r]
-        if not removed:
+        if len(used_l) == len(left):
             raise TraceError("strict multiset extension with nothing removed")
+        leftover_r = [j for j in range(len(right)) if j not in used_r]
         if sorted(j for _, j in cover) != leftover_r:
             raise TraceError("multiset cover misses a right-hand element")
-        _expect_children(node, len(cover))
-        for (i, j), child in zip(cover, node.children):
-            if i not in removed:
-                raise TraceError("cover uses a cancelled left element")
-            _check_pair(ctx, child, x, left[i], right[j], pair_kind, done)
-    else:
-        if node.label != "lexExt":
-            raise TraceError("expected a lexicographic-extension node")
-        if len(left) != len(right):
-            raise TraceError("lexicographic extension on unequal lengths")
-        pos = node.get("pos")
-        if not isinstance(pos, int) or not 0 <= pos < len(left):
-            raise TraceError("lexicographic position out of range")
-        for k in range(pos):
-            if not alpha_eq(left[k], right[k]):
-                raise TraceError("lexicographic prefix not alpha-equal")
-        _expect_children(node, 1)
-        _check_pair(ctx, node.children[0], x, left[pos], right[pos], pair_kind, done)
+        if any(i in used_l for i, _ in cover):
+            raise TraceError("cover uses a cancelled left element")
+        return [(pair, x, left[i], right[j]) for i, j in cover]
+    if node.label != "lexExt":
+        raise TraceError("expected a lexicographic-extension node")
+    if len(left) != len(right):
+        raise TraceError("lexicographic extension on unequal lengths")
+    pos = node.get("pos")
+    if not isinstance(pos, int) or not 0 <= pos < len(left):
+        raise TraceError("lexicographic position out of range")
+    for k in range(pos):
+        if not alpha_eq(left[k], right[k]):
+            raise TraceError("lexicographic prefix not alpha-equal")
+    return [(pair, x, left[pos], right[pos])]
 
 
 def _index_pairs(node: Trace, key: str, n: int, m: int) -> tuple | list:
@@ -501,27 +497,3 @@ def _index_pairs(node: Trace, key: str, n: int, m: int) -> tuple | list:
             "multiset %s %r is not a list of pairs in range" % (key, pairs)
         )
     return pairs
-
-
-def _check_pair(
-    ctx: OrderingContext,
-    child: Trace,
-    x: XSet,
-    a: Term,
-    b: Term,
-    pair_kind: str,
-    done: set[Goal],
-) -> None:
-    """A single extension subgoal.
-
-    `union`  : typed comparison with empty X, or the strict composite with X
-    `type_x` : typed comparison carrying X (application status case)
-    """
-    label = child.label if isinstance(child, Trace) else None
-    if label == "typeCheck":
-        inner_x: XSet = x if pair_kind == "type_x" else ()
-        _check_goal(ctx, child, "gt_type", inner_x, a, b, done)
-    elif label == "accApply" and pair_kind == "union":
-        _check_goal(ctx, child, "accApply", x, a, b, done)
-    else:
-        raise TraceError("unexpected extension pair label %r" % (label,))

@@ -1,5 +1,9 @@
+import contextlib
 import dataclasses
+import hashlib
+import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -77,7 +81,7 @@ def test_deep_input_is_one_line_and_exit_2(tmp_path, lhs_depth, rhs_depth, comma
 @pytest.mark.parametrize("lhs_depth,rhs_depth", [(200, 100), (220, 0)])
 def test_deep_tower_is_decided(tmp_path, lhs_depth, rhs_depth):
     # one tower level costs the engine 3 frames (1a) or 2 (1b), and the
-    # replay 2; c^300(z) > c^150(z) above is the first size left too deep
+    # replay 1; c^300(z) > c^150(z) above is the first size left too deep
     path = _tower_file(tmp_path, lhs_depth, rhs_depth)
     proc = subprocess.run(
         [sys.executable, "-m", "horpo.cli", "check", str(path)],
@@ -245,3 +249,58 @@ def test_closed_stdout_ends_the_run_quietly(tmp_path):
     proc.stderr.close()
     assert (proc.wait(), err) == (0, b"")
 
+
+# Every subcommand on every problem file, in both formats: the sha256 of each
+# call's (exit code, stdout, stderr). Regenerate the file after an intended
+# change of output with `PYTHONPATH=src python3 tests/test_cli.py`.
+DIGESTS = ROOT / "tests" / "data" / "cli_digests.json"
+DIGEST_COMMANDS = (
+    ["check"],
+    ["check", "--traces"],
+    ["trace", "-r", "1"],
+    ["trace", "-r", "2"],
+    ["validate"],
+    ["search"],
+    ["properties", "--samples", "20", "--seed", "3"],
+    ["properties", "--exhaustive-size", "3"],
+)
+
+
+def _cli_digests() -> dict[str, str]:
+    """Each call, as its argv joined by spaces with the file relative to the
+    repository root (the working directory), and its digest."""
+    files = sorted(
+        p.relative_to(ROOT).as_posix()
+        for d in ("corpus", "tests/data")
+        for p in (ROOT / d).rglob("*.horpo")
+    )
+    digests = {}
+    for path in files:
+        for command in DIGEST_COMMANDS:
+            for fmt in ("text", "json"):
+                argv = [command[0], path, *command[1:], "--format", fmt]
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.main(argv)
+                call = json.dumps([code, out.getvalue(), err.getvalue()])
+                digests[" ".join(argv)] = hashlib.sha256(call.encode()).hexdigest()
+    return digests
+
+
+def test_cli_output_matches_its_digests(monkeypatch):
+    assert DIGESTS.exists(), "missing; run PYTHONPATH=src python3 tests/test_cli.py"
+    expected = json.loads(DIGESTS.read_text())
+    monkeypatch.chdir(ROOT)
+    actual = _cli_digests()
+    differ = sorted(
+        call for call in expected.keys() | actual.keys()
+        if expected.get(call) != actual.get(call)
+    )
+    assert not differ, "output differs for %d call(s):\n%s" % (
+        len(differ), "\n".join(differ)
+    )
+
+
+if __name__ == "__main__":
+    os.chdir(ROOT)
+    DIGESTS.write_text(json.dumps(_cli_digests(), indent=2) + "\n")

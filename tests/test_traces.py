@@ -1,8 +1,11 @@
+import ast
 import dataclasses
 import json
+import sys
 
 import pytest
 
+from conftest import ROOT
 from horpo.engine import Engine
 from horpo.problems import check_problem, parse_problem
 from horpo.terms import Abs, App, Arrow, Data, Fun, Var
@@ -105,6 +108,29 @@ def test_validator_rejects_broken_multiset_cover(brouwer):
 
     with pytest.raises(TraceError):
         check_trace(brouwer.ctx, strip_cover(tr), "gt", ())
+
+
+def test_checker_imports_never_reach_the_engine():
+    # traces.py's imports within horpo, followed transitively and statically
+    src = ROOT / "src" / "horpo"
+    reached, todo = set(), ["traces"]
+    while todo:
+        mod = todo.pop()
+        if mod in reached:
+            continue
+        reached.add(mod)
+        for node in ast.walk(ast.parse((src / (mod + ".py")).read_text())):
+            if isinstance(node, ast.Import):
+                full = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = ".".join(filter(None, ["horpo" * node.level, node.module]))
+                full = [base] + [base + "." + a.name for a in node.names]
+            else:
+                continue
+            names = [n.split(".")[1] for n in full if n.startswith("horpo.")]
+            todo += [n for n in names if (src / (n + ".py")).exists()]
+    assert {"accessibility", "terms"} <= reached
+    assert not reached & {"engine", "harness", "problems"}
 
 
 def test_validator_never_calls_engine(brouwer, monkeypatch):
@@ -241,28 +267,30 @@ def test_replay_visits_each_distinct_goal_once(monkeypatch):
     p, tr = _tower(14)
     paths, nodes = _paths(tr)
     assert sum(paths.values()) > 15 * len(nodes)  # 1,853 unfolded, 99 distinct
-    # the distinct goals reached, and each run of a node's local check: every
-    # check but refl's (a leaf) counts the node's children once
+    # each run of a node's local check, and the distinct goals checked
     goals, visits = set(), []
-    replay, expect = traces_mod._check_goal, traces_mod._expect_children
+    premises = traces_mod._premises
 
-    def reaching(ctx, trace, kind, x, s, t, done):
-        if trace.label != "refl":
-            goals.add((id(trace), kind, x))
-        replay(ctx, trace, kind, x, s, t, done)
+    def checking(ctx, node, kind, x, s, t):
+        visits.append(id(node))
+        goals.add((id(node), kind, x))
+        return premises(ctx, node, kind, x, s, t)
 
-    def visiting(trace, n):
-        if trace.label not in ("mulExt", "lexExt"):  # part of the parent's check
-            visits.append(id(trace))
-        expect(trace, n)
-
-    monkeypatch.setattr(traces_mod, "_check_goal", reaching)
-    monkeypatch.setattr(traces_mod, "_expect_children", visiting)
+    monkeypatch.setattr(traces_mod, "_premises", checking)
     check_trace(p.ctx, tr, "gt", ())
     assert len(visits) == len(goals) <= 2 * len(nodes)
-    assert set(visits) == {
-        i for i, t in nodes.items() if t.label not in ("refl", "mulExt", "lexExt")
-    }
+    assert set(visits) == set(nodes)
+
+
+def test_deep_trace_replays_under_the_default_recursion_limit():
+    # orienting c^400(z) > c^200(z) needs a raised limit; its replay does not
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(10_000)
+    try:
+        p, tr = _tower(400)
+    finally:
+        sys.setrecursionlimit(limit)
+    check_trace(p.ctx, tr, "gt", ())
 
 
 def _replace_node(trace, target, forged):
@@ -329,6 +357,42 @@ def test_node_reused_under_another_bound_set_is_replayed_again():
         check_trace(p.ctx, root(inner, inner), "gt", ())
 
 
+SHARED_EXT = (
+    "sort N ;\nfun z : [] -> N ;\nfun s : [N] -> N ;\nfun f : [N, N] -> N ;\n"
+    "prec f > s ;\n"
+)
+
+
+def test_extension_node_under_two_parents_is_replayed_under_each():
+    # f(A, B) > f(B, C) is false: A = f(s(z), z) > B = f(z, z) holds, but
+    # A > C = f(z, s(z)) does not. The forgery covers B and C by A, and
+    # proves A > C with the mulExt node of A > B, whose pair s(z) > z does
+    # not fit A > C's arguments
+    p = parse_problem(SHARED_EXT)
+    N = Data("N")
+    z = Fun("z", (), N)
+    sz, f = Fun("s", (z,), N), lambda u, v: Fun("f", (u, v), N)
+    a, b, c = f(sz, z), f(z, z), f(z, sz)
+    s, t = f(a, b), f(b, c)
+    gt = lambda u, v: Engine(p.ctx).gt((), u, v)
+    assert gt(s, t) is None
+    a_b = gt(a, b)
+    a_c = dataclasses.replace(
+        a_b, rhs=c, children=(gt(a, z), gt(a, sz), a_b.children[-1])
+    )
+    typed = lambda u: Trace(
+        "typeCheck", u.lhs, u.rhs, (), (u,), (("lhs_ty", "N"), ("rhs_ty", "N"))
+    )
+    cover = (("equal", ()), ("cover", ((0, 0), (0, 1))))
+    args = lambda *ts: Fun("<args>", ts)
+    ext = Trace("mulExt", args(a, b), args(b, c), (), (typed(a_b), typed(a_c)), cover)
+    forged = dataclasses.replace(
+        a_b, lhs=s, rhs=t, children=(gt(s, b), gt(s, c), ext)
+    )
+    with pytest.raises(TraceError, match=r"child goal mismatch: have s\(z\) vs z"):
+        check_trace(p.ctx, forged, "gt", ())
+
+
 def test_jsonable_shares_dicts_and_unfolds_to_the_tree():
     _, tr = _tower(14)
     paths, nodes = _paths(tr)
@@ -370,6 +434,20 @@ LIMITS = (
     "fun f : [Ord, Nat -> Ord] -> Ord ;\nfun g : [Nat -> Ord, Nat -> Ord] -> Ord ;\n"
     "prec f = g ;\n"
 )
+
+
+def _type_x_trace(brouwer):
+    """@(V,s(N)) > \\x:Ord.@(V,N): 4b, then 2b under X = {x#0}, whose mulExt
+    pair s(N) > N is a typeCheck carrying that X."""
+    V = Var("V", Arrow(Ord, Arrow(A, A)))
+    s = App(V, Fun("s", (N_,), Ord), Arrow(A, A))
+    t = Abs("x", Ord, App(V, N_, Arrow(A, A)), Arrow(Ord, Arrow(A, A)))
+    tr = Engine(brouwer.ctx).gt((), s, t)
+    two_b = tr.children[0]
+    pair = two_b.children[0].children[0]
+    assert (tr.label, two_b.label, pair.label) == ("4b", "2b", "typeCheck")
+    assert pair.x == two_b.x == (("x#0", Ord),)
+    return tr
 
 
 def _brouwer_nodes(brouwer):
@@ -513,6 +591,17 @@ def _forge(name, brouwer):
         composite = rep(mul.children[0], x=())
         forged = rep(b3, children=b3.children[:-1] + (rep(mul, children=(composite,)),))
         return ctx, forged, "gt", b3.x
+    if name in ("type_x_pair_x", "type_x_pair_label"):
+        tr = _type_x_trace(brouwer)
+        two_b = tr.children[0]
+        mul = two_b.children[0]
+        pair = mul.children[0]
+        if name == "type_x_pair_x":
+            pair = rep(pair, x=())
+        else:
+            pair = rep(pair, label="accApply")
+        two_b = rep(two_b, children=(rep(mul, children=(pair,)),))
+        return ctx, rep(tr, children=(two_b,)), "gt", ()
     lex = parse_problem(LEX_PROBLEM)
     lex_tr = Engine(lex.ctx).orient_rule(lex.rules[1].lhs, lex.rules[1].rhs)
     lex_ext = lex_tr.children[-1]
@@ -588,6 +677,8 @@ FORGERIES = {
     "pair_mismatch": r"child goal mismatch: have 0 vs N, want s\(N\) vs N",
     "composite_x": r"node X \(\) differs from goal X \(\('n#0'",
     "pair_label": "unexpected extension pair label '1a'",
+    "type_x_pair_x": r"node X \(\) differs from goal X \(\('x#0'",
+    "type_x_pair_label": "unexpected extension pair label 'accApply'",
     "shape_child_none": "malformed trace node None",
     "shape_root_none": "malformed trace node None",
     "shape_label": r"malformed trace node \['1c'\]",
@@ -609,6 +700,7 @@ def test_unforged_nodes_replay(brouwer):
         check_trace(brouwer.ctx, n[name], "gt", ())
     check_trace(brouwer.ctx, n["tc"], "gt_type", ())
     check_trace(brouwer.ctx, n["b3"], "gt", n["b3"].x)
+    check_trace(brouwer.ctx, _type_x_trace(brouwer), "gt", ())
 
 
 @pytest.mark.parametrize("name", sorted(FORGERIES))
