@@ -163,7 +163,9 @@ def trace_to_text(trace: Trace) -> str:
 # Independent replay
 
 
-GT_LABELS = {"1a", "1b", "1c", "2a", "2b", "2c", "3a", "3b", "3c", "4a", "4b"}
+GT_LABELS = {
+    "1a", "1b", "1c", "2a", "2b", "2c", "3a", "3b", "3c", "4a", "4b",
+}
 
 
 def check_trace(ctx: OrderingContext, trace: Trace, kind: str, x: XSet) -> None:
@@ -188,27 +190,29 @@ def check_trace(ctx: OrderingContext, trace: Trace, kind: str, x: XSet) -> None:
 # kind is how it may be proved: `union` (a typed comparison with empty X, or
 # the strict composite with X) or `type_x` (a typed comparison carrying X,
 # for application status). An extension node's is (status, pair kind), and
-# its sides are the argument lists its parent compares.
+# its sides are the argument lists its parent compares, as `<args>` terms.
 Kind = str | tuple[str, str]
-Side = Term | tuple[Term, ...]
 # A replayed goal: the node's identity, the goal kind and the bound set.
 Goal = tuple[int, Kind, XSet]
 # A child's goal: (kind, X, s, t).
-Premise = tuple[Kind, XSet, Side, Side]
+Premise = tuple[Kind, XSet, Term, Term]
 # The types a sequence read from a node may have.
 _SEQ = (tuple, list)
 
 
 def _check_goal(
-    ctx: OrderingContext, trace: Trace, kind: Kind, x: XSet, s: Side, t: Side,
+    ctx: OrderingContext,
+    trace: Trace,
+    kind: Kind,
+    x: XSet,
+    s: Term,
+    t: Term,
     done: set[Goal],
 ) -> None:
     """Replay one node as a proof of the goal s `kind` t under `x`. Its sides
     must match the goal's on every path; the rest, its shape check first, is
     skipped when `done` (the goals replayed successfully so far in this
-    call) holds it. An extension node's sides are its parent's argument
-    lists, never matched against its own, so its goal is not recorded:
-    another parent that shares the node replays it on its own lists."""
+    call) holds it."""
     if kind in ("union", "type_x"):
         label = trace.label if isinstance(trace, Trace) else None
         if label == "typeCheck":
@@ -221,8 +225,7 @@ def _check_goal(
     replayed = goal in done
     if not replayed:
         _check_shape(trace)
-    ext = isinstance(kind, tuple)
-    if not (ext or alpha_eq(trace.lhs, s) and alpha_eq(trace.rhs, t)):
+    if not (alpha_eq(trace.lhs, s) and alpha_eq(trace.rhs, t)):
         raise TraceError(
             "child goal mismatch: have %s vs %s, want %s vs %s"
             % (term_str(trace.lhs), term_str(trace.rhs), term_str(s), term_str(t))
@@ -233,20 +236,19 @@ def _check_goal(
     _expect_children(trace, len(premises))
     for child, (k, cx, cs, ct) in zip(trace.children, premises):
         _check_goal(ctx, child, k, cx, cs, ct, done)
-    if not ext:
-        done.add(goal)
+    done.add(goal)
 
 
 def _premises(
-    ctx: OrderingContext, node: Trace, kind: Kind, x: XSet, s: Side, t: Side
+    ctx: OrderingContext, node: Trace, kind: Kind, x: XSet, s: Term, t: Term
 ) -> list[Premise]:
     """Check the node's bound set and side conditions as a proof of the goal
     s `kind` t under `x`; its children's goals, in order."""
-    if isinstance(kind, tuple):
-        return _ext_premises(node, x, s, t, *kind)
-    label = node.label
     if tuple(node.x) != x:
         raise TraceError("node X %r differs from goal X %r" % (node.x, x))
+    if isinstance(kind, tuple):
+        return _ext_premises(node, x, s.args, t.args, *kind)
+    label = node.label
     if label == "refl":
         if kind not in ("ge", "ge_type"):
             raise TraceError("refl proves only non-strict goals")
@@ -277,11 +279,13 @@ def _premises(
     if label == "2b":
         if not (isinstance(s, App) and isinstance(t, App)):
             raise TraceError("case 2b needs applications on both sides")
-        return [((MUL, "type_x"), x, (s.fn, s.arg), (t.fn, t.arg))]
-    if label == "2c":
-        reduct = beta_reduct(s)
+        left, right = Fun("<args>", (s.fn, s.arg)), Fun("<args>", (t.fn, t.arg))
+        return [((MUL, "type_x"), x, left, right)]
+    if label in ("2c", "3c"):
+        reduct = (beta_reduct if label == "2c" else eta_reduct)(s)
         if reduct is None:
-            raise TraceError("case 2c needs a beta redex on the left")
+            redex = "a beta" if label == "2c" else "an eta"
+            raise TraceError("case %s needs %s redex on the left" % (label, redex))
         return [("ge", x, reduct, t)]
     if label == "3a":
         if not isinstance(s, Abs):
@@ -295,11 +299,6 @@ def _premises(
             raise TraceError("case 3b domain types not equivalent")
         z = _check_fresh(node, s, t, x)
         return [("gt", x, open_abs(s, z), open_abs(t, z))]
-    if label == "3c":
-        reduct = eta_reduct(s)
-        if reduct is None:
-            raise TraceError("case 3c needs an eta redex on the left")
-        return [("ge", x, reduct, t)]
     if label == "4a":
         if not (isinstance(t, Var) and t.name in dict(x)):
             raise TraceError("case 4a needs a freed variable on the right")
@@ -410,7 +409,7 @@ def _1b_premises(
         raise TraceError("equivalent symbols with distinct statuses")
     if node.get("status") != status:
         raise TraceError("case 1b claims status %r" % (node.get("status"),))
-    ext = ((status, "union"), x, s.args, t.args)
+    ext = ((status, "union"), x, Fun("<args>", s.args), Fun("<args>", t.args))
     return [("gt", x, s, tj) for tj in t.args] + [ext]
 
 
@@ -435,7 +434,9 @@ def _1c_premises(
         # every declared symbol is above @; the split is the one whose
         # length matches the children
         splits = app_splits(t)
-        targs = next((a for a in splits if len(a) == len(node.children)), splits[0])
+        targs = next(
+            (a for a in splits if len(a) == len(node.children)), splits[0]
+        )
     else:
         raise TraceError("case 1c right-hand side must be algebraic or applied")
     return [("gt", x, s, tj) for tj in targs]

@@ -267,18 +267,32 @@ def test_replay_visits_each_distinct_goal_once(monkeypatch):
     p, tr = _tower(14)
     paths, nodes = _paths(tr)
     assert sum(paths.values()) > 15 * len(nodes)  # 1,853 unfolded, 99 distinct
-    # each run of a node's local check, and the distinct goals checked
-    goals, visits = set(), []
-    premises = traces_mod._premises
+    # the distinct goals reached, each run of a node's local check, and the
+    # distinct goals checked
+    reached, visits, goals = set(), [], set()
+    check_goal, premises = traces_mod._check_goal, traces_mod._premises
+
+    def reaching(ctx, node, kind, x, s, t, done):
+        goal = (kind, x)
+        if kind in ("union", "type_x"):  # an extension pair, by its label
+            if node.label == "typeCheck":
+                goal = ("gt_type", x if kind == "type_x" else ())
+            else:
+                goal = ("accApply", x)
+        reached.add((id(node), *goal))
+        check_goal(ctx, node, kind, x, s, t, done)
 
     def checking(ctx, node, kind, x, s, t):
         visits.append(id(node))
         goals.add((id(node), kind, x))
         return premises(ctx, node, kind, x, s, t)
 
+    monkeypatch.setattr(traces_mod, "_check_goal", reaching)
     monkeypatch.setattr(traces_mod, "_premises", checking)
     check_trace(p.ctx, tr, "gt", ())
-    assert len(visits) == len(goals) <= 2 * len(nodes)
+    # every goal reached is checked, once; some nodes under two kinds
+    assert reached == goals
+    assert len(nodes) < len(visits) == len(goals) <= 2 * len(nodes)
     assert set(visits) == set(nodes)
 
 
@@ -366,8 +380,8 @@ SHARED_EXT = (
 def test_extension_node_under_two_parents_is_replayed_under_each():
     # f(A, B) > f(B, C) is false: A = f(s(z), z) > B = f(z, z) holds, but
     # A > C = f(z, s(z)) does not. The forgery covers B and C by A, and
-    # proves A > C with the mulExt node of A > B, whose pair s(z) > z does
-    # not fit A > C's arguments
+    # proves A > C with the mulExt node of A > B, whose sides are A > B's
+    # argument lists, not A > C's
     p = parse_problem(SHARED_EXT)
     N = Data("N")
     z = Fun("z", (), N)
@@ -384,12 +398,12 @@ def test_extension_node_under_two_parents_is_replayed_under_each():
         "typeCheck", u.lhs, u.rhs, (), (u,), (("lhs_ty", "N"), ("rhs_ty", "N"))
     )
     cover = (("equal", ()), ("cover", ((0, 0), (0, 1))))
-    args = lambda *ts: Fun("<args>", ts)
-    ext = Trace("mulExt", args(a, b), args(b, c), (), (typed(a_b), typed(a_c)), cover)
+    ext = Trace("mulExt", _args(a, b), _args(b, c), (), (typed(a_b), typed(a_c)), cover)
     forged = dataclasses.replace(
         a_b, lhs=s, rhs=t, children=(gt(s, b), gt(s, c), ext)
     )
-    with pytest.raises(TraceError, match=r"child goal mismatch: have s\(z\) vs z"):
+    want = r"have <args>\(s\(z\),z\) vs <args>\(z,z\), want .* vs <args>\(z,s\(z\)\)"
+    with pytest.raises(TraceError, match="child goal mismatch: " + want):
         check_trace(p.ctx, forged, "gt", ())
 
 
@@ -480,13 +494,19 @@ def _twin(sym, *args):
     return Fun(sym, args, Data("N"))
 
 
+def _args(*ts):
+    """The argument list `ts` as an extension node writes it on its sides."""
+    return Fun("<args>", ts)
+
+
 def _forge(name, brouwer):
     """(ctx, trace, kind, x) for the forgery `name`."""
     ctx, n = brouwer.ctx, _brouwer_nodes(brouwer)
     rep = dataclasses.replace
     mul2 = n["mul2"]
     with_mul2 = lambda node: rep(n["b2"], children=n["b2"].children[:-1] + (node,))
-    everything_equal = (("equal", ((0, 0), (1, 1))), ("cover", ()))
+    all_equal = (("equal", ((0, 0), (1, 1))), ("cover", ()))
+    fn_args = _args(FN.fn, FN.arg)
     r2 = n["r2"]
     with_first = lambda node: rep(r2, children=(node,) + r2.children[1:])
     simple = {
@@ -528,7 +548,7 @@ def _forge(name, brouwer):
         "mul_equal_range": with_mul2(_with_aux(mul2, equal=((9, 9),))),
         "mul_cover_pair": with_mul2(_with_aux(mul2, cover=((0,),))),
         "mul_nothing_removed": Trace(
-            "2b", FN, FN, (), (Trace("mulExt", FN, FN, (), (), everything_equal),)
+            "2b", FN, FN, (), (Trace("mulExt", fn_args, fn_args, (), (), all_equal),)
         ),
         "mul_cover_misses": with_mul2(rep(_with_aux(mul2, cover=()), children=())),
         "mul_cover_cancelled": with_mul2(_with_aux(mul2, cover=((1, 0),))),
@@ -536,6 +556,8 @@ def _forge(name, brouwer):
             rep(mul2, children=(rep(n["tc"], lhs=ZERO),))
         ),
         "pair_label": with_mul2(rep(mul2, children=(rep(n["tc"], label="1a"),))),
+        "ext_sides": with_mul2(rep(mul2, rhs=Var("zz", Ord))),
+        "ext_x": with_mul2(rep(mul2, x=(("q", Nat),))),
         "1b_status": _with_aux(n["b2"], status="lex"),
         "shape_child_none": with_first(None),
         "shape_root_none": None,
@@ -578,8 +600,7 @@ def _forge(name, brouwer):
         printed = (("lhs_ty", "Nat -> Nat -> Ord"), ("rhs_ty", "Nat -> Ord"))
         pair = Trace("typeCheck", lim, F_, (), (inner,), printed)
         cover = (("equal", ((1, 0),)), ("cover", ((0, 1),)))
-        args = lambda *ts: Fun("<args>", ts)
-        mul = Trace("mulExt", args(LIM_F, F_), args(F_, F_), (), (pair,), cover)
+        mul = Trace("mulExt", _args(LIM_F, F_), _args(F_, F_), (), (pair,), cover)
         status = (("status", "mul"),)
         return ctx, Trace("1b", s, t, (), (below, below, mul), status), "gt", ()
     if name == "4a_children":
@@ -602,6 +623,23 @@ def _forge(name, brouwer):
             pair = rep(pair, label="accApply")
         two_b = rep(two_b, children=(rep(mul, children=(pair,)),))
         return ctx, rep(tr, children=(two_b,)), "gt", ()
+    if name == "refl_ge_then_gt":
+        # f(s(z), z) > f(z, s(z)) is false: the argument multisets are
+        # equal. Its case-1a child f(s(z), z) > s(z) is proved with the refl
+        # node s(z) >= s(z), and the cover's pair s(z) > s(z) with the
+        # same refl node as its strict part
+        ctx = parse_problem(SHARED_EXT).ctx
+        z = _twin("z")
+        sz = _twin("s", z)
+        s, t = _twin("f", sz, z), _twin("f", z, sz)
+        refl = Trace("refl", sz, sz)
+        below = Trace("1a", s, sz, (), (refl,), (("i", 1), ("w", sz), ("xs", ())))
+        printed = (("lhs_ty", "N"), ("rhs_ty", "N"))
+        pair = Trace("typeCheck", sz, sz, (), (refl,), printed)
+        cover = (("equal", ((1, 0),)), ("cover", ((0, 1),)))
+        ext = Trace("mulExt", _args(sz, z), _args(z, sz), (), (pair,), cover)
+        children = (Engine(ctx).gt((), s, z), below, ext)
+        return ctx, Trace("1b", s, t, (), children, (("status", "mul"),)), "gt", ()
     lex = parse_problem(LEX_PROBLEM)
     lex_tr = Engine(lex.ctx).orient_rule(lex.rules[1].lhs, lex.rules[1].rhs)
     lex_ext = lex_tr.children[-1]
@@ -618,13 +656,14 @@ def _forge(name, brouwer):
     ctx = _twins_ctx((("f", "h"),), {"f": "lex", "h": "lex"})
     s = _twin("f", z, z)
     below = Engine(ctx).gt((), s, z)
-    ext = Trace("lexExt", z, z)
+    ext = Trace("lexExt", _args(z, z), _args(z))
     lex_status = (("status", "lex"),)
     return ctx, Trace("1b", s, _twin("h", z), (), (below, ext), lex_status), "gt", ()
 
 
 FORGERIES = {
     "refl_unequal": "refl on non-alpha-equal terms",
+    "refl_ge_then_gt": "refl proves only non-strict goals",
     "typed_goal_label": "strict part of a typed goal must be typeCheck",
     "type_gate": "type gate fails: Ord vs A",
     "typecheck_annotation": "type gate fails: Ord vs Nat -> Ord",
@@ -677,6 +716,8 @@ FORGERIES = {
     "pair_mismatch": r"child goal mismatch: have 0 vs N, want s\(N\) vs N",
     "composite_x": r"node X \(\) differs from goal X \(\('n#0'",
     "pair_label": "unexpected extension pair label '1a'",
+    "ext_sides": r"child goal mismatch: have <args>\(s\(N\),U,V,W\) vs zz",
+    "ext_x": r"node X \(\('q'",
     "type_x_pair_x": r"node X \(\) differs from goal X \(\('x#0'",
     "type_x_pair_label": "unexpected extension pair label 'accApply'",
     "shape_child_none": "malformed trace node None",
