@@ -268,7 +268,7 @@ class Engine:
         return None
 
     def _case_4b(self, x: XSet, s: Term, t: Term) -> Trace | None:
-        if isinstance(s, Abs) or not isinstance(t, Abs):
+        if not isinstance(t, Abs):
             return None
         z = self._fresh(t.var, x, s, t)
         inner = self._gt(x_add(x, z, t.var_ty), s, open_abs(t, z))

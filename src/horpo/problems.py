@@ -21,6 +21,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from functools import partial
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .context import LEX, MUL, OrderingContext
 from .accessibility import APP_SYM
@@ -510,12 +511,13 @@ def report_to_text(problem: Problem, report: Report) -> str:
 
 def dump_json(obj: dict) -> str:
     """The text of `json.dumps(obj, sort_keys=True, indent=2) + "\\n"`, in time
-    linear in the distinct containers of `obj` plus copying the output.
+    linear in the distinct containers of `obj` at each depth plus copying
+    the output.
 
     `obj` is acyclic and its keys are str. A dict or list reached more than
     once by identity (a shared subtrace from `trace_to_jsonable`) is
-    rendered once, at depth 0, and pasted at each of its positions with its
-    line breaks indented to that depth."""
+    rendered once per indentation depth it occurs at, straight at that
+    depth, and its text is reused at each of its positions there."""
     refs: dict[int, int] = {}
     stack = [obj]
     while stack:
@@ -539,11 +541,11 @@ def _encode(
     nl: str,
     out: list[str],
     refs: dict[int, int],
-    texts: dict[int, str],
+    texts: dict[tuple[int, int], str],
 ) -> None:
     """Append the indented text of the non-empty container `o` to `out`.
     `nl` is a line break followed by the indentation of the line `o` starts
-    on; `texts` holds, by identity, the depth-0 text of each shared
+    on; `texts` holds, by identity and indentation, the text of each shared
     container rendered so far."""
     inner = nl + "  "
     is_dict = isinstance(o, dict)
@@ -556,20 +558,22 @@ def _encode(
             key, v = item
             if not isinstance(key, str):
                 raise TypeError("keys must be str, not %s" % type(key).__name__)
-            out.append(json.dumps(key))
+            out.append(_json_str(key))
             out.append(": ")
         else:
             v = item
-        if not (isinstance(v, (dict, list, tuple)) and v):
+        if isinstance(v, str):
+            out.append(_json_str(v))
+        elif not (isinstance(v, (dict, list, tuple)) and v):
             out.append(json.dumps(v))
         elif refs[id(v)] == 1:
             _encode(v, inner, out, refs, texts)
         else:
-            text = texts.get(id(v))
+            text = texts.get((id(v), len(inner)))
             if text is None:
                 buf: list[str] = []
-                _encode(v, "\n", buf, refs, texts)
-                text = texts[id(v)] = "".join(buf)
-            out.append(text.replace("\n", inner))
+                _encode(v, inner, buf, refs, texts)
+                text = texts[id(v), len(inner)] = "".join(buf)
+            out.append(text)
     out.append(nl)
     out.append("}" if is_dict else "]")

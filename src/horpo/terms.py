@@ -27,7 +27,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 # Reserved separator for generated names; rejected in user identifiers.
 FRESH_SEP = "#"
@@ -222,13 +222,20 @@ class Fun:
     args: tuple["Term", ...] = ()
     ty: Ty | None = None
 
+    # loops: sum() over a generator adds a C-level frame per level (capped on 3.12)
     @cached_property
     def size(self) -> int:
-        return 1 + sum(a.size for a in self.args)
+        n = 1
+        for a in self.args:
+            n += a.size
+        return n
 
     @cached_property
     def abstractions(self) -> int:
-        return sum(a.abstractions for a in self.args)
+        n = 0
+        for a in self.args:
+            n += a.abstractions
+        return n
 
     @cached_property
     def free_vars(self) -> frozenset[str]:
@@ -245,16 +252,35 @@ class Fun:
 Term = Var | Abs | App | Fun
 
 
+def term_printer() -> Callable[[Term], str]:
+    """`term_str` memoised by node identity, so that terms sharing nodes (a
+    trace's sides) cost their distinct nodes. The memo holds each printed
+    node, so no id it keys on is reused while the printer lives."""
+    memo: dict[int, tuple[Term, str]] = {}
+
+    def show(t: Term) -> str:
+        if isinstance(t, Var):
+            return t.name
+        known = memo.get(id(t))
+        if known is not None:
+            return known[1]
+        if isinstance(t, Fun):
+            parts = []
+            for a in t.args:  # a loop: a comprehension would add a frame per level
+                parts.append(show(a))
+            text = "%s(%s)" % (t.sym, ",".join(parts)) if parts else t.sym
+        elif isinstance(t, App):
+            text = "@(%s,%s)" % (show(t.fn), show(t.arg))
+        else:
+            text = "\\%s:%s.%s" % (t.var, ty_str(t.var_ty), show(t.body))
+        memo[id(t)] = t, text
+        return text
+
+    return show
+
+
 def term_str(t: Term) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Fun):
-        if t.args:
-            return "%s(%s)" % (t.sym, ",".join(term_str(a) for a in t.args))
-        return t.sym
-    if isinstance(t, App):
-        return "@(%s,%s)" % (term_str(t.fn), term_str(t.arg))
-    return "\\%s:%s.%s" % (t.var, ty_str(t.var_ty), term_str(t.body))
+    return term_printer()(t)
 
 
 def subterms(t: Term) -> Iterator[Term]:

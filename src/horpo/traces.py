@@ -36,6 +36,7 @@ from .terms import (
     eta_reduct,
     free_vars,
     open_abs,
+    term_printer,
     term_str,
     ty_str,
 )
@@ -114,30 +115,30 @@ def apply_witness(
 # Serialization
 
 
-def _aux_jsonable(value) -> object:
-    if isinstance(value, (Var, Abs, App, Fun)):
-        return term_str(value)
-    if isinstance(value, tuple):
-        return [_aux_jsonable(v) for v in value]
-    return value
-
-
 def trace_to_jsonable(trace: Trace) -> dict:
     """The trace as JSON-ready dicts and lists, built once per distinct node:
     a subtrace the engine shared is the same dict object at each of its
     positions. The result is read-only: mutating one position would change
     them all."""
     made: dict[int, dict] = {}
+    show = term_printer()
+
+    def aux(value) -> object:
+        if isinstance(value, (Var, Abs, App, Fun)):
+            return show(value)
+        if isinstance(value, tuple):
+            return [aux(v) for v in value]
+        return value
 
     def build(t: Trace) -> dict:
         obj = made.get(id(t))
         if obj is None:
             obj = made[id(t)] = {
                 "label": t.label,
-                "lhs": term_str(t.lhs),
-                "rhs": term_str(t.rhs),
+                "lhs": show(t.lhs),
+                "rhs": show(t.rhs),
                 "x": [[name, ty_str(ty)] for name, ty in t.x],
-                "aux": {k: _aux_jsonable(v) for k, v in t.aux},
+                "aux": {k: aux(v) for k, v in t.aux},
                 "children": [build(c) for c in t.children],
             }
         return obj
@@ -146,16 +147,40 @@ def trace_to_jsonable(trace: Trace) -> dict:
 
 
 def trace_to_text(trace: Trace) -> str:
-    lines: list[str] = []
-    stack = [(trace, 0)]
+    """One line per node of the unfolded tree, each child two spaces deeper.
+    A node reached once is written in place; the block of a shared node is
+    built once per depth and reused there, as `problems.dump_json` does."""
+    refs: dict[int, int] = {}
+    stack = [trace]
     while stack:
-        t, depth = stack.pop()
+        t = stack.pop()
+        seen = refs.get(id(t), 0)
+        refs[id(t)] = seen + 1
+        if not seen:
+            stack.extend(t.children)
+    show = term_printer()
+    blocks: dict[tuple[int, int], str] = {}
+
+    def write(t: Trace, depth: int, out: list[str]) -> None:
         if t.label == "refl":
-            line = "refl: %s >= %s" % (term_str(t.lhs), term_str(t.rhs))
+            line = "refl: %s >= %s" % (show(t.lhs), show(t.rhs))
         else:
-            line = "case %s: %s > %s" % (t.label, term_str(t.lhs), term_str(t.rhs))
-        lines.append("  " * depth + line)
-        stack.extend((c, depth + 1) for c in reversed(t.children))
+            line = "case %s: %s > %s" % (t.label, show(t.lhs), show(t.rhs))
+        out.append("  " * depth + line)
+        depth += 1
+        for c in t.children:
+            if refs[id(c)] == 1:
+                write(c, depth, out)
+                continue
+            block = blocks.get((id(c), depth))
+            if block is None:
+                buf: list[str] = []
+                write(c, depth, buf)
+                block = blocks[id(c), depth] = "\n".join(buf)
+            out.append(block)
+
+    lines: list[str] = []
+    write(trace, 0, lines)
     return "\n".join(lines)
 
 

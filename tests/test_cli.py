@@ -149,6 +149,16 @@ def test_golden_trace_json_is_byte_identical():
     assert proc.stdout == golden.read_bytes()
 
 
+def test_golden_trace_text_is_byte_identical():
+    argv = ["trace", str(CORPUS / "brouwer.horpo"), "-r", "3"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "horpo.cli", *argv], capture_output=True
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    golden = ROOT / "tests" / "data" / "brouwer_rule3_trace.txt"
+    assert proc.stdout == golden.read_bytes()
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_search_answer_failing_its_check_is_one_line_and_exit_2(
     fmt, monkeypatch, capsys

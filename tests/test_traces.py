@@ -5,10 +5,10 @@ import sys
 
 import pytest
 
-from conftest import ROOT
+from conftest import CORPUS, ROOT
 from horpo.engine import Engine
-from horpo.problems import check_problem, parse_problem
-from horpo.terms import Abs, App, Arrow, Data, Fun, Var
+from horpo.problems import ProblemError, check_problem, parse_problem
+from horpo.terms import Abs, App, Arrow, Data, Fun, Var, term_str
 from horpo.traces import (
     Trace,
     TraceError,
@@ -448,6 +448,93 @@ LIMITS = (
     "fun f : [Ord, Nat -> Ord] -> Ord ;\nfun g : [Nat -> Ord, Nat -> Ord] -> Ord ;\n"
     "prec f = g ;\n"
 )
+
+
+def _naive_text(trace):
+    """The text emitter's output built the plain way: the whole tree
+    unfolded from an explicit stack, each side printed afresh by term_str."""
+    lines, stack = [], [(trace, 0)]
+    while stack:
+        t, depth = stack.pop()
+        sides = term_str(t.lhs), term_str(t.rhs)
+        if t.label == "refl":
+            line = "refl: %s >= %s" % sides
+        else:
+            line = "case %s: %s > %s" % ((t.label,) + sides)
+        lines.append("  " * depth + line)
+        stack.extend((c, depth + 1) for c in reversed(t.children))
+    return "\n".join(lines)
+
+
+def _corpus_traces():
+    traces = []
+    for path in sorted(CORPUS.glob("*.horpo")):
+        try:
+            p = parse_problem(path.read_text())
+        except ProblemError:
+            continue
+        report = check_problem(p)
+        if not report.axiom_violations:
+            traces += [r.trace for r in report.rule_results if r.trace is not None]
+    return traces
+
+
+def _map_unroll(d):
+    """map(F, cons(H1, ... cons(Hd, T))) -> cons(@(F,H1), map(F, ...))."""
+    heads = ["H%d" % i for i in range(1, d + 1)]
+
+    def spine(items):
+        tail = "T"
+        for item in reversed(items):
+            tail = "cons(%s, %s)" % (item, tail)
+        return tail
+
+    p = parse_problem(
+        "sort Nat ;\nsort List ;\norder Nat < List ;\nfun nil : [] -> List ;\n"
+        "fun cons : [Nat, List] -> List ;\nfun map : [Nat -> Nat, List] -> List ;\n"
+        "prec map > nil ;\nprec map > cons ;\nvar F : Nat -> Nat ;\nvar T : List ;\n"
+        + "".join("var %s : Nat ;\n" % h for h in heads)
+        + "rule map(F, %s) -> cons(@(F, H1), map(F, %s)) ;\n"
+        % (spine(heads), spine(heads[1:]))
+    )
+    rule = p.rules[0]
+    return Engine(p.ctx).orient_rule(rule.lhs, rule.rhs)
+
+
+def _hand_trace():
+    """One shared subtrace at depths 1 and 2, and twice at depth 2 under one
+    parent; its own child is shared too."""
+    s, a = Fun("f", (Var("x", Nat),), Nat), Var("x", Nat)
+    leaf = Trace("refl", a, a)
+    shared = Trace("1a", s, a, (), (leaf, leaf))
+    mid = Trace("1b", s, a, (), (shared, shared))
+    return Trace("1c", s, a, (), (shared, mid, leaf))
+
+
+_EMITTED = {
+    "corpus": _corpus_traces,
+    "towers": lambda: [_tower(k)[1] for k in range(2, 15)],
+    "map_unroll": lambda: [_map_unroll(4), _map_unroll(6)],
+    "hand": lambda: [_hand_trace()],
+}
+
+
+@pytest.mark.parametrize("source", sorted(_EMITTED))
+def test_text_is_the_unfolded_tree(source):
+    traces = _EMITTED[source]()
+    assert traces
+    for tr in traces:
+        assert trace_to_text(tr) == _naive_text(tr)
+
+
+@pytest.mark.parametrize("source", sorted(_EMITTED))
+def test_jsonable_sides_are_term_str(source):
+    for tr in _EMITTED[source]():
+        stack = [(tr, trace_to_jsonable(tr))]
+        while stack:
+            node, obj = stack.pop()
+            assert (obj["lhs"], obj["rhs"]) == (term_str(node.lhs), term_str(node.rhs))
+            stack.extend(zip(node.children, obj["children"]))
 
 
 def _type_x_trace(brouwer):
