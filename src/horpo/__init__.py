@@ -8,17 +8,6 @@ independent validator can replay.
 from .accessibility import AccTable, acc_ge, acc_gt, acc_indices
 from .context import LEX, MUL, OrderingContext
 from .engine import Engine, EngineError
-from .harness import (
-    GenConfig,
-    GenError,
-    beta_step,
-    enumerate_terms,
-    eta_step,
-    exhaustive_check,
-    gen_term,
-    run_properties,
-    search_params,
-)
 from .problems import (
     Problem,
     ProblemError,
@@ -63,5 +52,20 @@ from .typeorder import (
     validate_axioms,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The harness loads on first use, so a call that only decides rules skips it.
+_HARNESS = (
+    "GenConfig", "GenError", "beta_step", "enumerate_terms", "eta_step",
+    "exhaustive_check", "gen_term", "run_properties", "search_params",
+)
+
+
+def __getattr__(name: str):
+    if name in _HARNESS:
+        from . import harness
+
+        return getattr(harness, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
+
+__all__ = sorted([n for n in dir() if not n.startswith("_")] + ["harness", *_HARNESS])
 __version__ = "0.1.0"

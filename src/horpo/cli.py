@@ -17,13 +17,12 @@ A closed stdout ends the run quietly, with the command's own exit code.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
 from .engine import EngineError
-from .harness import exhaustive_check, run_properties, search_params
 from .problems import (
+    Problem,
     ProblemError,
     check_problem,
     dump_json,
@@ -106,6 +105,8 @@ def _cmd_validate(args):
 
 
 def _cmd_search(args):
+    from .harness import search_params  # only search and properties load it
+
     problem = _load(args.file)
     found = search_params(problem)
     if found is None:
@@ -114,12 +115,9 @@ def _cmd_search(args):
     (sort_strict, sort_equiv), (prec_strict, prec_equiv), statuses = found
     # the answer is printed only once every rule's trace under it replays
     sorts = sorted(s.name for s in problem.sig.sorts)
-    checked = dataclasses.replace(
-        problem,
-        sort_order=SortOrder(sorts, sort_strict, sort_equiv),
-        prec_strict=prec_strict,
-        prec_equiv=prec_equiv,
-        statuses=statuses,
+    checked = Problem(
+        problem.sig, SortOrder(sorts, sort_strict, sort_equiv), prec_strict,
+        prec_equiv, statuses, problem.vars, problem.rules,
     )
     if not check_problem(checked).ok:
         raise _Failure("search result fails its check")
@@ -133,6 +131,8 @@ def _cmd_search(args):
 
 
 def _cmd_properties(args):
+    from .harness import exhaustive_check, run_properties
+
     problem = _load(args.file)
     if _axioms_violated(problem):
         return 2, None, None

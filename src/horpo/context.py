@@ -5,8 +5,6 @@ signature and the sort order; `with_precedence` swaps the rest.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .accessibility import APP_SYM, AccTable
 from .terms import Signature, Ty
 from .typeorder import QuasiOrder, SortOrder, minimal_types, type_universe
@@ -15,17 +13,21 @@ MUL = "mul"
 LEX = "lex"
 
 
-@dataclass
 class OrderingContext:
     """Signature plus the four ordering ingredients, precomputed."""
 
-    sig: Signature
-    sort_order: SortOrder
-    prec: QuasiOrder
-    statuses: dict[str, str]
-    acc: AccTable
-    min_types: tuple[Ty, ...]
-    universe: tuple[Ty, ...]
+    def __init__(
+        self, sig: Signature, sort_order: SortOrder, prec: QuasiOrder,
+        statuses: dict[str, str], acc: AccTable, min_types: tuple[Ty, ...],
+        universe: tuple[Ty, ...],
+    ):
+        self.sig = sig
+        self.sort_order = sort_order
+        self.prec = prec
+        self.statuses = statuses
+        self.acc = acc
+        self.min_types = min_types
+        self.universe = universe
 
     @staticmethod
     def build(
@@ -68,7 +70,10 @@ class OrderingContext:
         stats = dict.fromkeys(names, MUL)
         stats.update(statuses or {})
         stats[APP_SYM] = MUL
-        return replace(self, prec=prec, statuses=stats)
+        return OrderingContext(
+            self.sig, self.sort_order, prec, stats, self.acc, self.min_types,
+            self.universe,
+        )
 
     def prec_class_error(self) -> str | None:
         """Why the precedence puts symbols of different arities or statuses

@@ -12,7 +12,6 @@ reference derivations take.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterator
 
@@ -54,12 +53,12 @@ _CASES = {
 }
 
 
-@dataclass
 class Engine:
-    ctx: OrderingContext
-    memo: dict = field(init=False, default_factory=dict)
-    _depth: int = field(init=False, default=0)
-    _limit: int = field(init=False, default=0)
+    def __init__(self, ctx: OrderingContext):
+        self.ctx = ctx
+        self.memo: dict = {}
+        self._depth = 0
+        self._limit = 0
 
     # -- public entry points ------------------------------------------------
 

@@ -10,7 +10,6 @@ until all rules of a problem orient.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
 from itertools import product
 from typing import Callable
 
@@ -44,12 +43,15 @@ class GenError(Exception):
     """No term of the requested type exists under the given signature."""
 
 
-@dataclass
 class GenConfig:
-    max_size: int = 12
-    abs_prob: float = 0.5
-    app_prob: float = 0.25
-    max_tries: int = 200
+    def __init__(
+        self, max_size: int = 12, abs_prob: float = 0.5, app_prob: float = 0.25,
+        max_tries: int = 200,
+    ):
+        self.max_size = max_size
+        self.abs_prob = abs_prob
+        self.app_prob = app_prob
+        self.max_tries = max_tries
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +233,10 @@ def inject_eta_redex(t: Term, rng: random.Random) -> Term | None:
 # Property runner
 
 
-@dataclass
 class Finding:
-    prop: str
-    detail: str
+    def __init__(self, prop: str, detail: str):
+        self.prop = prop
+        self.detail = detail
 
     def __str__(self) -> str:
         return "%s: %s" % (self.prop, self.detail)
@@ -643,7 +645,11 @@ def search_params(problem):
                         # a fresh engine per rule: a memo shared across
                         # rules would hold answers resting on other reads
                         reads = _Reads(level, statuses)
-                        engine = Engine(replace(order_ctx, prec=reads, statuses=reads))
+                        ctx = OrderingContext(
+                            sig, order, reads, reads, order_ctx.acc,
+                            order_ctx.min_types, order_ctx.universe,
+                        )
+                        engine = Engine(ctx)
                         oriented = engine.orient_rule(rule.lhs, rule.rhs) is not None
                         known.append((reads, oriented))
                     if not oriented:

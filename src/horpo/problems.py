@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from functools import partial
 from json.encoder import encode_basestring_ascii as _json_str
 
@@ -33,6 +32,7 @@ from .terms import (
     Data,
     Fun,
     FunDecl,
+    Record,
     Signature,
     SortDecl,
     Term,
@@ -72,12 +72,15 @@ _TOKEN = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "ident" or the punctuation itself
-    text: str
-    line: int
-    col: int
+_set = object.__setattr__
+
+
+class Token(Record):
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        _set(self, "kind", kind)  # "ident" or the punctuation itself
+        _set(self, "text", text)
+        _set(self, "line", line)
+        _set(self, "col", col)
 
 
 def _tokenize(text: str) -> list[Token]:
@@ -209,31 +212,28 @@ class _Parser:
 # Problem
 
 
-@dataclass
 class Rule:
-    lhs: Term
-    rhs: Term
+    def __init__(self, lhs: Term, rhs: Term):
+        self.lhs = lhs
+        self.rhs = rhs
 
 
-@dataclass
 class Problem:
-    sig: Signature
-    sort_order: SortOrder
-    prec_strict: tuple[tuple[str, str], ...]
-    prec_equiv: tuple[tuple[str, str], ...]
-    statuses: dict[str, str]
-    vars: dict[str, Ty]
-    rules: list[Rule]
-    ctx: OrderingContext = field(init=False)
-
-    def __post_init__(self):
+    def __init__(
+        self, sig: Signature, sort_order: SortOrder,
+        prec_strict: tuple[tuple[str, str], ...],
+        prec_equiv: tuple[tuple[str, str], ...],
+        statuses: dict[str, str], vars: dict[str, Ty], rules: list[Rule],
+    ):
+        self.sig = sig
+        self.sort_order = sort_order
+        self.prec_strict = prec_strict
+        self.prec_equiv = prec_equiv
+        self.statuses = statuses
+        self.vars = vars
+        self.rules = rules
         self.ctx = OrderingContext.build(
-            self.sig,
-            self.sort_order,
-            self.prec_strict,
-            self.prec_equiv,
-            self.statuses,
-            extra_types=tuple(self.vars.values()),
+            sig, sort_order, prec_strict, prec_equiv, statuses, tuple(vars.values())
         )
 
 
@@ -428,17 +428,17 @@ def parameter_statements(sort_order, precedence, statuses) -> list[str]:
 # Reports
 
 
-@dataclass
 class RuleResult:
-    index: int
-    verdict: str  # oriented | not-oriented
-    trace: Trace | None
+    def __init__(self, index: int, verdict: str, trace: Trace | None):
+        self.index = index
+        self.verdict = verdict  # oriented | not-oriented
+        self.trace = trace
 
 
-@dataclass
 class Report:
-    axiom_violations: list[str]
-    rule_results: list[RuleResult]
+    def __init__(self, axiom_violations: list[str], rule_results: list[RuleResult]):
+        self.axiom_violations = axiom_violations
+        self.rule_results = rule_results
 
     @property
     def ok(self) -> bool:

@@ -17,15 +17,15 @@ acc-below it), keyed by the `AccTable`, the sort order and the minimal
 types, all by identity, and beside them those candidates that no argument
 of the node offers. The contract for every such cache:
   - nodes are immutable, so a cached value never goes stale;
-  - caches are not dataclass fields and never affect equality, hashing or
-    printing;
+  - caches live in the node's `__dict__`, not among the fields that
+    `Record` compares, hashes and prints, so they never affect equality,
+    hashing or printing;
   - a cache's lifetime is its node's: it is stored only on the node, and no
     table outside the node holds the node or its caches alive.
 """
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator, Mapping
 
@@ -37,22 +37,77 @@ class TypingError(Exception):
     """A raw term does not type-check against the signature."""
 
 
+_set = object.__setattr__  # a record sets its fields once, in its __init__
+
+
+class Record:
+    """An immutable record whose fields are the parameters of its class's
+    `__init__`, in order. It equals a record of the same class with equal
+    fields (any other class gets NotImplemented), hashes and prints as those
+    fields, and raises AttributeError on assignment or deletion."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ["%s=%r" % (name, getattr(self, name)) for name in self._fields]
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+
 # ---------------------------------------------------------------------------
 # Types
 
 
-@dataclass(frozen=True)
-class Data:
+# Type equality and hashing run on every type comparison and memo key, so
+# both classes write them out rather than going through `_values`.
+class Data(Record):
     """A sort applied to type arguments (a data type)."""
 
-    sort: str
-    args: tuple["Ty", ...] = ()
+    def __init__(self, sort: str, args: tuple[Ty, ...] = ()):
+        _set(self, "sort", sort)
+        _set(self, "args", args)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.sort, self.args) == (other.sort, other.args)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.sort, self.args))
 
 
-@dataclass(frozen=True)
-class Arrow:
-    dom: "Ty"
-    cod: "Ty"
+class Arrow(Record):
+    def __init__(self, dom: Ty, cod: Ty):
+        _set(self, "dom", dom)
+        _set(self, "cod", cod)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.dom, self.cod) == (other.dom, other.cod)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.dom, self.cod))
 
 
 Ty = Data | Arrow
@@ -89,17 +144,17 @@ def ty_size(ty: Ty) -> int:
 # Signature
 
 
-@dataclass(frozen=True)
-class SortDecl:
-    name: str
-    arity: int = 0
+class SortDecl(Record):
+    def __init__(self, name: str, arity: int = 0):
+        _set(self, "name", name)
+        _set(self, "arity", arity)
 
 
-@dataclass(frozen=True)
-class FunDecl:
-    name: str
-    arg_tys: tuple[Ty, ...]
-    out_ty: Ty
+class FunDecl(Record):
+    def __init__(self, name: str, arg_tys: tuple[Ty, ...], out_ty: Ty):
+        _set(self, "name", name)
+        _set(self, "arg_tys", arg_tys)
+        _set(self, "out_ty", out_ty)
 
     @property
     def arity(self) -> int:
@@ -152,10 +207,10 @@ class Signature:
 # Terms
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-    ty: Ty | None = None
+class Var(Record):
+    def __init__(self, name: str, ty: Ty | None = None):
+        _set(self, "name", name)
+        _set(self, "ty", ty)
 
     size = 1
     abstractions = 0
@@ -169,12 +224,12 @@ class Var:
         return _intern(("var", self.name))
 
 
-@dataclass(frozen=True)
-class Abs:
-    var: str
-    var_ty: Ty
-    body: "Term"
-    ty: Ty | None = None
+class Abs(Record):
+    def __init__(self, var: str, var_ty: Ty, body: Term, ty: Ty | None = None):
+        _set(self, "var", var)
+        _set(self, "var_ty", var_ty)
+        _set(self, "body", body)
+        _set(self, "ty", ty)
 
     @cached_property
     def size(self) -> int:
@@ -193,11 +248,11 @@ class Abs:
         return _nameless(self, {}, 0)
 
 
-@dataclass(frozen=True)
-class App:
-    fn: "Term"
-    arg: "Term"
-    ty: Ty | None = None
+class App(Record):
+    def __init__(self, fn: Term, arg: Term, ty: Ty | None = None):
+        _set(self, "fn", fn)
+        _set(self, "arg", arg)
+        _set(self, "ty", ty)
 
     @cached_property
     def size(self) -> int:
@@ -216,11 +271,11 @@ class App:
         return _intern(("app", self.fn.alpha_class, self.arg.alpha_class))
 
 
-@dataclass(frozen=True)
-class Fun:
-    sym: str
-    args: tuple["Term", ...] = ()
-    ty: Ty | None = None
+class Fun(Record):
+    def __init__(self, sym: str, args: tuple[Term, ...] = (), ty: Ty | None = None):
+        _set(self, "sym", sym)
+        _set(self, "args", args)
+        _set(self, "ty", ty)
 
     # loops: sum() over a generator adds a C-level frame per level (capped on 3.12)
     @cached_property

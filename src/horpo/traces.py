@@ -19,8 +19,6 @@ Node labels:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .accessibility import acc_ge, acc_gt
 from .context import MUL, OrderingContext
 from .terms import (
@@ -28,6 +26,7 @@ from .terms import (
     App,
     Arrow,
     Fun,
+    Record,
     Term,
     Ty,
     Var,
@@ -50,14 +49,20 @@ class TraceError(Exception):
 XSet = tuple[tuple[str, Ty], ...]
 
 
-@dataclass(frozen=True)
-class Trace:
-    label: str
-    lhs: Term
-    rhs: Term
-    x: XSet = ()
-    children: tuple["Trace", ...] = ()
-    aux: tuple[tuple[str, object], ...] = ()
+_set = object.__setattr__
+
+
+class Trace(Record):
+    def __init__(
+        self, label: str, lhs: Term, rhs: Term, x: XSet = (),
+        children: tuple[Trace, ...] = (), aux: tuple[tuple[str, object], ...] = (),
+    ):
+        _set(self, "label", label)
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+        _set(self, "x", x)
+        _set(self, "children", children)
+        _set(self, "aux", aux)
 
     def get(self, key: str):
         """The aux value under `key`, or None; a non-pair entry is malformed."""

@@ -1,3 +1,4 @@
+import inspect
 import os
 import pathlib
 
@@ -15,6 +16,15 @@ CORPUS = ROOT / "corpus"
 os.environ["PYTHONPATH"] = os.pathsep.join(
     p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p
 )
+
+
+def rebuild(obj, **changes):
+    """A new object of `obj`'s class built from its fields, the parameters
+    of the class's `__init__`, with `changes` in place of some of them."""
+    names = inspect.signature(type(obj)).parameters
+    fields = {name: getattr(obj, name) for name in names}
+    assert changes.keys() <= fields.keys(), changes.keys() - fields.keys()
+    return type(obj)(**{**fields, **changes})
 
 
 def load(name):

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -10,8 +9,8 @@ import sys
 
 import pytest
 
-from conftest import CORPUS, ROOT
-from horpo import cli
+from conftest import CORPUS, ROOT, rebuild
+from horpo import cli, harness
 from horpo.engine import Engine, EngineError
 from horpo.traces import Trace
 
@@ -109,7 +108,7 @@ def test_trace_failing_replay_is_one_line_and_exit_2(argv, monkeypatch, capsys):
 
     def forged(self, lhs, rhs):
         trace = orient(self, lhs, rhs)
-        return trace and dataclasses.replace(trace, label="4a", children=())
+        return trace and rebuild(trace, label="4a", children=())
 
     monkeypatch.setattr(Engine, "orient_rule", forged)
     assert cli.main(argv) == 2
@@ -165,7 +164,8 @@ def test_search_answer_failing_its_check_is_one_line_and_exit_2(
 ):
     # no precedence and the declared sorts unordered: brouwer's rules stay
     # unoriented, so the answer must not be printed
-    monkeypatch.setattr(cli, "search_params", lambda problem: (((), ()), ((), ()), {}))
+    answer = ((), ()), ((), ()), {}
+    monkeypatch.setattr(harness, "search_params", lambda problem: answer)
     assert cli.main(["search", str(CORPUS / "brouwer.horpo"), "--format", fmt]) == 2
     out, err = capsys.readouterr()
     assert out == ""

@@ -1,9 +1,8 @@
-import dataclasses
 import json
 import re
 
 import pytest
-from conftest import CORPUS
+from conftest import CORPUS, rebuild
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -218,7 +217,7 @@ def test_parametric_sort(tmp_path, capsys):
     assert out.count("oriented") == 3
     assert "case 1c: map(F,cons(X,L)) > cons(@(F,X),map(F,L))" in out
     (sort_strict, sort_equiv), (strict, equiv), statuses = search_params(p)
-    found = dataclasses.replace(
+    found = rebuild(
         p,
         sort_order=SortOrder(["List", "N"], sort_strict, sort_equiv),
         prec_strict=strict,

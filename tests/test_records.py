@@ -97,7 +97,8 @@ def test_defaults():
     assert Data("N") == Data("N", ())
     assert SortDecl("N").arity == 0
     assert Var("x").ty is None and Fun("z").args == () and Fun("z").ty is None
-    assert App(Var("F"), Var("x")).ty is None and Abs("x", Data("N"), Var("x")).ty is None
+    assert App(Var("F"), Var("x")).ty is None
+    assert Abs("x", Data("N"), Var("x")).ty is None
     tr = Trace("refl", Var("x"), Var("x"))
     assert (tr.x, tr.children, tr.aux) == ((), (), ())
     assert FunDecl("s", (Data("N"),), Data("N")).arity == 1

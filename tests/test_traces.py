@@ -1,11 +1,10 @@
 import ast
-import dataclasses
 import json
 import sys
 
 import pytest
 
-from conftest import CORPUS, ROOT
+from conftest import CORPUS, ROOT, rebuild
 from horpo.engine import Engine
 from horpo.problems import ProblemError, check_problem, parse_problem
 from horpo.terms import Abs, App, Arrow, Data, Fun, Var, term_str
@@ -56,21 +55,21 @@ def _rule3_trace(problem):
 
 def test_validator_rejects_wrong_label(brouwer):
     tr = _rule3_trace(brouwer)
-    bad = dataclasses.replace(tr, label="1b")
+    bad = rebuild(tr, label="1b")
     with pytest.raises(TraceError):
         check_trace(brouwer.ctx, bad, "gt", ())
 
 
 def test_validator_rejects_tampered_rhs(brouwer):
     tr = _rule3_trace(brouwer)
-    bad = dataclasses.replace(tr, rhs=brouwer.rules[0].rhs)
+    bad = rebuild(tr, rhs=brouwer.rules[0].rhs)
     with pytest.raises(TraceError):
         check_trace(brouwer.ctx, bad, "gt", ())
 
 
 def test_validator_rejects_dropped_child(brouwer):
     tr = _rule3_trace(brouwer)
-    bad = dataclasses.replace(tr, children=tr.children[:-1])
+    bad = rebuild(tr, children=tr.children[:-1])
     with pytest.raises(TraceError):
         check_trace(brouwer.ctx, bad, "gt", ())
 
@@ -95,14 +94,14 @@ def test_validator_rejects_broken_multiset_cover(brouwer):
 
     def strip_cover(node):
         if node.label == "mulExt":
-            return dataclasses.replace(
+            return rebuild(
                 node,
                 children=(),
                 aux=tuple(
                     (k, () if k == "cover" else v) for k, v in node.aux
                 ),
             )
-        return dataclasses.replace(
+        return rebuild(
             node, children=tuple(strip_cover(c) for c in node.children)
         )
 
@@ -181,7 +180,7 @@ LEX_PROBLEM = (
 
 
 def _with_aux(node, **aux):
-    return dataclasses.replace(
+    return rebuild(
         node, aux=tuple((k, aux.get(k, v)) for k, v in node.aux)
     )
 
@@ -201,7 +200,7 @@ def test_validator_rejects_lex_prefix_not_alpha_equal():
     # asserts that s(x) and x are equal
     p = parse_problem(LEX_PROBLEM)
     tr = Engine(p.ctx).orient_rule(p.rules[1].lhs, p.rules[1].rhs)
-    forged = dataclasses.replace(
+    forged = rebuild(
         tr, children=tr.children[:-1] + (_with_aux(tr.children[-1], pos=1),)
     )
     with pytest.raises(TraceError, match="prefix not alpha-equal"):
@@ -316,7 +315,7 @@ def _replace_node(trace, target, forged):
         if t is target:
             return forged
         if id(t) not in made:
-            made[id(t)] = dataclasses.replace(
+            made[id(t)] = rebuild(
                 t, children=tuple(go(c) for c in t.children)
             )
         return made[id(t)]
@@ -333,7 +332,7 @@ def test_forged_node_inside_a_shared_subtrace_raises():
         key=lambda t: paths[id(t)],
     )
     assert paths[id(target)] > 1
-    forged = _replace_node(tr, target, dataclasses.replace(target, label="1c"))
+    forged = _replace_node(tr, target, rebuild(target, label="1c"))
     check_trace(p.ctx, _replace_node(tr, target, target), "gt", ())
     with pytest.raises(TraceError, match="strictly smaller head symbol"):
         check_trace(p.ctx, forged, "gt", ())
@@ -391,7 +390,7 @@ def test_extension_node_under_two_parents_is_replayed_under_each():
     gt = lambda u, v: Engine(p.ctx).gt((), u, v)
     assert gt(s, t) is None
     a_b = gt(a, b)
-    a_c = dataclasses.replace(
+    a_c = rebuild(
         a_b, rhs=c, children=(gt(a, z), gt(a, sz), a_b.children[-1])
     )
     typed = lambda u: Trace(
@@ -399,7 +398,7 @@ def test_extension_node_under_two_parents_is_replayed_under_each():
     )
     cover = (("equal", ()), ("cover", ((0, 0), (0, 1))))
     ext = Trace("mulExt", _args(a, b), _args(b, c), (), (typed(a_b), typed(a_c)), cover)
-    forged = dataclasses.replace(
+    forged = rebuild(
         a_b, lhs=s, rhs=t, children=(gt(s, b), gt(s, c), ext)
     )
     want = r"have <args>\(s\(z\),z\) vs <args>\(z,z\), want .* vs <args>\(z,s\(z\)\)"
@@ -589,7 +588,7 @@ def _args(*ts):
 def _forge(name, brouwer):
     """(ctx, trace, kind, x) for the forgery `name`."""
     ctx, n = brouwer.ctx, _brouwer_nodes(brouwer)
-    rep = dataclasses.replace
+    rep = rebuild
     mul2 = n["mul2"]
     with_mul2 = lambda node: rep(n["b2"], children=n["b2"].children[:-1] + (node,))
     all_equal = (("equal", ((0, 0), (1, 1))), ("cover", ()))
