@@ -34,7 +34,7 @@ from .terms import (
     term_str,
     ty_str,
 )
-from .traces import Trace, XSet, app_splits, apply_witness, x_add
+from .traces import Trace, XSet, app_splits, apply_witness, ext_args, x_add
 from .typeorder import Cmp, ty_eq, ty_ge
 
 
@@ -165,9 +165,7 @@ class Engine:
                 return None
             children.append(tr)
         status = self.ctx.statuses[s.sym]
-        ext = (self._mul_ext if status == MUL else self._lex_ext)(
-            x, s.args, t.args, "union"
-        )
+        ext = (self._mul_ext if status == MUL else self._lex_ext)(x, s, t, "union")
         if ext is None:
             return None
         children.append(ext)
@@ -210,7 +208,7 @@ class Engine:
     def _case_2b(self, x: XSet, s: Term, t: Term) -> Trace | None:
         if not isinstance(t, App):
             return None
-        ext = self._mul_ext(x, (s.fn, s.arg), (t.fn, t.arg), "type_x")
+        ext = self._mul_ext(x, s, t, "type_x")
         if ext is None:
             return None
         return Trace("2b", s, t, x, (ext,))
@@ -328,15 +326,15 @@ class Engine:
                 return Trace("accApply", a, b, x, (inner,), (("w", w), ("xs", xs)))
         return None
 
-    def _mul_ext(
-        self, x: XSet, left: tuple[Term, ...], right: tuple[Term, ...], pair_kind: str
-    ) -> Trace | None:
-        """Dershowitz-Manna strict multiset extension with an explicit witness.
+    def _mul_ext(self, x: XSet, s: Term, t: Term, pair_kind: str) -> Trace | None:
+        """Dershowitz-Manna strict multiset extension of the argument lists
+        of `s` and `t` (`ext_args`), with an explicit witness.
 
         Kept left elements are matched one-to-one against alpha-equal right
         elements; every remaining right element must be covered by some
         removed left element. Kept sets are tried largest first, so maximal
         cancellation wins when several witnesses exist."""
+        left, right = ext_args(s), ext_args(t)
         n, m = len(left), len(right)
         for keep_size in range(min(n - 1, m), -1, -1):
             for keep in combinations(range(n), keep_size):
@@ -359,9 +357,8 @@ class Engine:
                         ok = False
                         break
                 if ok:
-                    lhs, rhs = Fun("<args>", left), Fun("<args>", right)
                     aux = (("equal", tuple(equal_pairs)), ("cover", tuple(cover)))
-                    return Trace("mulExt", lhs, rhs, x, tuple(children), aux)
+                    return Trace("mulExt", s, t, x, tuple(children), aux)
         return None
 
     def _match_equal(self, keep, left, right):
@@ -381,9 +378,8 @@ class Engine:
             pairs.append((i, j))
         return sorted(pairs, key=lambda p: p[1]), free
 
-    def _lex_ext(
-        self, x: XSet, left: tuple[Term, ...], right: tuple[Term, ...], pair_kind: str
-    ) -> Trace | None:
+    def _lex_ext(self, x: XSet, s: Term, t: Term, pair_kind: str) -> Trace | None:
+        left, right = ext_args(s), ext_args(t)
         if len(left) != len(right):
             return None
         for k, (a, b) in enumerate(zip(left, right)):
@@ -392,6 +388,5 @@ class Engine:
             tr = self._pair(x, a, b, pair_kind)
             if tr is None:
                 return None
-            lhs, rhs = Fun("<args>", left), Fun("<args>", right)
-            return Trace("lexExt", lhs, rhs, x, (tr,), (("pos", k),))
+            return Trace("lexExt", s, t, x, (tr,), (("pos", k),))
         return None

@@ -9,24 +9,24 @@ once, for the engine, the trace checker and the harness alike: `open_abs`
 instantiates a binder with a fresh variable, and `beta_reduct` and
 `eta_reduct` recognise a redex at the root and return its reduct.
 
-Each node caches facts derived from it on first use: its size, its number
-of abstractions, its free variables and its alpha-equivalence class
-(`alpha_class`). The accessibility layer also caches on a node its
-acc-below candidates (the first strict subterm of each class that is
-acc-below it), keyed by the `AccTable`, the sort order and the minimal
-types, all by identity, and beside them those candidates that no argument
-of the node offers. The contract for every such cache:
-  - nodes are immutable, so a cached value never goes stale;
-  - caches live in the node's `__dict__`, not among the fields that
+Each node's constructor sets the facts derived from it once, from its
+children's facts: its size, its number of abstractions, its free variables
+and its alpha-equivalence class (`alpha_class`); a variable's free-variable
+set is made on each read. Only the accessibility layer still caches on a
+node on first use: its acc-below candidates (the first strict subterm of
+each class that is acc-below it), keyed by the `AccTable`, the sort order
+and the minimal types, all by identity, and beside them those candidates
+that no argument of the node offers. The contract for facts and caches:
+  - nodes are immutable, so a fact or cached value never goes stale;
+  - they live in the node's `__dict__`, not among the fields that
     `Record` compares, hashes and prints, so they never affect equality,
     hashing or printing;
-  - a cache's lifetime is its node's: it is stored only on the node, and no
-    table outside the node holds the node or its caches alive.
+  - their lifetime is their node's: they are stored only on the node, and
+    no table outside the node holds the node or its caches alive.
 """
 from __future__ import annotations
 
 import weakref
-from functools import cached_property
 from typing import Callable, Iterator, Mapping
 
 # Reserved separator for generated names; rejected in user identifiers.
@@ -79,13 +79,15 @@ class Record:
 
 
 # Type equality and hashing run on every type comparison and memo key, so
-# both classes write them out rather than going through `_values`.
+# both classes write them out rather than going through `_values`, and
+# each type hashes its fields once, in its constructor.
 class Data(Record):
     """A sort applied to type arguments (a data type)."""
 
     def __init__(self, sort: str, args: tuple[Ty, ...] = ()):
         _set(self, "sort", sort)
         _set(self, "args", args)
+        _set(self, "_hash", hash((sort, args)))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -93,13 +95,14 @@ class Data(Record):
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.sort, self.args))
+        return self._hash
 
 
 class Arrow(Record):
     def __init__(self, dom: Ty, cod: Ty):
         _set(self, "dom", dom)
         _set(self, "cod", cod)
+        _set(self, "_hash", hash((dom, cod)))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -107,7 +110,7 @@ class Arrow(Record):
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.dom, self.cod))
+        return self._hash
 
 
 Ty = Data | Arrow
@@ -211,17 +214,14 @@ class Var(Record):
     def __init__(self, name: str, ty: Ty | None = None):
         _set(self, "name", name)
         _set(self, "ty", ty)
+        _set(self, "alpha_class", _intern(("var", name)))
 
     size = 1
     abstractions = 0
 
-    @property  # not cached: that would keep a set on every variable node
+    @property  # not stored: that would keep a set on every variable node
     def free_vars(self) -> frozenset[str]:
         return frozenset((self.name,))
-
-    @cached_property
-    def alpha_class(self) -> AlphaClass:
-        return _intern(("var", self.name))
 
 
 class Abs(Record):
@@ -230,22 +230,12 @@ class Abs(Record):
         _set(self, "var_ty", var_ty)
         _set(self, "body", body)
         _set(self, "ty", ty)
-
-    @cached_property
-    def size(self) -> int:
-        return 1 + self.body.size
-
-    @cached_property
-    def abstractions(self) -> int:
-        return 1 + self.body.abstractions
-
-    @cached_property
-    def free_vars(self) -> frozenset[str]:
-        return self.body.free_vars - {self.var}
-
-    @cached_property
-    def alpha_class(self) -> AlphaClass:
-        return _nameless(self, {}, 0)
+        _set(self, "size", 1 + body.size)
+        _set(self, "abstractions", 1 + body.abstractions)
+        fv = body.free_vars
+        _set(self, "free_vars", fv - {var} if var in fv else fv)
+        body_class = _nameless(body, {var: 0}, 1)
+        _set(self, "alpha_class", _intern(("abs", var_ty, body_class)))
 
 
 class App(Record):
@@ -253,22 +243,10 @@ class App(Record):
         _set(self, "fn", fn)
         _set(self, "arg", arg)
         _set(self, "ty", ty)
-
-    @cached_property
-    def size(self) -> int:
-        return 1 + self.fn.size + self.arg.size
-
-    @cached_property
-    def abstractions(self) -> int:
-        return self.fn.abstractions + self.arg.abstractions
-
-    @cached_property
-    def free_vars(self) -> frozenset[str]:
-        return self.fn.free_vars | self.arg.free_vars
-
-    @cached_property
-    def alpha_class(self) -> AlphaClass:
-        return _intern(("app", self.fn.alpha_class, self.arg.alpha_class))
+        _set(self, "size", 1 + fn.size + arg.size)
+        _set(self, "abstractions", fn.abstractions + arg.abstractions)
+        _set(self, "free_vars", _union(fn.free_vars, arg.free_vars))
+        _set(self, "alpha_class", _intern(("app", fn.alpha_class, arg.alpha_class)))
 
 
 class Fun(Record):
@@ -276,32 +254,23 @@ class Fun(Record):
         _set(self, "sym", sym)
         _set(self, "args", args)
         _set(self, "ty", ty)
+        size, abstractions, fv = 1, 0, _NO_VARS
+        for a in args:
+            size += a.size
+            abstractions += a.abstractions
+            fv = _union(fv, a.free_vars)
+        _set(self, "size", size)
+        _set(self, "abstractions", abstractions)
+        _set(self, "free_vars", fv)
+        _set(self, "alpha_class", _intern(("fun", sym, *[a.alpha_class for a in args])))
 
-    # loops: sum() over a generator adds a C-level frame per level (capped on 3.12)
-    @cached_property
-    def size(self) -> int:
-        n = 1
-        for a in self.args:
-            n += a.size
-        return n
 
-    @cached_property
-    def abstractions(self) -> int:
-        n = 0
-        for a in self.args:
-            n += a.abstractions
-        return n
+_NO_VARS: frozenset[str] = frozenset()
 
-    @cached_property
-    def free_vars(self) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
-        for a in self.args:  # a loop: a comprehension would add a frame per level
-            out |= a.free_vars
-        return out
 
-    @cached_property
-    def alpha_class(self) -> AlphaClass:
-        return _intern(("fun", self.sym, *[a.alpha_class for a in self.args]))
+def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
+    """`a | b`, sharing an operand when the other is empty."""
+    return a | b if a and b else a or b
 
 
 Term = Var | Abs | App | Fun
@@ -534,12 +503,15 @@ def _intern(key: tuple) -> AlphaClass:
 def _nameless(t: Term, bound: dict[str, int], depth: int) -> AlphaClass:
     """Class of `t` under `depth` binders; `bound` gives the depth at which
     each bound name was bound. Bound variables become de Bruijn indices, so
-    a part that uses no name of `bound` gets its own class."""
+    a part none of whose free variables is bound has its own class, and
+    only the paths down to bound variables are walked."""
     if isinstance(t, Var):
         level = bound.get(t.name)
         if level is None:
             return t.alpha_class
         return _intern(("bound", depth - 1 - level))
+    if t.free_vars.isdisjoint(bound):
+        return t.alpha_class
     if isinstance(t, Fun):
         return _intern(("fun", t.sym, *[_nameless(a, bound, depth) for a in t.args]))
     if isinstance(t, App):

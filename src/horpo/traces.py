@@ -6,8 +6,9 @@ validator re-checks each node locally (typing, accessibility, precedence,
 extension covers) without ever calling the search engine, so a trace can be
 replayed by a third party. What the engine and the validator must agree
 on beyond the term layer, they share from here: extending the bound set
-(`x_add`), the argument lists of case 1c (`app_splits`) and the applied
-witness of cases 1a, 2a and accApply (`apply_witness`).
+(`x_add`), the argument lists of case 1c (`app_splits`) and of the
+extensions (`ext_args`), and the applied witness of cases 1a, 2a and
+accApply (`apply_witness`).
 
 Node labels:
   1a..4b      the ordering cases
@@ -16,8 +17,13 @@ Node labels:
   accApply    the strict accessible-subterm-then-apply composite
   mulExt      multiset extension witness (children are the cover subgoals)
   lexExt      lexicographic extension witness
+
+An extension node proves its parent's goal, so its sides are its parent's
+sides; it compares their argument lists.
 """
 from __future__ import annotations
+
+from typing import Callable
 
 from .accessibility import acc_ge, acc_gt
 from .context import MUL, OrderingContext
@@ -103,6 +109,13 @@ def app_splits(t: App) -> list[list[Term]]:
     return [spine] if len(spine) == 2 else [spine, [t.fn, t.arg]]
 
 
+def ext_args(t: Fun | App) -> tuple[Term, ...]:
+    """The argument list an extension compares on the side `t`: a
+    function symbol's arguments (case 1b), or an application's function
+    and argument (case 2b)."""
+    return t.args if isinstance(t, Fun) else (t.fn, t.arg)
+
+
 def apply_witness(
     ctx: OrderingContext, w: Term, xs: XSet, ty: Ty
 ) -> Term | None:
@@ -118,6 +131,15 @@ def apply_witness(
 
 # ---------------------------------------------------------------------------
 # Serialization
+
+
+def _sides(show: Callable[[Term], str], t: Trace) -> tuple[str, str]:
+    """A node's sides as `show` prints them; an extension node's as the
+    argument lists it compares, `<args>(...)`."""
+    if t.label not in ("mulExt", "lexExt"):
+        return show(t.lhs), show(t.rhs)
+    lhs, rhs = ["<args>(%s)" % ",".join(map(show, ext_args(u))) for u in (t.lhs, t.rhs)]
+    return lhs, rhs
 
 
 def trace_to_jsonable(trace: Trace) -> dict:
@@ -138,10 +160,11 @@ def trace_to_jsonable(trace: Trace) -> dict:
     def build(t: Trace) -> dict:
         obj = made.get(id(t))
         if obj is None:
+            lhs, rhs = _sides(show, t)
             obj = made[id(t)] = {
                 "label": t.label,
-                "lhs": show(t.lhs),
-                "rhs": show(t.rhs),
+                "lhs": lhs,
+                "rhs": rhs,
                 "x": [[name, ty_str(ty)] for name, ty in t.x],
                 "aux": {k: aux(v) for k, v in t.aux},
                 "children": [build(c) for c in t.children],
@@ -168,9 +191,9 @@ def trace_to_text(trace: Trace) -> str:
 
     def write(t: Trace, depth: int, out: list[str]) -> None:
         if t.label == "refl":
-            line = "refl: %s >= %s" % (show(t.lhs), show(t.rhs))
+            line = "refl: %s >= %s" % _sides(show, t)
         else:
-            line = "case %s: %s > %s" % (t.label, show(t.lhs), show(t.rhs))
+            line = "case %s: %s > %s" % (t.label, *_sides(show, t))
         out.append("  " * depth + line)
         depth += 1
         for c in t.children:
@@ -220,7 +243,7 @@ def check_trace(ctx: OrderingContext, trace: Trace, kind: str, x: XSet) -> None:
 # kind is how it may be proved: `union` (a typed comparison with empty X, or
 # the strict composite with X) or `type_x` (a typed comparison carrying X,
 # for application status). An extension node's is (status, pair kind), and
-# its sides are the argument lists its parent compares, as `<args>` terms.
+# its sides are its parent's, whose argument lists it compares.
 Kind = str | tuple[str, str]
 # A replayed goal: the node's identity, the goal kind and the bound set.
 Goal = tuple[int, Kind, XSet]
@@ -277,7 +300,7 @@ def _premises(
     if tuple(node.x) != x:
         raise TraceError("node X %r differs from goal X %r" % (node.x, x))
     if isinstance(kind, tuple):
-        return _ext_premises(node, x, s.args, t.args, *kind)
+        return _ext_premises(node, x, s, t, *kind)
     label = node.label
     if label == "refl":
         if kind not in ("ge", "ge_type"):
@@ -309,8 +332,7 @@ def _premises(
     if label == "2b":
         if not (isinstance(s, App) and isinstance(t, App)):
             raise TraceError("case 2b needs applications on both sides")
-        left, right = Fun("<args>", (s.fn, s.arg)), Fun("<args>", (t.fn, t.arg))
-        return [((MUL, "type_x"), x, left, right)]
+        return [((MUL, "type_x"), x, s, t)]
     if label in ("2c", "3c"):
         reduct = (beta_reduct if label == "2c" else eta_reduct)(s)
         if reduct is None:
@@ -439,8 +461,7 @@ def _1b_premises(
         raise TraceError("equivalent symbols with distinct statuses")
     if node.get("status") != status:
         raise TraceError("case 1b claims status %r" % (node.get("status"),))
-    ext = ((status, "union"), x, Fun("<args>", s.args), Fun("<args>", t.args))
-    return [("gt", x, s, tj) for tj in t.args] + [ext]
+    return [("gt", x, s, tj) for tj in t.args] + [((status, "union"), x, s, t)]
 
 
 def _check_declared(ctx: OrderingContext, trace: Trace, *syms: str) -> None:
@@ -473,10 +494,11 @@ def _1c_premises(
 
 
 def _ext_premises(
-    node: Trace, x: XSet, left: tuple[Term, ...], right: tuple[Term, ...],
-    status: str, pair: str,
+    node: Trace, x: XSet, s: Term, t: Term, status: str, pair: str
 ) -> list[Premise]:
-    """An extension node's checks; its children are the pairs it compares."""
+    """An extension node's checks on the argument lists of its goal's
+    sides; its children are the pairs it compares."""
+    left, right = ext_args(s), ext_args(t)
     if status == MUL:
         if node.label != "mulExt":
             raise TraceError("expected a multiset-extension node")

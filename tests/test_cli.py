@@ -91,6 +91,26 @@ def test_deep_tower_is_decided(tmp_path, lhs_depth, rhs_depth):
     assert proc.stdout.endswith(" : oriented\nstatus: success\n")
 
 
+def test_nested_binders_validate(tmp_path):
+    # f(x) -> L(300), where L(0) = x and L(k) = @(\y:N. L(k-1), x): each
+    # node's facts are set by its constructor from its children's, with no
+    # recursion of their own
+    rhs = "x"
+    for _ in range(300):
+        rhs = "@(\\y:N. %s, x)" % rhs
+    path = tmp_path / "binders.horpo"
+    path.write_text(
+        "sort N ;\nfun f : [N] -> N ;\nvar x : N ;\nrule f(x) -> %s ;\n" % rhs
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "horpo.cli", "validate", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.endswith("status: valid\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -121,14 +121,16 @@ def test_embedding_not_oriented(brouwer):
 
 
 def test_mul_ext_removal(toy_ctx):
+    N = Data("N")
     engine = Engine(toy_ctx)
-    a = Var("a", Data("N"))
+    a = Var("a", N)
+    g_aa, sc_a = Fun("g", (a, a), N), Fun("sc", (a,), N)
     # {a,a} vs {a}: cancellation leaves one removed element covering nothing
-    node = engine._mul_ext((), (a, a), (a,), pair_kind="union")
+    node = engine._mul_ext((), g_aa, sc_a, pair_kind="union")
     assert node is not None
     assert node.get("cover") == ()
     # identical multisets: strictness fails
-    assert engine._mul_ext((), (a,), (a,), pair_kind="union") is None
+    assert engine._mul_ext((), sc_a, sc_a, pair_kind="union") is None
 
 
 def test_lex_ext(toy_ctx):
@@ -136,10 +138,11 @@ def test_lex_ext(toy_ctx):
     engine = Engine(toy_ctx)
     z = Fun("z", (), N)
     scz = Fun("sc", (z,), N)
-    node = engine._lex_ext((), (scz, z), (z, scz), pair_kind="union")
+    g = lambda *args: Fun("g", args, N)
+    node = engine._lex_ext((), g(scz, z), g(z, scz), pair_kind="union")
     assert node is not None and node.get("pos") == 0
     # equal prefix blocks: first differing position must decide
-    assert engine._lex_ext((), (z, z), (z, scz), pair_kind="union") is None
+    assert engine._lex_ext((), g(z, z), g(z, scz), pair_kind="union") is None
 
 
 def test_refl_goal_has_one_memo_entry(brouwer):

@@ -138,3 +138,18 @@ def test_printing():
 def test_free_vars():
     t = Abs("n", Nat, App(Var("F"), Var("n")))
     assert free_vars(t) == {"F"}
+
+
+def test_facts_of_a_deep_chain_are_set_without_recursion():
+    # c(c(...c(x)...)) of 2,000 levels, built bottom-up under the default
+    # recursion limit: each constructor reads only its children's facts.
+    # Equality, hashing and printing still recurse, so none is called.
+    def chain():
+        t = Var("x", Nat)
+        for _ in range(2000):
+            t = Fun("c", (t,), Nat)
+        return t
+
+    a, b = chain(), chain()
+    assert (a.size, a.abstractions, a.free_vars) == (2001, 0, {"x"})
+    assert a.alpha_class is b.alpha_class

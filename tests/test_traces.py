@@ -7,7 +7,7 @@ import pytest
 from conftest import CORPUS, ROOT, rebuild
 from horpo.engine import Engine
 from horpo.problems import ProblemError, check_problem, parse_problem
-from horpo.terms import Abs, App, Arrow, Data, Fun, Var, term_str
+from horpo.terms import Abs, App, Arrow, Data, Fun, Var, subterms, term_str
 from horpo.traces import (
     Trace,
     TraceError,
@@ -379,8 +379,8 @@ SHARED_EXT = (
 def test_extension_node_under_two_parents_is_replayed_under_each():
     # f(A, B) > f(B, C) is false: A = f(s(z), z) > B = f(z, z) holds, but
     # A > C = f(z, s(z)) does not. The forgery covers B and C by A, and
-    # proves A > C with the mulExt node of A > B, whose sides are A > B's
-    # argument lists, not A > C's
+    # proves A > C with the mulExt node of A > B, whose sides are those of
+    # A > B, not of A > C
     p = parse_problem(SHARED_EXT)
     N = Data("N")
     z = Fun("z", (), N)
@@ -397,11 +397,11 @@ def test_extension_node_under_two_parents_is_replayed_under_each():
         "typeCheck", u.lhs, u.rhs, (), (u,), (("lhs_ty", "N"), ("rhs_ty", "N"))
     )
     cover = (("equal", ()), ("cover", ((0, 0), (0, 1))))
-    ext = Trace("mulExt", _args(a, b), _args(b, c), (), (typed(a_b), typed(a_c)), cover)
+    ext = Trace("mulExt", s, t, (), (typed(a_b), typed(a_c)), cover)
     forged = rebuild(
         a_b, lhs=s, rhs=t, children=(gt(s, b), gt(s, c), ext)
     )
-    want = r"have <args>\(s\(z\),z\) vs <args>\(z,z\), want .* vs <args>\(z,s\(z\)\)"
+    want = r"have f\(s\(z\),z\) vs f\(z,z\), want .* vs f\(z,s\(z\)\)"
     with pytest.raises(TraceError, match="child goal mismatch: " + want):
         check_trace(p.ctx, forged, "gt", ())
 
@@ -449,13 +449,24 @@ LIMITS = (
 )
 
 
+def _naive_sides(t):
+    """A node's sides printed afresh by term_str; an extension node's as
+    the argument lists it compares, `<args>(...)`."""
+    if t.label not in ("mulExt", "lexExt"):
+        return term_str(t.lhs), term_str(t.rhs)
+    args = lambda u: u.args if isinstance(u, Fun) else (u.fn, u.arg)
+    return tuple(
+        "<args>(%s)" % ",".join(term_str(a) for a in args(u)) for u in (t.lhs, t.rhs)
+    )
+
+
 def _naive_text(trace):
     """The text emitter's output built the plain way: the whole tree
-    unfolded from an explicit stack, each side printed afresh by term_str."""
+    unfolded from an explicit stack, each side printed afresh."""
     lines, stack = [], [(trace, 0)]
     while stack:
         t, depth = stack.pop()
-        sides = term_str(t.lhs), term_str(t.rhs)
+        sides = _naive_sides(t)
         if t.label == "refl":
             line = "refl: %s >= %s" % sides
         else:
@@ -497,7 +508,24 @@ def _map_unroll(d):
         % (spine(heads), spine(heads[1:]))
     )
     rule = p.rules[0]
-    return Engine(p.ctx).orient_rule(rule.lhs, rule.rhs)
+    return p, Engine(p.ctx).orient_rule(rule.lhs, rule.rhs)
+
+
+def _ho_nest(d):
+    """rec(lim(F),U,W) -> @(W, F, \\n1:Nat. ... @(W, F, \\nd:Nat.
+    rec(@(F,nd),U,W))): binder nodes (4b, 4a, accApply) under extensions."""
+    rhs = "rec(@(F, n%d), U, W)" % d
+    for i in range(d, 0, -1):
+        rhs = "@(W, F, \\n%d:Nat. %s)" % (i, rhs)
+    p = parse_problem(
+        "sort Nat ;\nsort Ord ;\nsort A ;\norder Nat < Ord ;\n"
+        "fun lim : [Nat -> Ord] -> Ord ;\n"
+        "fun rec : [Ord, A, (Nat -> Ord) -> (Nat -> A) -> A] -> A ;\n"
+        "var F : Nat -> Ord ;\nvar U : A ;\nvar W : (Nat -> Ord) -> (Nat -> A) -> A ;\n"
+        "rule rec(lim(F), U, W) -> %s ;\n" % rhs
+    )
+    rule = p.rules[0]
+    return p, Engine(p.ctx).orient_rule(rule.lhs, rule.rhs)
 
 
 def _hand_trace():
@@ -513,7 +541,8 @@ def _hand_trace():
 _EMITTED = {
     "corpus": _corpus_traces,
     "towers": lambda: [_tower(k)[1] for k in range(2, 15)],
-    "map_unroll": lambda: [_map_unroll(4), _map_unroll(6)],
+    "map_unroll": lambda: [_map_unroll(4)[1], _map_unroll(6)[1]],
+    "ho_nest": lambda: [_ho_nest(d)[1] for d in (1, 2, 3)],
     "hand": lambda: [_hand_trace()],
 }
 
@@ -532,8 +561,58 @@ def test_jsonable_sides_are_term_str(source):
         stack = [(tr, trace_to_jsonable(tr))]
         while stack:
             node, obj = stack.pop()
-            assert (obj["lhs"], obj["rhs"]) == (term_str(node.lhs), term_str(node.rhs))
+            assert (obj["lhs"], obj["rhs"]) == _naive_sides(node)
             stack.extend(zip(node.children, obj["children"]))
+
+
+# @(F, s(x)) > @(F, x) by case 2b
+APP_PROBLEM = (
+    "sort N ;\nfun z : [] -> N ;\nfun s : [N] -> N ;\nvar F : N -> N ;\n"
+    "var x : N ;\nrule @(F, s(x)) -> @(F, x) ;\n"
+)
+
+
+def _oriented_rules():
+    """(problem, trace) for every rule that orients of the corpus, of
+    tests/data/positive and of LEX_PROBLEM and APP_PROBLEM, and for the
+    towers, map_unroll and ho_nest above."""
+    paths = sorted(CORPUS.glob("*.horpo"))
+    paths += sorted((ROOT / "tests" / "data" / "positive").glob("*.horpo"))
+    texts = [path.read_text() for path in paths] + [LEX_PROBLEM, APP_PROBLEM]
+    pairs = []
+    for text in texts:
+        try:
+            p = parse_problem(text)
+        except ProblemError:
+            continue
+        pairs += [(p, Engine(p.ctx).orient_rule(r.lhs, r.rhs)) for r in p.rules]
+    pairs += [_tower(k) for k in range(2, 15)]
+    pairs += [_map_unroll(4), _map_unroll(6)] + [_ho_nest(d) for d in (1, 2, 3)]
+    return [(p, tr) for p, tr in pairs if tr is not None]
+
+
+def test_sides_are_declared_terms_and_extensions_prove_their_parents_sides():
+    # an extension node compares its parent's argument lists on the
+    # parent's own side objects: no pseudo-term holds the lists
+    pairs = _oriented_rules()
+    assert len(pairs) > 30
+    labels = set()
+    for p, tr in pairs:
+        declared = p.sig.fun_by_name
+        seen, stack = {id(tr)}, [tr]
+        while stack:
+            node = stack.pop()
+            labels.add(node.label)
+            for side in (node.lhs, node.rhs):
+                syms = {u.sym for u in subterms(side) if isinstance(u, Fun)}
+                assert syms <= declared.keys(), (node.label, syms)
+            for child in node.children:
+                if child.label in ("mulExt", "lexExt"):
+                    assert child.lhs is node.lhs and child.rhs is node.rhs
+                if id(child) not in seen:
+                    seen.add(id(child))
+                    stack.append(child)
+    assert {"mulExt", "lexExt", "1b", "2b", "accApply"} <= labels
 
 
 def _type_x_trace(brouwer):
@@ -580,11 +659,6 @@ def _twin(sym, *args):
     return Fun(sym, args, Data("N"))
 
 
-def _args(*ts):
-    """The argument list `ts` as an extension node writes it on its sides."""
-    return Fun("<args>", ts)
-
-
 def _forge(name, brouwer):
     """(ctx, trace, kind, x) for the forgery `name`."""
     ctx, n = brouwer.ctx, _brouwer_nodes(brouwer)
@@ -592,7 +666,6 @@ def _forge(name, brouwer):
     mul2 = n["mul2"]
     with_mul2 = lambda node: rep(n["b2"], children=n["b2"].children[:-1] + (node,))
     all_equal = (("equal", ((0, 0), (1, 1))), ("cover", ()))
-    fn_args = _args(FN.fn, FN.arg)
     r2 = n["r2"]
     with_first = lambda node: rep(r2, children=(node,) + r2.children[1:])
     simple = {
@@ -634,7 +707,7 @@ def _forge(name, brouwer):
         "mul_equal_range": with_mul2(_with_aux(mul2, equal=((9, 9),))),
         "mul_cover_pair": with_mul2(_with_aux(mul2, cover=((0,),))),
         "mul_nothing_removed": Trace(
-            "2b", FN, FN, (), (Trace("mulExt", fn_args, fn_args, (), (), all_equal),)
+            "2b", FN, FN, (), (Trace("mulExt", FN, FN, (), (), all_equal),)
         ),
         "mul_cover_misses": with_mul2(rep(_with_aux(mul2, cover=()), children=())),
         "mul_cover_cancelled": with_mul2(_with_aux(mul2, cover=((1, 0),))),
@@ -686,7 +759,7 @@ def _forge(name, brouwer):
         printed = (("lhs_ty", "Nat -> Nat -> Ord"), ("rhs_ty", "Nat -> Ord"))
         pair = Trace("typeCheck", lim, F_, (), (inner,), printed)
         cover = (("equal", ((1, 0),)), ("cover", ((0, 1),)))
-        mul = Trace("mulExt", _args(LIM_F, F_), _args(F_, F_), (), (pair,), cover)
+        mul = Trace("mulExt", s, t, (), (pair,), cover)
         status = (("status", "mul"),)
         return ctx, Trace("1b", s, t, (), (below, below, mul), status), "gt", ()
     if name == "4a_children":
@@ -723,7 +796,7 @@ def _forge(name, brouwer):
         printed = (("lhs_ty", "N"), ("rhs_ty", "N"))
         pair = Trace("typeCheck", sz, sz, (), (refl,), printed)
         cover = (("equal", ((1, 0),)), ("cover", ((0, 1),)))
-        ext = Trace("mulExt", _args(sz, z), _args(z, sz), (), (pair,), cover)
+        ext = Trace("mulExt", s, t, (), (pair,), cover)
         children = (Engine(ctx).gt((), s, z), below, ext)
         return ctx, Trace("1b", s, t, (), children, (("status", "mul"),)), "gt", ()
     lex = parse_problem(LEX_PROBLEM)
@@ -740,11 +813,11 @@ def _forge(name, brouwer):
         return ctx, Trace("1b", _twin("f", z, z), _twin("g", z, z)), "gt", ()
     assert name == "lex_lengths"
     ctx = _twins_ctx((("f", "h"),), {"f": "lex", "h": "lex"})
-    s = _twin("f", z, z)
+    s, t = _twin("f", z, z), _twin("h", z)
     below = Engine(ctx).gt((), s, z)
-    ext = Trace("lexExt", _args(z, z), _args(z))
+    ext = Trace("lexExt", s, t)
     lex_status = (("status", "lex"),)
-    return ctx, Trace("1b", s, _twin("h", z), (), (below, ext), lex_status), "gt", ()
+    return ctx, Trace("1b", s, t, (), (below, ext), lex_status), "gt", ()
 
 
 FORGERIES = {
@@ -802,7 +875,7 @@ FORGERIES = {
     "pair_mismatch": r"child goal mismatch: have 0 vs N, want s\(N\) vs N",
     "composite_x": r"node X \(\) differs from goal X \(\('n#0'",
     "pair_label": "unexpected extension pair label '1a'",
-    "ext_sides": r"child goal mismatch: have <args>\(s\(N\),U,V,W\) vs zz",
+    "ext_sides": r"child goal mismatch: have rec\(s\(N\),U,V,W\) vs zz",
     "ext_x": r"node X \(\('q'",
     "type_x_pair_x": r"node X \(\) differs from goal X \(\('x#0'",
     "type_x_pair_label": "unexpected extension pair label 'accApply'",
