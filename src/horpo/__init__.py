@@ -5,7 +5,7 @@ path ordering extended with accessible subterms. The engine decides whether
 a rule's left side dominates its right side and emits a proof trace that an
 independent validator can replay.
 """
-from .accessibility import AccTable, acc_ge, acc_gt, acc_indices
+from .accessibility import acc_ge, acc_gt, acc_indices, acc_table
 from .context import LEX, MUL, OrderingContext
 from .engine import Engine, EngineError
 from .problems import (

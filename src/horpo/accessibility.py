@@ -1,7 +1,7 @@
 """Accessible argument positions and the accessible-subterm relations."""
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .terms import (
     AlphaClass,
@@ -19,8 +19,7 @@ from .terms import (
 from .typeorder import (
     SortOrder,
     is_minimal_type,
-    occurs_negatively,
-    occurs_positively,
+    occurs_only,
     ty_eq,
     ty_ge,
 )
@@ -47,8 +46,8 @@ def acc_indices(decl: FunDecl, order: SortOrder) -> frozenset[int]:
             and not (
                 ty_eq(order, dt, out)
                 and (
-                    not occurs_positively(order, dt, arg_ty)
-                    or occurs_negatively(order, dt, arg_ty)
+                    not occurs_only(order, dt, arg_ty, True)
+                    or occurs_only(order, dt, arg_ty, False)
                 )
             )
             for dt in ty_subterms(arg_ty)
@@ -57,17 +56,14 @@ def acc_indices(decl: FunDecl, order: SortOrder) -> frozenset[int]:
     )
 
 
-class AccTable:
-    """Accessible positions per symbol, computed once per signature."""
+AccTable = Mapping[str, frozenset[int]]
 
-    def __init__(self, decls: Sequence[FunDecl], order: SortOrder):
-        self._table: dict[str, frozenset[int]] = {
-            d.name: acc_indices(d, order) for d in decls
-        }
-        self._table[APP_SYM] = frozenset()
 
-    def __getitem__(self, sym: str) -> frozenset[int]:
-        return self._table[sym]
+def acc_table(decls: Sequence[FunDecl], order: SortOrder) -> dict[str, frozenset[int]]:
+    """Accessible positions per symbol; `@` has none."""
+    table = {d.name: acc_indices(d, order) for d in decls}
+    table[APP_SYM] = frozenset()
+    return table
 
 
 def _candidates(

@@ -1,11 +1,12 @@
 """Shared ordering context: everything the comparison cases consult.
 
-The universe, accessibility table and minimal types depend only on the
-signature and the sort order; `with_precedence` swaps the rest.
+`OrderingContext.build` completes the declared precedence and statuses for
+the signature and computes the type universe, the accessibility table and
+the minimal types, which depend only on the signature and the sort order.
 """
 from __future__ import annotations
 
-from .accessibility import APP_SYM, AccTable
+from .accessibility import APP_SYM, AccTable, acc_table
 from .terms import Signature, Ty
 from .typeorder import QuasiOrder, SortOrder, minimal_types, type_universe
 
@@ -38,30 +39,13 @@ class OrderingContext:
         statuses: dict[str, str] | None = None,
         extra_types: tuple[Ty, ...] = (),
     ) -> "OrderingContext":
+        """The context of the given parameters, with the precedence and
+        statuses completed for the signature: every symbol sits strictly
+        above the application operator `@`, `mul` is the default status,
+        and `@` has status `mul`."""
         tys = [ty for f in sig.funs for ty in (*f.arg_tys, f.out_ty)]
         universe = type_universe(tys + list(extra_types))
-        # the sort-dependent parts; `with_precedence` supplies the rest
-        sorts_only = OrderingContext(
-            sig=sig,
-            sort_order=sort_order,
-            prec=QuasiOrder(()),
-            statuses={},
-            acc=AccTable(sig.funs, sort_order),
-            min_types=minimal_types(sort_order, universe),
-            universe=universe,
-        )
-        return sorts_only.with_precedence(prec_strict, prec_equiv, statuses)
-
-    def with_precedence(
-        self,
-        prec_strict: tuple[tuple[str, str], ...] = (),
-        prec_equiv: tuple[tuple[str, str], ...] = (),
-        statuses: dict[str, str] | None = None,
-    ) -> "OrderingContext":
-        """This context under the given precedence and statuses, completed
-        for the signature: every symbol sits strictly above the application
-        operator `@`, `mul` is the default status, and `@` has status `mul`."""
-        names = [f.name for f in self.sig.funs]
+        names = [f.name for f in sig.funs]
         prec = QuasiOrder(
             names + [APP_SYM],
             tuple(prec_strict) + tuple((name, APP_SYM) for name in names),
@@ -71,8 +55,8 @@ class OrderingContext:
         stats.update(statuses or {})
         stats[APP_SYM] = MUL
         return OrderingContext(
-            self.sig, self.sort_order, prec, stats, self.acc, self.min_types,
-            self.universe,
+            sig, sort_order, prec, stats, acc_table(sig.funs, sort_order),
+            minimal_types(sort_order, universe), universe,
         )
 
     def prec_class_error(self) -> str | None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterator
 
-from .accessibility import APP_SYM, acc_candidates, acc_new_candidates
+from .accessibility import acc_candidates, acc_new_candidates
 from .context import MUL, OrderingContext
 from .terms import (
     Abs,
@@ -177,8 +177,7 @@ class Engine:
                 return None
             splits = [list(t.args)]
         elif isinstance(t, App):
-            if self.ctx.prec.cmp(s.sym, APP_SYM) is not Cmp.GT:
-                return None
+            # every context puts each symbol strictly above `@`
             splits = app_splits(t)
         else:
             return None
@@ -379,9 +378,8 @@ class Engine:
         return sorted(pairs, key=lambda p: p[1]), free
 
     def _lex_ext(self, x: XSet, s: Term, t: Term, pair_kind: str) -> Trace | None:
+        # equivalent heads, so equal arities: one arity per precedence class
         left, right = ext_args(s), ext_args(t)
-        if len(left) != len(right):
-            return None
         for k, (a, b) in enumerate(zip(left, right)):
             if alpha_eq(a, b):
                 continue

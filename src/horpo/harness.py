@@ -13,7 +13,7 @@ import random
 from itertools import product
 from typing import Callable
 
-from .accessibility import APP_SYM
+from .accessibility import APP_SYM, acc_table
 from .context import LEX, MUL, OrderingContext
 from .engine import Engine
 from .terms import (
@@ -36,7 +36,7 @@ from .terms import (
     ty_str,
 )
 from .traces import TraceError, check_trace
-from .typeorder import Cmp, SortOrder, validate_axioms
+from .typeorder import Cmp, SortOrder, minimal_types, validate_axioms
 
 
 class GenError(Exception):
@@ -110,8 +110,6 @@ def _gen(
         options.append("abs")
     if vars_here and "var" not in options:
         options.append("var")
-    if not options:
-        return None
     for opt in options:
         if opt == "var":
             name = rng.choice(vars_here)
@@ -355,8 +353,6 @@ def _gen_subst(
 ) -> dict[str, Term]:
     theta: dict[str, Term] = {}
     for name in sorted(free_vars(s) | free_vars(t)):
-        if name not in env:
-            continue
         if rng.random() < 0.5:
             continue
         try:
@@ -618,13 +614,12 @@ def search_params(problem):
         order = SortOrder(sort_names, sort_strict, sort_equiv)
         if validate_axioms(order, problem.ctx.universe):
             continue
-        order_ctx = OrderingContext.build(
-            sig, order, extra_types=tuple(problem.vars.values())
-        )
-        # The type order, AccTable and minimal types change with the sort
-        # order and nothing else, so the engine's answer is a function of
-        # its recorded reads only while the sort order stays: outcomes live
-        # for one sort order.
+        # The type order, accessibility table and minimal types change with
+        # the sort order and nothing else, so the engine's answer is a
+        # function of its recorded reads only while the sort order stays:
+        # outcomes live for one sort order.
+        acc = acc_table(sig.funs, order)
+        min_types = minimal_types(order, problem.ctx.universe)
         outcomes: list[list[tuple[_Reads, bool]]] = [[] for _ in problem.rules]
         for combo in status_space:
             statuses = dict(zip(multi_arg, combo))
@@ -646,8 +641,8 @@ def search_params(problem):
                         # rules would hold answers resting on other reads
                         reads = _Reads(level, statuses)
                         ctx = OrderingContext(
-                            sig, order, reads, reads, order_ctx.acc,
-                            order_ctx.min_types, order_ctx.universe,
+                            sig, order, reads, reads, acc, min_types,
+                            problem.ctx.universe,
                         )
                         engine = Engine(ctx)
                         oriented = engine.orient_rule(rule.lhs, rule.rhs) is not None

@@ -14,7 +14,7 @@ children's facts: its size, its number of abstractions, its free variables
 and its alpha-equivalence class (`alpha_class`); a variable's free-variable
 set is made on each read. Only the accessibility layer still caches on a
 node on first use: its acc-below candidates (the first strict subterm of
-each class that is acc-below it), keyed by the `AccTable`, the sort order
+each class that is acc-below it), keyed by `ctx.acc`, the sort order
 and the minimal types, all by identity, and beside them those candidates
 that no argument of the node offers. The contract for facts and caches:
   - nodes are immutable, so a fact or cached value never goes stale;

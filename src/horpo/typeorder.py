@@ -129,23 +129,16 @@ def ty_ge(order: SortOrder, a: Ty, b: Ty) -> bool:
 # Polarity of data-type occurrences
 
 
-def occurs_positively(order: SortOrder, sigma: Data, tau: Ty) -> bool:
+def occurs_only(order: SortOrder, sigma: Data, tau: Ty, positive: bool) -> bool:
+    """Whether every data type equivalent to `sigma` at a leaf of `tau`'s
+    arrows sits at a positive position (or, when not `positive`, at a
+    negative one). Sort arguments are not entered."""
     if not isinstance(sigma, Data):
         raise ValueError("polarity is defined for data types only")
     if isinstance(tau, Data):
-        return True
-    return occurs_positively(order, sigma, tau.cod) and occurs_negatively(
-        order, sigma, tau.dom
-    )
-
-
-def occurs_negatively(order: SortOrder, sigma: Data, tau: Ty) -> bool:
-    if not isinstance(sigma, Data):
-        raise ValueError("polarity is defined for data types only")
-    if isinstance(tau, Data):
-        return not ty_eq(order, sigma, tau)
-    return occurs_negatively(order, sigma, tau.cod) and occurs_positively(
-        order, sigma, tau.dom
+        return positive or not ty_eq(order, sigma, tau)
+    return occurs_only(order, sigma, tau.cod, positive) and occurs_only(
+        order, sigma, tau.dom, not positive
     )
 
 

@@ -13,6 +13,7 @@ from horpo.terms import (
     Arrow,
     Data,
     Fun,
+    FunDecl,
     Var,
     alpha_eq,
     free_vars,
@@ -33,6 +34,20 @@ def test_acc_indices_brouwer(brouwer):
     # rec: only the A-typed argument survives; Ord and the functionals
     # mention data types not below A
     assert acc_indices(sig.fun("rec"), order) == {2}
+
+
+def test_a_non_data_output_has_no_accessible_positions(brouwer):
+    # Ord would be accessible in c if c's output were Ord rather than Nat -> Ord
+    c = FunDecl("c", (Ord,), Arrow(Nat, Ord))
+    assert acc_indices(c, brouwer.ctx.sort_order) == frozenset()
+
+
+def test_an_output_inside_a_sort_argument_is_not_accessible():
+    # the polarity of List's parameter is unknown, so Ord in List(Ord)
+    # counts as neither positive nor negative
+    order = SortOrder(("List", "Ord"), (("Ord", "List"),))
+    c = FunDecl("c", (Data("List", (Ord,)),), Ord)
+    assert acc_indices(c, order) == frozenset()
 
 
 def test_app_has_no_accessible_positions(brouwer):

@@ -77,6 +77,38 @@ def test_deep_input_is_one_line_and_exit_2(tmp_path, lhs_depth, rhs_depth, comma
     assert proc.stderr == "error: input nested too deeply\n"
 
 
+INPUT_ERRORS = {
+    "duplicate-sort": ("sort N ; sort N ;\n", "duplicate sort 'N'"),
+    "sort-arity": (
+        "sort Pair / 2 ;\nfun f : [Pair] -> Pair ;\n",
+        "sort 'Pair' expects 2 argument(s), got 0",
+    ),
+    "apply-data": (
+        "sort Ord ;\nfun 0 : [] -> Ord ;\nfun f : [Ord] -> Ord ;\n"
+        "var X : Ord ;\nrule f(@(0, X)) -> X ;\n",
+        "cannot apply term of type Ord",
+    ),
+    "apply-domain": (
+        "sort Nat ;\nsort Ord ;\nfun 0 : [] -> Ord ;\n"
+        "fun g : [Nat -> Ord] -> Ord ;\nvar F : Nat -> Ord ;\n"
+        "rule g(F) -> @(F, 0) ;\n",
+        "application domain mismatch: Nat vs Ord",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INPUT_ERRORS))
+def test_input_error_is_one_line_and_exit_2(name, tmp_path, capsys):
+    text, message = INPUT_ERRORS[name]
+    path = tmp_path / "bad.horpo"
+    path.write_text(text)
+    assert cli.main(["check", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.endswith(message + "\n")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("lhs_depth,rhs_depth", [(200, 100), (220, 0)])
 def test_deep_tower_is_decided(tmp_path, lhs_depth, rhs_depth):
     # one tower level costs the engine 3 frames (1a) or 2 (1b), and the

@@ -6,30 +6,10 @@ from horpo.problems import ProblemError, parse_problem
 from horpo.typeorder import Cmp
 
 
-def _symbols(ctx):
-    return [f.name for f in ctx.sig.funs] + [APP_SYM]
-
-
-def test_build_is_with_precedence_on_the_sort_parts(brouwer):
-    sorts_only = OrderingContext.build(
-        brouwer.sig, brouwer.sort_order, extra_types=tuple(brouwer.vars.values())
-    )
-    ctx = sorts_only.with_precedence(
-        brouwer.prec_strict, brouwer.prec_equiv, brouwer.statuses
-    )
-    assert ctx.acc is sorts_only.acc
-    assert ctx.universe == brouwer.ctx.universe
-    assert ctx.min_types == brouwer.ctx.min_types
-    assert ctx.statuses == brouwer.ctx.statuses
-    names = _symbols(ctx)
-    assert [[ctx.prec.cmp(a, b) for b in names] for a in names] == [
-        [brouwer.ctx.prec.cmp(a, b) for b in names] for a in names
-    ]
-
-
 def test_precedence_completion(brouwer):
-    ctx = brouwer.ctx.with_precedence(
-        (("lim", "s"),), (), {"rec": "lex", APP_SYM: "lex"}
+    ctx = OrderingContext.build(
+        brouwer.sig, brouwer.sort_order, (("lim", "s"),), (),
+        {"rec": "lex", APP_SYM: "lex"},
     )
     for f in brouwer.sig.funs:
         assert ctx.prec.cmp(f.name, APP_SYM) is Cmp.GT
@@ -55,9 +35,10 @@ SIG = (
     ids=["arities", "statuses", "agree"],
 )
 def test_prec_class_error_is_the_parser_error(equiv, statuses, message):
-    error = (
-        parse_problem(SIG).ctx.with_precedence((), equiv, statuses).prec_class_error()
-    )
+    p = parse_problem(SIG)
+    error = OrderingContext.build(
+        p.sig, p.sort_order, (), equiv, statuses
+    ).prec_class_error()
     text = SIG + "".join("prec %s = %s ;\n" % pair for pair in equiv)
     text += "".join("status %s %s ;\n" % item for item in statuses.items())
     if message is None:

@@ -66,6 +66,22 @@ def test_ge_examples(brouwer):
     assert Engine(brouwer.ctx).ge((), n, Var("m", Nat)) is None
 
 
+def test_rule_level_type_gate(brouwer):
+    # lim(F) > F by case 1a, but Ord is not >= Nat -> Ord, so no rule
+    F = Var("F", Arrow(Nat, Ord))
+    limF = Fun("lim", (F,), Ord)
+    assert Engine(brouwer.ctx).gt((), limF, F) is not None
+    assert Engine(brouwer.ctx).orient_rule(limF, F) is None
+
+
+def test_case_3b_needs_equivalent_binder_types(brouwer):
+    # s(0) > 0, but the binders range over inequivalent types Ord and Nat
+    zero = Fun("0", (), Ord)
+    s = Abs("x", Ord, Fun("s", (zero,), Ord), Arrow(Ord, Ord))
+    t = Abs("y", Nat, zero, Arrow(Nat, Ord))
+    assert Engine(brouwer.ctx).gt((), s, t) is None
+
+
 def test_type_gate(brouwer):
     # U : A and n : Nat are INCOMP; the typed comparison must fail regardless
     U = Var("U", A)

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import CORPUS, ROOT, load
 from horpo import harness
+from horpo.accessibility import APP_SYM
 from horpo.context import LEX, MUL, OrderingContext
 from horpo.engine import Engine
 from horpo.harness import (
@@ -36,7 +37,7 @@ from horpo.terms import (
     typecheck,
 )
 from horpo.traces import Trace
-from horpo.typeorder import SortOrder, validate_axioms
+from horpo.typeorder import QuasiOrder, SortOrder, validate_axioms
 
 Nat = Data("Nat")
 
@@ -65,6 +66,26 @@ def test_gen_term_size_one_constant():
     sig = Signature((SortDecl("N"),), (FunDecl("z", (), Data("N")),))
     t = gen_term(sig, {}, Data("N"), random.Random(0), size=1)
     assert t == Fun("z", (), Data("N"))
+
+
+def test_wrapped_sides_are_well_typed(brouwer, nat_rec, map_problem):
+    wrapped = 0
+    for p in (brouwer, nat_rec, map_problem):
+        tys = [ty for f in p.sig.funs for ty in f.arg_tys]
+        for seed in range(30):
+            rng = random.Random(seed)
+            ty = rng.choice(tys)
+            try:
+                s = gen_term(p.sig, p.vars, ty, rng)
+                t = gen_term(p.sig, p.vars, ty, rng)
+            except GenError:
+                continue
+            sides = harness._wrap_context(p.sig, s, t, rng)
+            if sides is not None:
+                wrapped += 1
+                for side in sides:
+                    assert typecheck(p.sig, p.vars, side) == side
+    assert wrapped > 0
 
 
 def test_beta_step_examples():
@@ -317,6 +338,8 @@ def _search_by_generate_and_test(problem):
         product((MUL, LEX), repeat=len(multi_arg)),
         key=lambda combo: combo.count(LEX),
     )
+    symbols = [f.name for f in sig.funs] + [APP_SYM]
+    above_app = tuple((f, APP_SYM) for f in fun_names)
     for sort_strict, sort_equiv in _weak_orders_by_filter(sort_names):
         order = SortOrder(sort_names, sort_strict, sort_equiv)
         if validate_axioms(order, problem.ctx.universe):
@@ -327,7 +350,12 @@ def _search_by_generate_and_test(problem):
         for combo in status_space:
             statuses = dict(zip(multi_arg, combo))
             for prec_strict, prec_equiv in _weak_orders_by_filter(fun_names):
-                ctx = order_ctx.with_precedence(prec_strict, prec_equiv, statuses)
+                # completed as `OrderingContext.build` does: every symbol above `@`
+                prec = QuasiOrder(symbols, (*prec_strict, *above_app), prec_equiv)
+                ctx = OrderingContext(
+                    sig, order, prec, {**order_ctx.statuses, **statuses},
+                    order_ctx.acc, order_ctx.min_types, order_ctx.universe,
+                )
                 if ctx.prec_class_error() is not None:
                     continue
                 engine = Engine(ctx)

@@ -8,6 +8,8 @@ from horpo.terms import (
     Arrow,
     Data,
     Fun,
+    Signature,
+    SortDecl,
     TypingError,
     Var,
     alpha_eq,
@@ -48,6 +50,14 @@ def test_infer_errors(brouwer):
     with pytest.raises(TypingError):
         # application domain mismatch: lim expects Nat -> Ord
         typecheck(brouwer.sig, {"U": A}, Fun("lim", (Var("U"),)))
+    with pytest.raises(TypingError, match="undeclared function symbol 'nope'"):
+        typecheck(brouwer.sig, {}, Fun("nope", ()))
+
+
+def test_negative_sort_arity():
+    # the parser reads arities as digits, so only a direct call reaches this
+    with pytest.raises(TypingError, match="^negative arity for sort 'N'$"):
+        Signature((SortDecl("N", -1),), ())
 
 
 def test_annotations_everywhere(brouwer):

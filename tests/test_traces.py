@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from conftest import CORPUS, ROOT, rebuild
+from horpo.context import OrderingContext
 from horpo.engine import Engine
 from horpo.problems import ProblemError, check_problem, parse_problem
 from horpo.terms import Abs, App, Arrow, Data, Fun, Var, subterms, term_str
@@ -652,7 +653,8 @@ def _brouwer_nodes(brouwer):
 
 
 def _twins_ctx(equiv, statuses):
-    return parse_problem(TWINS).ctx.with_precedence((), equiv, statuses)
+    p = parse_problem(TWINS)
+    return OrderingContext.build(p.sig, p.sort_order, (), equiv, statuses)
 
 
 def _twin(sym, *args):

@@ -1,0 +1,267 @@
+"""Guard-deletion mutants of the engine, the accessibility layer and the
+type order, run against tier-1.
+
+Each mutant is one exact replacement in one file of `src/horpo` that turns
+a guard condition (a test whose truth rejects a goal, a candidate or an
+input) into `False`, so the guard never fires. For each mutant, in turn,
+the script writes the mutated file into a temporary copy of the checkout,
+runs tier-1 there with `-x`, and prints the first failing test; a run
+that exceeds the timeout counts as killed. Then it restores the file.
+
+Exit status: 0 when the mutants that survive are exactly `EXPECTED`, 1
+otherwise (and 1 when a replacement no longer matches its file exactly
+once). Run from anywhere, with the interpreter that runs tier-1:
+
+    python tools/guard_mutants.py
+
+A survivor is either an equivalent mutant, whose guard can be deleted,
+or a guard that no test exercises, which needs a test.
+"""
+from __future__ import annotations
+
+import os
+import pathlib
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+TIMEOUT_S = 300
+TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
+
+ENGINE = "src/horpo/engine.py"
+ACC = "src/horpo/accessibility.py"
+TYPES = "src/horpo/typeorder.py"
+
+# name -> (file, old text, new text); old text occurs once in its file
+MUTANTS = {
+    "gt_type gate": (
+        ENGINE,
+        "        if not ty_ge(self.ctx.sort_order, s.ty, t.ty):\n",
+        "        if False:\n",
+    ),
+    "rule type gate": (
+        ENGINE,
+        "        if not ty_ge(self.ctx.sort_order, lhs.ty, rhs.ty):\n",
+        "        if False:\n",
+    ),
+    "variable left side": (
+        ENGINE,
+        "        if isinstance(s, Var):\n            return None\n",
+        "        if False:\n            return None\n",
+    ),
+    "recursion guard": (
+        ENGINE,
+        "        if self._depth > self._limit:\n",
+        "        if False:\n",
+    ),
+    "1a shortcut condition": (
+        ENGINE,
+        "            if x or not isinstance(si, Fun) or not ty_eq(order, si.ty, t.ty):\n",
+        "            if False:\n",
+    ),
+    "1b head": (
+        ENGINE,
+        "        if not isinstance(t, Fun):\n",
+        "        if False:\n",
+    ),
+    "1b precedence": (
+        ENGINE,
+        "        if self.ctx.prec.cmp(s.sym, t.sym) is not Cmp.EQ:\n",
+        "        if False:\n",
+    ),
+    "1b argument": (
+        ENGINE,
+        "            tr = self._gt(x, s, tj)\n            if tr is None:\n"
+        "                return None\n",
+        "            tr = self._gt(x, s, tj)\n            if False:\n"
+        "                return None\n",
+    ),
+    "1b extension": (
+        ENGINE,
+        "(x, s, t, \"union\")\n        if ext is None:\n",
+        "(x, s, t, \"union\")\n        if False:\n",
+    ),
+    "1c precedence": (
+        ENGINE,
+        "            if self.ctx.prec.cmp(s.sym, t.sym) is not Cmp.GT:\n",
+        "            if False:\n",
+    ),
+    "1c argument": (
+        ENGINE,
+        "                if tr is None:\n                    break\n",
+        "                if False:\n                    break\n",
+    ),
+    "2b head": (
+        ENGINE,
+        "        if not isinstance(t, App):\n",
+        "        if False:\n",
+    ),
+    "2b extension": (
+        ENGINE,
+        "(x, s, t, \"type_x\")\n        if ext is None:\n",
+        "(x, s, t, \"type_x\")\n        if False:\n",
+    ),
+    "2c redex": (
+        ENGINE,
+        "        reduct = beta_reduct(s)\n        if reduct is None:\n",
+        "        reduct = beta_reduct(s)\n        if False:\n",
+    ),
+    "3b head": (
+        ENGINE,
+        "    def _case_3b(self, x: XSet, s: Term, t: Term) -> Trace | None:\n"
+        "        if not isinstance(t, Abs):\n",
+        "    def _case_3b(self, x: XSet, s: Term, t: Term) -> Trace | None:\n"
+        "        if False:\n",
+    ),
+    "3b binder types": (
+        ENGINE,
+        "        if not ty_eq(self.ctx.sort_order, s.var_ty, t.var_ty):\n",
+        "        if False:\n",
+    ),
+    "3c redex": (
+        ENGINE,
+        "        reduct = eta_reduct(s)\n        if reduct is None:\n",
+        "        reduct = eta_reduct(s)\n        if False:\n",
+    ),
+    "4b head": (
+        ENGINE,
+        "    def _case_4b(self, x: XSet, s: Term, t: Term) -> Trace | None:\n"
+        "        if not isinstance(t, Abs):\n",
+        "    def _case_4b(self, x: XSet, s: Term, t: Term) -> Trace | None:\n"
+        "        if False:\n",
+    ),
+    "vector over a non-arrow": (
+        ENGINE,
+        "                if not isinstance(ty, Arrow):\n",
+        "                if False:\n",
+    ),
+    "multiset kept match": (
+        ENGINE,
+        "                if match is None:\n",
+        "                if False:\n",
+    ),
+    "multiset equal partner": (
+        ENGINE,
+        "            if j is None:\n",
+        "            if False:\n",
+    ),
+    "lex equal prefix": (
+        ENGINE,
+        "            if alpha_eq(a, b):\n                continue\n",
+        "            if False:\n                continue\n",
+    ),
+    "non-data output": (
+        ACC,
+        "    if not isinstance(out, Data):\n",
+        "    if False:\n",
+    ),
+    "output not only positive": (
+        ACC,
+        "                    not occurs_only(order, dt, arg_ty, True)\n",
+        "                    False\n",
+    ),
+    "output also negative": (
+        ACC,
+        "                    or occurs_only(order, dt, arg_ty, False)\n",
+        "                    or False\n",
+    ),
+    "polarity of a non-data type": (
+        TYPES,
+        "    if not isinstance(sigma, Data):\n",
+        "    if False:\n",
+    ),
+    "sort order cycle": (
+        TYPES,
+        "    if not order.is_well_founded():\n",
+        "    if False:\n",
+    ),
+    "type cycle": (
+        TYPES,
+        "        if (i, i) in reach:\n",
+        "        if False:\n",
+    ),
+    "monotonicity premise": (
+        TYPES,
+        "                if not ty_ge(order, tau, sigma):\n",
+        "                if False:\n",
+    ),
+    "monotonicity violation": (
+        TYPES,
+        "                    if not ty_ge(order, left, right):\n",
+        "                    if False:\n",
+    ),
+}
+
+# The guard's mutant survives by design: the limit it enforces is never
+# reached by a correct engine, so no test can reach it either.
+EXPECTED = {"recursion guard"}
+
+FAILED = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.M)
+
+
+def run_mutant(copy: pathlib.Path, name: str) -> str | None:
+    """The first failing test under mutant `name`, "timeout", or None when
+    tier-1 passes."""
+    rel, old, new = MUTANTS[name]
+    path = copy / rel
+    original = path.read_text()
+    path.write_text(original.replace(old, new))
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(copy / "src"))
+    try:
+        proc = subprocess.run(
+            TIER1, cwd=copy, env=env, capture_output=True, text=True,
+            timeout=TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return "timeout"
+    finally:
+        path.write_text(original)
+    if proc.returncode == 0:
+        return None
+    found = FAILED.search(proc.stdout)
+    return found.group(1) if found else "exit %d" % proc.returncode
+
+
+def main() -> int:
+    stale = [
+        name
+        for name, (rel, old, _) in MUTANTS.items()
+        if (ROOT / rel).read_text().count(old) != 1
+    ]
+    if stale:
+        print("replacement does not match exactly once: %s" % ", ".join(stale))
+        return 1
+    survivors = set()
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = pathlib.Path(tmp) / "checkout"
+        shutil.copytree(
+            ROOT, copy,
+            ignore=shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache"),
+        )
+        for name in MUTANTS:
+            start = time.monotonic()
+            killer = run_mutant(copy, name)
+            if killer is None:
+                survivors.add(name)
+            print(
+                "%-28s %-8s %6.1f s  %s"
+                % (name, "survived" if killer is None else "killed",
+                   time.monotonic() - start, killer or ""),
+                flush=True,
+            )
+    print("%d mutants, %d killed" % (len(MUTANTS), len(MUTANTS) - len(survivors)))
+    unexpected = sorted(survivors - EXPECTED)
+    killed = sorted(EXPECTED - survivors)
+    if unexpected:
+        print("unexpected survivors: %s" % ", ".join(unexpected))
+    if killed:
+        print("expected survivors killed: %s" % ", ".join(killed))
+    return 1 if unexpected or killed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
