@@ -40,18 +40,16 @@ from .typeorder import Cmp, SortOrder, minimal_types, validate_axioms
 
 
 class GenError(Exception):
-    """No term of the requested type exists under the given signature."""
+    """One attempt built no term of the requested type; one may still exist."""
 
 
 class GenConfig:
     def __init__(
-        self, max_size: int = 12, abs_prob: float = 0.5, app_prob: float = 0.25,
-        max_tries: int = 200,
+        self, max_size: int = 12, abs_prob: float = 0.5, app_prob: float = 0.25
     ):
         self.max_size = max_size
         self.abs_prob = abs_prob
         self.app_prob = app_prob
-        self.max_tries = max_tries
 
 
 # ---------------------------------------------------------------------------
@@ -66,18 +64,15 @@ def gen_term(
     config: GenConfig | None = None,
     size: int | None = None,
 ) -> Term:
-    """A random well-typed term of type `ty`, annotated at every node.
-
-    Raises GenError when no term of that type can be built from `env` and
-    the signature's symbols."""
+    """A random well-typed term of type `ty`, annotated at every node, from
+    one attempt at the size budget `size` (drawn when None). Raises GenError
+    when that attempt builds no term; a term of that type may still exist."""
     config = config or GenConfig()
     budget = size if size is not None else rng.randint(1, config.max_size)
-    for _ in range(config.max_tries):
-        t = _gen(sig, dict(env), ty, rng, config, budget)
-        if t is not None:
-            return t
-        budget = max(1, budget - 1)
-    raise GenError("cannot inhabit type %s" % ty_str(ty))
+    t = _gen(sig, dict(env), ty, rng, config, budget)
+    if t is None:
+        raise GenError("one attempt built no term of type %s" % ty_str(ty))
+    return t
 
 
 def _gen(
@@ -294,7 +289,7 @@ def run_properties(
         ):
             try:
                 redex = inject()
-            except GenError:  # no small closed argument for the redex: no probe
+            except GenError:  # no small argument for the redex: no probe
                 continue
             reducts = step(redex) if redex is not None else []
             if not reducts:

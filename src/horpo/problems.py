@@ -301,6 +301,9 @@ def parse_problem(text: str) -> Problem:
             statuses[name.text] = st.text
         elif kw == "var":
             name = p.ident("variable name")
+            if name.text in var_env:
+                message = "duplicate variable %r" % name.text
+                raise ProblemError(message, name.line, name.col)
             p.expect(":")
             var_env[name.text] = p.parse_type()
         elif kw == "rule":

@@ -56,10 +56,24 @@ def test_gen_term_well_typed(brouwer):
         assert ty_str(typecheck(brouwer.sig, brouwer.vars, t).ty) == ty_str(ty)
 
 
-def test_gen_term_uninhabited():
+def test_gen_term_uninhabited(monkeypatch):
+    # a request makes one attempt: one outermost _gen call, then GenError
     sig = Signature((SortDecl("E"),), (FunDecl("f", (Data("E"),), Data("E")),))
+    gen, depth, attempts = harness._gen, 0, 0
+
+    def counted(*args):
+        nonlocal depth, attempts
+        attempts += depth == 0
+        depth += 1
+        try:
+            return gen(*args)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(harness, "_gen", counted)
     with pytest.raises(GenError):
-        gen_term(sig, {}, Data("E"), random.Random(0), GenConfig(max_tries=20))
+        gen_term(sig, {}, Data("E"), random.Random(0))
+    assert attempts == 1
 
 
 def test_gen_term_size_one_constant():
@@ -124,7 +138,10 @@ def test_run_properties_clean(brouwer, monkeypatch):
             super().__init__(ctx)
 
     monkeypatch.setattr(harness, "Engine", Counted)
-    findings = run_properties(brouwer.ctx, brouwer.vars, samples=60, seed=2)
+    # with a config, as the benchmark calls it
+    findings = run_properties(
+        brouwer.ctx, brouwer.vars, samples=60, seed=2, config=GenConfig()
+    )
     assert findings == []
     # one engine answers every probe of the run; only shrinking makes more
     assert made == [brouwer.ctx]
@@ -132,8 +149,9 @@ def test_run_properties_clean(brouwer, monkeypatch):
 
 @pytest.mark.parametrize("name", ["mendler", "nested_copy"])
 def test_run_properties_skips_a_beta_probe_without_a_small_argument(name):
-    # some sample's redex argument has a type that no closed term of size 2
-    # inhabits: gen_term raises GenError, and only that beta probe is skipped
+    # for some sample, one attempt at size 2 builds no redex argument of the
+    # drawn type under the problem's variables: gen_term raises GenError, and
+    # only that beta probe is skipped
     path = ROOT / "tests" / "data" / "loops" / (name + ".horpo")
     problem = parse_problem(path.read_text())
     for seed in (0, 3, 7):

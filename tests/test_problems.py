@@ -136,6 +136,12 @@ def test_precedence_cycle_rejected():
         ("sort N ;\norder N < M ;", "undeclared sort 'M' in order declaration"),
         ("sort N ;\nstatus f mul ;", "status for undeclared symbol 'f'"),
         ("sort N ;\nvar X : M ;", "undeclared sort 'M'"),
+        # a later declaration would retype the rules above it
+        (
+            "sort N ;\nsort M ;\nfun f : [N] -> N ;\nvar x : N ;\n"
+            "rule f(x) -> x ;\nvar x : M ;",
+            "line 6, col 5: duplicate variable 'x'",
+        ),
         # the scanner's columns: a tab is one column, and λ one column wide
         ("rule\tλ:", "line 1, col 7: expected bound variable, found ':'"),
         ("sort Nat€", "line 1, col 9: unexpected character '€'"),
@@ -144,6 +150,7 @@ def test_precedence_cycle_rejected():
     ],
     ids=[
         "arity", "prec-symbol", "order-sort", "status-symbol", "var-type",
+        "var-repeated",
         "lambda-after-tab", "char-after-identifier", "eof-after-comment",
     ],
 )

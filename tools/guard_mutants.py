@@ -1,5 +1,5 @@
-"""Guard-deletion mutants of the engine, the accessibility layer and the
-type order, run against tier-1.
+"""Guard-deletion mutants of the engine, the accessibility layer, the type
+order and the harness, run against tier-1.
 
 Each mutant is one exact replacement in one file of `src/horpo` that turns
 a guard condition (a test whose truth rejects a goal, a candidate or an
@@ -35,6 +35,7 @@ TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
 ENGINE = "src/horpo/engine.py"
 ACC = "src/horpo/accessibility.py"
 TYPES = "src/horpo/typeorder.py"
+HARNESS = "src/horpo/harness.py"
 
 # name -> (file, old text, new text); old text occurs once in its file
 MUTANTS = {
@@ -193,6 +194,28 @@ MUTANTS = {
         TYPES,
         "                    if not ty_ge(order, left, right):\n",
         "                    if False:\n",
+    ),
+    # `_shrink`'s `sub.size <= 1` guard has no mutant: without it the shrink
+    # loop never ends, and only the timeout would kill it
+    "no term built": (
+        HARNESS,
+        "    if t is None:\n        raise GenError(",
+        "    if False:\n        raise GenError(",
+    ),
+    "generated argument": (
+        HARNESS,
+        "                if a is None:\n",
+        "                if False:\n",
+    ),
+    "class arity and status": (
+        HARNESS,
+        "                if any(first.setdefault(lv, k) != k for lv, k in zip(assign, kinds)):\n",
+        "                if False:\n",
+    ),
+    "search sort order axioms": (
+        HARNESS,
+        "        if validate_axioms(order, problem.ctx.universe):\n",
+        "        if False:\n",
     ),
 }
 
