@@ -37,7 +37,6 @@ from .terms import (
     substitute,
     term_str,
     ty_str,
-    typecheck,
 )
 from .traces import Trace, TraceError, check_trace, trace_to_jsonable, trace_to_text
 from .typeorder import (

@@ -42,7 +42,6 @@ from .terms import (
     free_vars,
     term_str,
     ty_str,
-    typecheck,
 )
 from .traces import Trace, check_trace, trace_to_jsonable
 from .typeorder import SortOrder, ty_eq, validate_axioms
@@ -109,6 +108,10 @@ class _Parser:
         self.pos = 0
         # one object per distinct type of the problem
         self.types: dict[Ty, Ty] = {}
+        # the function symbols declared so far
+        self.funs: dict[str, FunDecl] = {}
+        # each binder's variable, the first token of its type, and the type
+        self.binders: list[tuple[Token, Token, Ty]] = []
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -166,46 +169,81 @@ class _Parser:
 
     # -- terms -------------------------------------------------------------
 
-    def parse_term(self, funs: set[str]) -> Term:
+    def parse_term(self, env: dict[str, Ty]) -> Term:
+        """A term typed under `env`, which maps each variable in scope to its
+        type. Each node is typed as it is built, and a typing error names
+        the node's own token."""
         tok = self.peek()
         if tok.kind == "\\":
             self.next()
             var = self.ident("bound variable")
             self.expect(":")
+            first = self.peek()
             ty = self.parse_type()
+            self.binders.append((var, first, ty))  # checked once sorts are known
             self.expect(".")
-            body = self.parse_term(funs)
-            return Abs(var.text, ty, body)
+            body = self.parse_term({**env, var.text: ty})
+            arrow = Arrow(ty, body.ty)
+            return Abs(var.text, ty, body, self.types.setdefault(arrow, arrow))
         if tok.kind == "@":
             self.next()
             self.expect("(")
             # partial, not a lambda, which would add a frame per nesting level
-            args = self.items(partial(self.parse_term, funs), ")")
+            args = self.items(partial(self.parse_term, env), ")")
             if len(args) < 2:
                 raise ProblemError(
                     "application needs at least two arguments", tok.line, tok.col
                 )
             out = args[0]
             for a in args[1:]:
-                out = App(out, a)
+                if not isinstance(out.ty, Arrow):
+                    message = "cannot apply term of type %s" % ty_str(out.ty)
+                    raise ProblemError(message, tok.line, tok.col)
+                if out.ty.dom != a.ty:
+                    raise ProblemError(
+                        "application domain mismatch: %s vs %s"
+                        % (ty_str(out.ty.dom), ty_str(a.ty)),
+                        tok.line,
+                        tok.col,
+                    )
+                out = App(out, a, out.ty.cod)
             return out
         if tok.kind == "(":
             self.next()
-            t = self.parse_term(funs)
+            t = self.parse_term(env)
             self.expect(")")
             return t
         name = self.ident("term")
-        if self.peek().kind == "(":
+        applied = self.peek().kind == "("
+        # a name in scope is a variable; one that is also a symbol's name is
+        # rejected once every symbol is known
+        ty = None if applied else env.get(name.text)
+        if ty is not None:
+            return Var(name.text, ty)
+        decl = self.funs.get(name.text)
+        if decl is None:
+            what = "unknown function symbol" if applied else "unbound variable"
+            raise ProblemError("%s %r" % (what, name.text), name.line, name.col)
+        args: tuple[Term, ...] = ()
+        if applied:
             self.next()
-            args = self.items(partial(self.parse_term, funs), ")")
-            if name.text not in funs:
+            args = tuple(self.items(partial(self.parse_term, env), ")"))
+        if len(args) != decl.arity:
+            raise ProblemError(
+                "symbol %r expects %d argument(s), got %d"
+                % (name.text, decl.arity, len(args)),
+                name.line,
+                name.col,
+            )
+        for i, (a, want) in enumerate(zip(args, decl.arg_tys)):
+            if a.ty != want:
                 raise ProblemError(
-                    "unknown function symbol %r" % name.text, name.line, name.col
+                    "argument %d of %r has type %s, expected %s"
+                    % (i + 1, name.text, ty_str(a.ty), ty_str(want)),
+                    name.line,
+                    name.col,
                 )
-            return Fun(name.text, tuple(args))
-        if name.text in funs:
-            return Fun(name.text, ())
-        return Var(name.text)
+        return Fun(name.text, args, decl.out_ty)
 
 
 # ---------------------------------------------------------------------------
@@ -239,20 +277,21 @@ class Problem:
 
 def parse_problem(text: str) -> Problem:
     p = _Parser(text)
-    sorts: list[SortDecl] = []
+    sorts: dict[str, SortDecl] = {}
     order_decls: list[tuple[str, str, str]] = []
-    fun_decls: list[FunDecl] = []
     prec_strict: list[tuple[str, str]] = []
     prec_equiv: list[tuple[str, str]] = []
     statuses: dict[str, str] = {}
     var_env: dict[str, Ty] = {}
-    raw_rules: list[tuple[Term, Term, Token]] = []
+    typed_rules: list[tuple[Term, Term, Token]] = []
 
     while p.peek().kind != "eof":
         tok = p.ident("statement keyword")
         kw = tok.text
         if kw == "sort":
             name = p.ident("sort name")
+            if name.text in sorts:
+                raise ProblemError("duplicate sort %r" % name.text, name.line, name.col)
             arity = 0
             if p.peek().kind == "/":
                 p.next()
@@ -260,7 +299,7 @@ def parse_problem(text: str) -> Problem:
                 if not num.text.isdigit():
                     raise ProblemError("arity must be a number", num.line, num.col)
                 arity = int(num.text)
-            sorts.append(SortDecl(name.text, arity))
+            sorts[name.text] = SortDecl(name.text, arity)
         elif kw == "order":
             a = p.ident("sort name")
             rel = p.next()
@@ -270,6 +309,9 @@ def parse_problem(text: str) -> Problem:
             order_decls.append((rel.kind, a.text, b.text))
         elif kw == "fun":
             name = p.ident("function symbol")
+            if name.text in p.funs:
+                message = "duplicate function symbol %r" % name.text
+                raise ProblemError(message, name.line, name.col)
             p.expect(":")
             p.expect("[")
             if p.peek().kind == "]":
@@ -279,7 +321,7 @@ def parse_problem(text: str) -> Problem:
                 arg_tys = p.items(p.parse_type, "]")
             p.expect("->")
             out_ty = p.parse_type()
-            fun_decls.append(FunDecl(name.text, tuple(arg_tys), out_ty))
+            p.funs[name.text] = FunDecl(name.text, tuple(arg_tys), out_ty)
         elif kw == "prec":
             a = p.ident("function symbol")
             rel = p.next()
@@ -307,70 +349,71 @@ def parse_problem(text: str) -> Problem:
             p.expect(":")
             var_env[name.text] = p.parse_type()
         elif kw == "rule":
-            fun_names = {f.name for f in fun_decls}
-            lhs = p.parse_term(fun_names)
+            lhs = p.parse_term(var_env)
             p.expect("->")
-            rhs = p.parse_term(fun_names)
-            raw_rules.append((lhs, rhs, tok))
+            rhs = p.parse_term(var_env)
+            typed_rules.append((lhs, rhs, tok))
         else:
             raise ProblemError("unknown statement %r" % kw, tok.line, tok.col)
         p.expect(";")
 
     try:
-        sig = Signature(tuple(sorts), tuple(fun_decls))
+        sig = Signature(tuple(sorts.values()), tuple(p.funs.values()))
     except TypingError as exc:
         raise ProblemError(str(exc)) from exc
-    declared_sorts = {s.name for s in sorts}
     for kind, a, b in order_decls:
         for name in (a, b):
-            if name not in declared_sorts:
+            if name not in sorts:
                 raise ProblemError("undeclared sort %r in order declaration" % name)
     sort_order = SortOrder(
-        sorted(declared_sorts),
+        sorted(sorts),
         tuple((b, a) for kind, a, b in order_decls if kind == "<"),
         tuple((a, b) for kind, a, b in order_decls if kind == "="),
     )
-    fun_names = {f.name for f in fun_decls}
     for a, b in prec_strict + prec_equiv:
-        if a not in fun_names or (b not in fun_names and b != APP_SYM):
+        if a not in p.funs or (b not in p.funs and b != APP_SYM):
             raise ProblemError("undeclared symbol in precedence: %s, %s" % (a, b))
     for a, b in prec_equiv:
         if b == APP_SYM:
             raise ProblemError("no symbol may be equivalent to @ in the precedence")
     for name in statuses:
-        if name not in fun_names:
+        if name not in p.funs:
             raise ProblemError("status for undeclared symbol %r" % name)
     for name, ty in var_env.items():
-        if name in fun_names:
+        if name in p.funs:
             raise ProblemError("variable %r clashes with a function symbol" % name)
         try:
             sig.check_type(ty)
         except TypingError as exc:
             raise ProblemError(str(exc)) from exc
 
-    rules: list[Rule] = []
-    for lhs, rhs, tok in raw_rules:
+    for var, first, ty in p.binders:
+        if var.text in p.funs:
+            message = "bound variable %r clashes with a function symbol" % var.text
+            raise ProblemError(message, var.line, var.col)
         try:
-            lhs_t = typecheck(sig, var_env, lhs, p.types)
-            rhs_t = typecheck(sig, var_env, rhs, p.types)
+            sig.check_type(ty)
         except TypingError as exc:
-            raise ProblemError(str(exc), tok.line, tok.col) from exc
-        if not free_vars(rhs_t) <= free_vars(lhs_t):
-            extra = sorted(free_vars(rhs_t) - free_vars(lhs_t))
+            raise ProblemError(str(exc), first.line, first.col) from exc
+
+    rules: list[Rule] = []
+    for lhs, rhs, tok in typed_rules:
+        if not free_vars(rhs) <= free_vars(lhs):
+            extra = sorted(free_vars(rhs) - free_vars(lhs))
             raise ProblemError(
                 "rule violates Var(r) <= Var(l): right side introduces %s"
                 % ", ".join(extra),
                 tok.line,
                 tok.col,
             )
-        if not ty_eq(sort_order, lhs_t.ty, rhs_t.ty):
+        if not ty_eq(sort_order, lhs.ty, rhs.ty):
             raise ProblemError(
                 "rule sides have different types: %s vs %s"
-                % (ty_str(lhs_t.ty), ty_str(rhs_t.ty)),
+                % (ty_str(lhs.ty), ty_str(rhs.ty)),
                 tok.line,
                 tok.col,
             )
-        rules.append(Rule(lhs_t, rhs_t))
+        rules.append(Rule(lhs, rhs))
 
     problem = Problem(
         sig=sig,

@@ -1,7 +1,7 @@
-"""Simply typed algebraic lambda-terms: types, signatures, typing, substitution.
+"""Simply typed algebraic lambda-terms: types, signatures, substitution.
 
-Terms are immutable trees. A typing pass (`typecheck`) returns a copy of the
-term with every node annotated with its type; all downstream code assumes
+Terms are immutable trees whose every node is annotated with its type: the
+parser types each node as it builds it, and all downstream code assumes
 annotated terms and never re-infers.
 
 The steps the ordering's cases take on bound variables are defined here
@@ -34,7 +34,8 @@ FRESH_SEP = "#"
 
 
 class TypingError(Exception):
-    """A raw term does not type-check against the signature."""
+    """A signature or a type is ill-formed: a repeated declaration, or an
+    undeclared or mis-applied sort."""
 
 
 _set = object.__setattr__  # a record sets its fields once, in its __init__
@@ -351,63 +352,6 @@ def fresh_var(base: str, avoid: frozenset[str] | set[str]) -> str:
         if cand not in avoid:
             return cand
         k += 1
-
-
-# ---------------------------------------------------------------------------
-# Typing (returns an annotated copy)
-
-
-def typecheck(
-    sig: Signature, env: Mapping[str, Ty], t: Term, types: dict[Ty, Ty] | None = None
-) -> Term:
-    """Type the raw term `t` under `env`, annotating every node. Types at
-    application and argument positions must be syntactically equal. An
-    abstraction's type is taken from the table `types` of shared types
-    (and added to it), so that equal types stay one object."""
-    types = {} if types is None else types
-
-    def go(env: dict[str, Ty], t: Term) -> Term:
-        if isinstance(t, Var):
-            ty = env.get(t.name)
-            if ty is None:
-                raise TypingError("unbound variable %r" % t.name)
-            return Var(t.name, ty)
-        if isinstance(t, Fun):
-            decl = sig.fun(t.sym)
-            if len(t.args) != decl.arity:
-                raise TypingError(
-                    "symbol %r expects %d argument(s), got %d"
-                    % (t.sym, decl.arity, len(t.args))
-                )
-            args = tuple(go(env, a) for a in t.args)
-            for i, (a, want) in enumerate(zip(args, decl.arg_tys)):
-                if a.ty != want:
-                    raise TypingError(
-                        "argument %d of %r has type %s, expected %s"
-                        % (i + 1, t.sym, ty_str(a.ty), ty_str(want))
-                    )
-            return Fun(t.sym, args, decl.out_ty)
-        if isinstance(t, App):
-            fn = go(env, t.fn)
-            if not isinstance(fn.ty, Arrow):
-                raise TypingError(
-                    "cannot apply term of type %s" % ty_str(fn.ty)
-                )
-            arg = go(env, t.arg)
-            if fn.ty.dom != arg.ty:
-                raise TypingError(
-                    "application domain mismatch: %s vs %s"
-                    % (ty_str(fn.ty.dom), ty_str(arg.ty))
-                )
-            return App(fn, arg, fn.ty.cod)
-        sig.check_type(t.var_ty)
-        inner = dict(env)
-        inner[t.var] = t.var_ty
-        body = go(inner, t.body)
-        ty = Arrow(t.var_ty, body.ty)
-        return Abs(t.var, t.var_ty, body, types.setdefault(ty, ty))
-
-    return go(dict(env), t)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,27 @@
 import inspect
 import os
 import pathlib
+from typing import Mapping
 
 import pytest
 
 from horpo.context import OrderingContext
 from horpo.problems import parse_problem
-from horpo.terms import Arrow, Data, FunDecl, Signature, SortDecl
+from horpo.terms import (
+    Abs,
+    App,
+    Arrow,
+    Data,
+    Fun,
+    FunDecl,
+    Signature,
+    SortDecl,
+    Term,
+    Ty,
+    TypingError,
+    Var,
+    ty_str,
+)
 from horpo.typeorder import SortOrder
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -25,6 +40,62 @@ def rebuild(obj, **changes):
     fields = {name: getattr(obj, name) for name in names}
     assert changes.keys() <= fields.keys(), changes.keys() - fields.keys()
     return type(obj)(**{**fields, **changes})
+
+
+# The reference typing of a raw term. The parser types each node as it reads
+# it; tests compare its annotations, and the terms the harness builds, with
+# this independent definition.
+def typecheck(
+    sig: Signature, env: Mapping[str, Ty], t: Term, types: dict[Ty, Ty] | None = None
+) -> Term:
+    """Type the raw term `t` under `env`, annotating every node. Types at
+    application and argument positions must be syntactically equal. An
+    abstraction's type is taken from the table `types` of shared types
+    (and added to it), so that equal types stay one object."""
+    types = {} if types is None else types
+
+    def go(env: dict[str, Ty], t: Term) -> Term:
+        if isinstance(t, Var):
+            ty = env.get(t.name)
+            if ty is None:
+                raise TypingError("unbound variable %r" % t.name)
+            return Var(t.name, ty)
+        if isinstance(t, Fun):
+            decl = sig.fun(t.sym)
+            if len(t.args) != decl.arity:
+                raise TypingError(
+                    "symbol %r expects %d argument(s), got %d"
+                    % (t.sym, decl.arity, len(t.args))
+                )
+            args = tuple(go(env, a) for a in t.args)
+            for i, (a, want) in enumerate(zip(args, decl.arg_tys)):
+                if a.ty != want:
+                    raise TypingError(
+                        "argument %d of %r has type %s, expected %s"
+                        % (i + 1, t.sym, ty_str(a.ty), ty_str(want))
+                    )
+            return Fun(t.sym, args, decl.out_ty)
+        if isinstance(t, App):
+            fn = go(env, t.fn)
+            if not isinstance(fn.ty, Arrow):
+                raise TypingError(
+                    "cannot apply term of type %s" % ty_str(fn.ty)
+                )
+            arg = go(env, t.arg)
+            if fn.ty.dom != arg.ty:
+                raise TypingError(
+                    "application domain mismatch: %s vs %s"
+                    % (ty_str(fn.ty.dom), ty_str(arg.ty))
+                )
+            return App(fn, arg, fn.ty.cod)
+        sig.check_type(t.var_ty)
+        inner = dict(env)
+        inner[t.var] = t.var_ty
+        body = go(inner, t.body)
+        ty = Arrow(t.var_ty, body.ty)
+        return Abs(t.var, t.var_ty, body, types.setdefault(ty, ty))
+
+    return go(dict(env), t)
 
 
 def load(name):

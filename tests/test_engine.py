@@ -1,13 +1,13 @@
 import random
 
 import pytest
-from conftest import CORPUS, load
+from conftest import CORPUS, load, typecheck
 
 from horpo.accessibility import acc_candidates
 from horpo.engine import Engine, EngineError
 from horpo.harness import GenError, enumerate_terms, gen_term
 from horpo.problems import parse_problem
-from horpo.terms import Abs, App, Arrow, Data, Fun, Var, alpha_eq, term_str, typecheck
+from horpo.terms import Abs, App, Arrow, Data, Fun, Var, alpha_eq, term_str
 from horpo.traces import Trace, apply_witness, trace_to_jsonable
 from horpo.typeorder import ty_eq
 

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from conftest import CORPUS, ROOT, load
+from conftest import CORPUS, ROOT, load, typecheck
 from horpo import harness
 from horpo.accessibility import APP_SYM
 from horpo.context import LEX, MUL, OrderingContext
@@ -34,7 +34,6 @@ from horpo.terms import (
     alpha_eq,
     term_str,
     ty_str,
-    typecheck,
 )
 from horpo.traces import Trace
 from horpo.typeorder import QuasiOrder, SortOrder, validate_axioms

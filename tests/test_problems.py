@@ -2,7 +2,7 @@ import json
 import re
 
 import pytest
-from conftest import CORPUS, rebuild
+from conftest import CORPUS, ROOT, rebuild, typecheck
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -136,11 +136,60 @@ def test_precedence_cycle_rejected():
         ("sort N ;\norder N < M ;", "undeclared sort 'M' in order declaration"),
         ("sort N ;\nstatus f mul ;", "status for undeclared symbol 'f'"),
         ("sort N ;\nvar X : M ;", "undeclared sort 'M'"),
-        # a later declaration would retype the rules above it
+        # each variable is declared once, before the rules that use it
         (
             "sort N ;\nsort M ;\nfun f : [N] -> N ;\nvar x : N ;\n"
             "rule f(x) -> x ;\nvar x : M ;",
             "line 6, col 5: duplicate variable 'x'",
+        ),
+        (
+            "sort N ;\nfun f : [N] -> N ;\nrule f(x) -> x ;\nvar x : N ;",
+            "line 3, col 8: unbound variable 'x'",
+        ),
+        ("sort N ;\nsort N ;", "line 2, col 6: duplicate sort 'N'"),
+        (
+            "sort N ;\nfun f : [] -> N ;\nfun f : [N] -> N ;",
+            "line 3, col 5: duplicate function symbol 'f'",
+        ),
+        # each typing error names its node's token
+        (
+            "sort N ;\nfun f : [N] -> N ;\nvar x : N ;\nrule f(x) -> f(y) ;",
+            "line 4, col 16: unbound variable 'y'",
+        ),
+        (
+            "sort N ;\nfun z : [] -> N ;\nfun f : [N] -> N ;\n"
+            "rule f(z) -> f(z, z) ;",
+            "line 4, col 14: symbol 'f' expects 1 argument(s), got 2",
+        ),
+        (
+            "sort N ;\nsort M ;\nfun m : [] -> M ;\nfun f : [N] -> N ;\n"
+            "var x : N ;\nrule f(x) -> f(m) ;",
+            "line 6, col 14: argument 1 of 'f' has type M, expected N",
+        ),
+        (
+            "sort N ;\nfun z : [] -> N ;\nfun f : [N] -> N ;\nvar x : N ;\n"
+            "rule f(x) -> f(@(x, z)) ;",
+            "line 5, col 16: cannot apply term of type N",
+        ),
+        (
+            "sort N ;\nsort M ;\nfun m : [] -> M ;\nfun f : [N] -> N ;\n"
+            "var F : N -> N ;\nrule f(@(F, m)) -> m ;",
+            "line 6, col 8: application domain mismatch: N vs M",
+        ),
+        (
+            "sort N ;\nvar x : N ;\nrule \\y:K. x -> \\y:K. x ;",
+            "line 3, col 9: undeclared sort 'K'",
+        ),
+        (
+            "sort N ;\nfun z : [] -> N ;\nfun g : [N -> N] -> N ;\n"
+            "rule g(\\z:N. z) -> z ;",
+            "line 4, col 9: bound variable 'z' clashes with a function symbol",
+        ),
+        # a symbol declared after the rule clashes too
+        (
+            "sort N ;\nfun g : [N -> N] -> N ;\nrule g(\\z:N. z) -> g(\\z:N. z) ;\n"
+            "fun z : [] -> N ;",
+            "line 3, col 9: bound variable 'z' clashes with a function symbol",
         ),
         # the scanner's columns: a tab is one column, and λ one column wide
         ("rule\tλ:", "line 1, col 7: expected bound variable, found ':'"),
@@ -150,7 +199,9 @@ def test_precedence_cycle_rejected():
     ],
     ids=[
         "arity", "prec-symbol", "order-sort", "status-symbol", "var-type",
-        "var-repeated",
+        "var-repeated", "var-after-rule", "sort-repeated", "fun-repeated",
+        "unbound-variable", "symbol-arity", "argument-type", "apply-non-arrow",
+        "apply-domain", "binder-sort", "binder-clash", "binder-clash-later",
         "lambda-after-tab", "char-after-identifier", "eof-after-comment",
     ],
 )
@@ -159,9 +210,21 @@ def test_declaration_errors(text, message):
         parse_problem(text)
 
 
-def test_duplicate_function():
-    with pytest.raises(ProblemError, match="duplicate"):
-        parse_problem("sort N ;\nfun f : [] -> N ;\nfun f : [] -> N ;\n")
+# every problem file that parses; bad_freevar.horpo is rejected by design
+PARSED = [
+    path
+    for d in (CORPUS, ROOT / "tests" / "data")
+    for path in sorted(d.rglob("*.horpo"))
+    if path.name != "bad_freevar.horpo"
+]
+
+
+@pytest.mark.parametrize("path", PARSED, ids=lambda p: p.stem)
+def test_parser_annotations_are_the_reference_typing(path):
+    p = parse_problem(path.read_text())
+    for rule in p.rules:
+        for side in (rule.lhs, rule.rhs):
+            assert typecheck(p.sig, p.vars, side) == side
 
 
 def test_round_trip(brouwer, nat_rec, map_problem):

@@ -12,7 +12,7 @@ from itertools import count
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import load
+from conftest import load, typecheck
 from horpo.harness import (
     GenError,
     beta_step,
@@ -39,7 +39,6 @@ from horpo.terms import (
     subterms,
     substitute,
     term_str,
-    typecheck,
 )
 from test_alpha_classes import rename_binders, walker_alpha_eq
 

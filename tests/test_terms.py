@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from conftest import typecheck
 
 from horpo.terms import (
     Abs,
@@ -18,7 +19,6 @@ from horpo.terms import (
     substitute,
     term_str,
     ty_str,
-    typecheck,
 )
 
 Nat = Data("Nat")

@@ -1,9 +1,10 @@
 """Guard-deletion mutants of the engine, the accessibility layer, the type
-order and the harness, run against tier-1.
+order, the harness and the parser, run against tier-1.
 
 Each mutant is one exact replacement in one file of `src/horpo` that turns
 a guard condition (a test whose truth rejects a goal, a candidate or an
-input) into `False`, so the guard never fires. For each mutant, in turn,
+input) into `False`, or a check call into `pass`, so the guard never
+fires. For each mutant, in turn,
 the script writes the mutated file into a temporary copy of the checkout,
 runs tier-1 there with `-x`, and prints the first failing test; a run
 that exceeds the timeout counts as killed. Then it restores the file.
@@ -36,6 +37,7 @@ ENGINE = "src/horpo/engine.py"
 ACC = "src/horpo/accessibility.py"
 TYPES = "src/horpo/typeorder.py"
 HARNESS = "src/horpo/harness.py"
+PARSER = "src/horpo/problems.py"
 
 # name -> (file, old text, new text); old text occurs once in its file
 MUTANTS = {
@@ -216,6 +218,53 @@ MUTANTS = {
         HARNESS,
         "        if validate_axioms(order, problem.ctx.universe):\n",
         "        if False:\n",
+    ),
+    "duplicate sort": (
+        PARSER,
+        "            if name.text in sorts:\n",
+        "            if False:\n",
+    ),
+    "duplicate function symbol": (
+        PARSER,
+        "            if name.text in p.funs:\n",
+        "            if False:\n",
+    ),
+    "unbound variable": (
+        PARSER,
+        "        if decl is None:\n",
+        "        if False:\n",
+    ),
+    "symbol arity": (
+        PARSER,
+        "        if len(args) != decl.arity:\n",
+        "        if False:\n",
+    ),
+    "argument type": (
+        PARSER,
+        "            if a.ty != want:\n",
+        "            if False:\n",
+    ),
+    "apply a non-arrow": (
+        PARSER,
+        "                if not isinstance(out.ty, Arrow):\n",
+        "                if False:\n",
+    ),
+    "application domain": (
+        PARSER,
+        "                if out.ty.dom != a.ty:\n",
+        "                if False:\n",
+    ),
+    "binder clash": (
+        PARSER,
+        "        if var.text in p.funs:\n",
+        "        if False:\n",
+    ),
+    "binder sort": (
+        PARSER,
+        "            sig.check_type(ty)\n        except TypingError as exc:\n"
+        "            raise ProblemError(str(exc), first.line",
+        "            pass\n        except TypingError as exc:\n"
+        "            raise ProblemError(str(exc), first.line",
     ),
 }
 
