@@ -35,6 +35,7 @@ from .terms import (
     alpha_eq,
     free_vars,
     substitute,
+    subterms,
     term_str,
     ty_str,
 )

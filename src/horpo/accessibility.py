@@ -4,6 +4,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .terms import (
+    Abs,
     AlphaClass,
     App,
     Data,
@@ -13,7 +14,6 @@ from .terms import (
     Ty,
     alpha_eq,
     free_vars,
-    strict_subterms,
     ty_subterms,
 )
 from .typeorder import (
@@ -74,7 +74,10 @@ def _candidates(
     table, sort order and minimal types (by identity). A strict subterm v is
     acc-below `s` when it is accessible in `s`, or of minimal type with
     every free variable free in `s`. Nothing is acc-below a variable or an
-    abstraction.
+    abstraction. An occurrence in which a binder above it captures one of
+    its free variables is not a subterm of `s` on its own, so it is
+    skipped: otherwise a free variable of `s` with the binder's name would
+    make the result depend on how bound variables are spelled.
 
     The accessible classes, `reach`, are built first by a walk down the
     accessible positions of `Fun` nodes from `s`. A class in `reach` has
@@ -101,11 +104,28 @@ def _candidates(
                     if isinstance(arg, Fun):
                         stack.append(arg)
         fv_s = free_vars(s)
-        for v in strict_subterms(s):
+        # pre-order, each node with the names bound above it in `s`
+        parts = (s.fn, s.arg) if isinstance(s, App) else s.args
+        walk = [(v, frozenset()) for v in reversed(parts)]
+        while walk:
+            v, bound = walk.pop()
+            if isinstance(v, Fun):
+                walk += [(a, bound) for a in reversed(v.args)]
+            elif isinstance(v, App):
+                walk += ((v.arg, bound), (v.fn, bound))
+            elif isinstance(v, Abs):
+                walk.append((v.body, bound | {v.var}))
             cls = v.alpha_class
-            if cls not in out and (
-                cls in reach
-                or (is_minimal_type(order, min_types, v.ty) and free_vars(v) <= fv_s)
+            if (
+                cls not in out
+                and (not bound or free_vars(v).isdisjoint(bound))
+                and (
+                    cls in reach
+                    or (
+                        is_minimal_type(order, min_types, v.ty)
+                        and free_vars(v) <= fv_s
+                    )
+                )
             ):
                 out[cls] = v
     s.__dict__["_acc_cands"] = (acc, order, min_types, out)

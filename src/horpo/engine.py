@@ -25,7 +25,6 @@ from .terms import (
     Term,
     Ty,
     Var,
-    all_names,
     alpha_eq,
     beta_reduct,
     eta_reduct,
@@ -76,10 +75,15 @@ class Engine:
         return self._gt(x, s, t) if known is _MISS else known
 
     def gt_type(self, x: XSet, s: Term, t: Term) -> Trace | None:
-        """s > t together with the type gate type(s) >= type(t)."""
+        """s > t together with the type gate type(s) >= type(t). Like `gt`
+        it lets the recursion guard admit the goal, but it enters `_gt`
+        itself: one frame fewer per extension pair on the stack, so that
+        deciding case 1b's extension first descends a tower no deeper than
+        its argument goals did."""
         if not ty_ge(self.ctx.sort_order, s.ty, t.ty):
             return None
-        inner = self.gt(x, s, t)
+        self._raise_limit(s, t)
+        inner = self._gt(x, s, t)
         if inner is None:
             return None
         aux = (("lhs_ty", ty_str(s.ty)), ("rhs_ty", ty_str(t.ty)))
@@ -154,9 +158,22 @@ class Engine:
         return None
 
     def _case_1b(self, x: XSet, s: Term, t: Term) -> Trace | None:
+        """Equivalent heads: s > t_j for every argument t_j, and the status
+        extension of the argument lists. The paper's premises form a
+        conjunction with no order, so the extension, whose pairs are
+        smaller goals, is decided first: a failing goal then descends the
+        diagonal of a tower rather than visiting every pair of its levels.
+        The children keep the paper's order (the arguments, then the
+        extension). A success proves the same premises in either order and
+        a failure makes no trace, so the traces are those the
+        arguments-first order makes."""
         if not isinstance(t, Fun):
             return None
         if self.ctx.prec.cmp(s.sym, t.sym) is not Cmp.EQ:
+            return None
+        status = self.ctx.statuses[s.sym]
+        ext = (self._mul_ext if status == MUL else self._lex_ext)(x, s, t, "union")
+        if ext is None:
             return None
         children = []
         for tj in t.args:
@@ -164,10 +181,6 @@ class Engine:
             if tr is None:
                 return None
             children.append(tr)
-        status = self.ctx.statuses[s.sym]
-        ext = (self._mul_ext if status == MUL else self._lex_ext)(x, s, t, "union")
-        if ext is None:
-            return None
         children.append(ext)
         return Trace("1b", s, t, x, tuple(children), (("status", status),))
 
@@ -223,11 +236,9 @@ class Engine:
 
     # -- abstraction left-hand side ------------------------------------------
 
-    def _fresh(self, base: str, x: XSet, *terms: Term) -> str:
-        avoid = {name for name, _ in x}
-        for t in terms:
-            avoid |= all_names(t)
-        return fresh_var(base, avoid)
+    def _fresh(self, base: str, x: XSet, s: Term, t: Term) -> str:
+        avoid = s.all_names | t.all_names
+        return fresh_var(base, avoid.union([name for name, _ in x]) if x else avoid)
 
     def _case_3a(self, x: XSet, s: Term, t: Term) -> Trace | None:
         z = self._fresh(s.var, x, s, t)
@@ -313,13 +324,28 @@ class Engine:
         self, x: XSet, a: Term, b: Term, pair_kind: str
     ) -> Trace | None:
         """One extension subgoal: the typed comparison, or (for the status
-        case under an algebraic head) the strict composite carrying X."""
+        case under an algebraic head) the strict composite carrying X.
+
+        When X is empty, `a` is algebraic and the type gate passed, the
+        composite asks only `a`'s new candidates, as case 1a does for its
+        arguments: a > b has just failed after its case 1a asked, under the
+        same empty X, every argument of `a` and every strict candidate of
+        one, of b's type (failures are reported only after every applicable
+        case was tried), so none of those can be the first witness. With a
+        failed gate a > b was never asked; with a non-empty X the witness
+        may need applying to freed variables, which case 1a never does."""
         if pair_kind == "type_x":
             return self.gt_type(x, a, b)
         tr = self.gt_type(EMPTY_X, a, b)
         if tr is not None:
             return tr
-        for w, xs, wapp in self._witnesses(x, a, b, strict=True):
+        ctx, order = self.ctx, self.ctx.sort_order
+        if x or not isinstance(a, Fun) or not ty_ge(order, a.ty, b.ty):
+            witnesses = self._witnesses(x, a, b, strict=True)
+        else:
+            new = acc_new_candidates(ctx.acc, order, ctx.min_types, a)
+            witnesses = ((w, (), w) for w in new if ty_eq(order, w.ty, b.ty))
+        for w, xs, wapp in witnesses:
             inner = self.ge(EMPTY_X, wapp, b)
             if inner is not None:
                 return Trace("accApply", a, b, x, (inner,), (("w", w), ("xs", xs)))

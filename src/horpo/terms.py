@@ -10,13 +10,15 @@ instantiates a binder with a fresh variable, and `beta_reduct` and
 `eta_reduct` recognise a redex at the root and return its reduct.
 
 Each node's constructor sets the facts derived from it once, from its
-children's facts: its size, its number of abstractions, its free variables
-and its alpha-equivalence class (`alpha_class`); a variable's free-variable
-set is made on each read. Only the accessibility layer still caches on a
-node on first use: its acc-below candidates (the first strict subterm of
-each class that is acc-below it), keyed by `ctx.acc`, the sort order
-and the minimal types, all by identity, and beside them those candidates
-that no argument of the node offers. The contract for facts and caches:
+children's facts: its size, its number of abstractions, its free variables,
+every identifier in it, free or bound, binders included (`all_names`, the
+free-variable set itself when it has no abstraction) and its
+alpha-equivalence class (`alpha_class`); a variable's name sets are made
+on each read. Only the accessibility layer still caches on a node on
+first use: its acc-below candidates (the first strict subterm of each
+class that is acc-below it), keyed by `ctx.acc`, the sort order and the
+minimal types, all by identity, and beside them those candidates that no
+argument of the node offers. The contract for facts and caches:
   - nodes are immutable, so a fact or cached value never goes stale;
   - they live in the node's `__dict__`, not among the fields that
     `Record` compares, hashes and prints, so they never affect equality,
@@ -224,6 +226,8 @@ class Var(Record):
     def free_vars(self) -> frozenset[str]:
         return frozenset((self.name,))
 
+    all_names = free_vars
+
 
 class Abs(Record):
     def __init__(self, var: str, var_ty: Ty, body: Term, ty: Ty | None = None):
@@ -235,6 +239,8 @@ class Abs(Record):
         _set(self, "abstractions", 1 + body.abstractions)
         fv = body.free_vars
         _set(self, "free_vars", fv - {var} if var in fv else fv)
+        names = body.all_names
+        _set(self, "all_names", names if var in names else names | {var})
         body_class = _nameless(body, {var: 0}, 1)
         _set(self, "alpha_class", _intern(("abs", var_ty, body_class)))
 
@@ -245,8 +251,12 @@ class App(Record):
         _set(self, "arg", arg)
         _set(self, "ty", ty)
         _set(self, "size", 1 + fn.size + arg.size)
-        _set(self, "abstractions", fn.abstractions + arg.abstractions)
-        _set(self, "free_vars", _union(fn.free_vars, arg.free_vars))
+        abstractions = fn.abstractions + arg.abstractions
+        fv = _union(fn.free_vars, arg.free_vars)
+        _set(self, "abstractions", abstractions)
+        _set(self, "free_vars", fv)
+        names = _union(fn.all_names, arg.all_names) if abstractions else fv
+        _set(self, "all_names", names)
         _set(self, "alpha_class", _intern(("app", fn.alpha_class, arg.alpha_class)))
 
 
@@ -260,9 +270,14 @@ class Fun(Record):
             size += a.size
             abstractions += a.abstractions
             fv = _union(fv, a.free_vars)
+        names = fv
+        if abstractions:
+            for a in args:
+                names = _union(names, a.all_names)
         _set(self, "size", size)
         _set(self, "abstractions", abstractions)
         _set(self, "free_vars", fv)
+        _set(self, "all_names", names)
         _set(self, "alpha_class", _intern(("fun", sym, *[a.alpha_class for a in args])))
 
 
@@ -322,25 +337,8 @@ def subterms(t: Term) -> Iterator[Term]:
             stack.extend(reversed(t.args))
 
 
-def strict_subterms(t: Term) -> Iterator[Term]:
-    it = subterms(t)
-    next(it)
-    return it
-
-
 def free_vars(t: Term) -> frozenset[str]:
     return t.free_vars
-
-
-def all_names(t: Term) -> frozenset[str]:
-    """Every identifier occurring in `t`, free or bound, binders included."""
-    out: set[str] = set()
-    for u in subterms(t):
-        if isinstance(u, Var):
-            out.add(u.name)
-        elif isinstance(u, Abs):
-            out.add(u.var)
-    return frozenset(out)
 
 
 def fresh_var(base: str, avoid: frozenset[str] | set[str]) -> str:
@@ -369,16 +367,16 @@ def substitute(t: Term, subst: Mapping[str, Term]) -> Term:
     def go(t: Term, sub: dict[str, Term]) -> Term:
         if isinstance(t, Var):
             return sub.get(t.name, t)
+        if t.free_vars.isdisjoint(sub):
+            return t
         if isinstance(t, Fun):
-            return Fun(t.sym, tuple(go(a, sub) for a in t.args), t.ty)
+            return Fun(t.sym, tuple([go(a, sub) for a in t.args]), t.ty)
         if isinstance(t, App):
             return App(go(t.fn, sub), go(t.arg, sub), t.ty)
         sub = {k: v for k, v in sub.items() if k != t.var}
-        if not any(k in free_vars(t.body) for k in sub):
-            return t
         x, body = t.var, t.body
         if x in range_fv:
-            z = fresh_var(x, range_fv | all_names(body))
+            z = fresh_var(x, range_fv | body.all_names)
             body = go(body, {x: Var(z, t.var_ty)})
             x = z
         return Abs(x, t.var_ty, go(body, sub), t.ty)

@@ -7,6 +7,7 @@ from horpo.accessibility import (
 from conftest import CORPUS, load
 from horpo.context import OrderingContext
 from horpo.harness import enumerate_terms
+from horpo.problems import orient, parse_problem
 from horpo.terms import (
     Abs,
     App,
@@ -102,15 +103,34 @@ def test_acc_gt_respects_bound_variables(brouwer):
     assert not acc_gt(ctx.acc, ctx.sort_order, ctx.min_types, s, x)
 
 
+_CAPTURE = (
+    "sort N ; fun h : [N] -> N ; fun g : [N -> N] -> N ; fun f : [N, N] -> N ;"
+    " fun k : [N] -> N ; var y : N ; rule k(f(y, g(\\%s:N. h(%s)))) -> k(h(y)) ;"
+)
+
+
+def test_acc_below_is_alpha_invariant():
+    # the bound h(y) is not the free h(y): a free y of the left side gives
+    # the binder's spelling no say in the verdict
+    for name in ("y", "z"):
+        p = parse_problem(_CAPTURE % (name, name))
+        assert orient(p.ctx, p.rules[0]) is None, name
+    p = parse_problem(_CAPTURE % ("y", "y"))
+    ctx, (k_arg,), (h_y,) = p.ctx, p.rules[0].lhs.args, p.rules[0].rhs.args
+    view = (ctx.acc, ctx.sort_order, ctx.min_types)
+    assert acc_gt(*view, k_arg, h_y) is None
+    assert h_y.alpha_class not in {
+        w.alpha_class for w in acc_candidates(*view, k_arg, True)
+    }
+
+
 def test_acc_gt_implies_strict_subterm(brouwer):
     ctx = brouwer.ctx
     rhs = brouwer.rules[2].rhs
     for s in subterms(brouwer.rules[2].lhs):
         for v in subterms(rhs):
             if acc_gt(ctx.acc, ctx.sort_order, ctx.min_types, s, v):
-                from horpo.terms import alpha_eq, strict_subterms
-
-                assert any(alpha_eq(v, u) for u in strict_subterms(s))
+                assert any(alpha_eq(v, u) for u in [*subterms(s)][1:])
 
 
 def test_acc_candidates_order(brouwer):
@@ -158,16 +178,19 @@ def _oracle_reach(acc, s):
     return out
 
 
-def _oracle_strict_subterms(t):
+def _oracle_strict_subterms(t, bound=frozenset()):
+    """The strict subterms of `t`, in pre-order, but for those with a free
+    variable that a binder of `t` above them binds."""
     if isinstance(t, Abs):
-        parts = (t.body,)
+        parts, bound = (t.body,), bound | {t.var}
     elif isinstance(t, App):
         parts = (t.fn, t.arg)
     else:
         parts = t.args if isinstance(t, Fun) else ()
     for u in parts:
-        yield u
-        yield from _oracle_strict_subterms(u)
+        if not free_vars(u) & bound:
+            yield u
+        yield from _oracle_strict_subterms(u, bound)
 
 
 def _oracle_below(acc, order, min_types, s):

@@ -179,9 +179,9 @@ MEMO_SIZES = [
     ("tower", 16, _tower(16, 8), True, 53),
     ("tower", 24, _tower(24, 12), True, 103),
     ("tower", 32, _tower(32, 16), True, 169),
-    ("tower_rev", 16, _tower(16, 8, reverse=True), False, 154),
-    ("tower_rev", 24, _tower(24, 12, reverse=True), False, 326),
-    ("tower_rev", 32, _tower(32, 16, reverse=True), False, 562),
+    ("tower_rev", 16, _tower(16, 8, reverse=True), False, 45),
+    ("tower_rev", 24, _tower(24, 12, reverse=True), False, 91),
+    ("tower_rev", 32, _tower(32, 16, reverse=True), False, 153),
     ("incomparable", 16, _tower(16, 16, "d"), False, 17),
     ("incomparable", 24, _tower(24, 24, "d"), False, 25),
     ("incomparable", 32, _tower(32, 32, "d"), False, 33),

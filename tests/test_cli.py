@@ -228,7 +228,7 @@ def test_search_answer_failing_its_check_is_one_line_and_exit_2(
 def test_properties_findings_exit_1(fmt, monkeypatch, capsys):
     # an ordering that orients every pair: irreflexivity fails, and no
     # trace it makes replays
-    monkeypatch.setattr(Engine, "gt", lambda self, x, s, t: Trace("4a", s, t, x))
+    monkeypatch.setattr(Engine, "_gt", lambda self, x, s, t: Trace("4a", s, t, x))
     argv = ["properties", str(CORPUS / "nat_rec.horpo"), "--samples", "30"]
     assert cli.main(argv + ["--seed", "3", "--format", fmt]) == 1
     out, err = capsys.readouterr()

@@ -29,7 +29,6 @@ from horpo.terms import (
     Fun,
     TypingError,
     Var,
-    all_names,
     alpha_eq,
     beta_reduct,
     eta_reduct,
@@ -85,8 +84,8 @@ def test_open_abs_then_rebind_is_alpha_equal(case, pick):
             continue
         # a brand-new name, or one bound inside the body, which forces
         # open_abs to rename the inner binder to avoid capturing it
-        inner = sorted(all_names(u) - free_vars(u))
-        z = inner[pick % len(inner)] if pick and inner else fresh_var("z", all_names(u))
+        inner = sorted(u.all_names - free_vars(u))
+        z = inner[pick % len(inner)] if pick and inner else fresh_var("z", u.all_names)
         body = open_abs(u, z)
         assert body.ty == u.body.ty
         rebound = Abs(z, u.var_ty, body, u.ty)
@@ -123,6 +122,43 @@ def test_substitute_avoids_capture_and_keeps_types(case, seed):
     assert typecheck(p.sig, env, got) == got
 
 
+def _assert_kept(t, got, name):
+    """Each largest part of `t` in which `name` is not free is `got`'s part
+    at the same place, by identity."""
+    if name not in free_vars(t):
+        assert got is t
+    elif isinstance(t, Fun):
+        for a, b in zip(t.args, got.args):
+            _assert_kept(a, b, name)
+    elif isinstance(t, App):
+        _assert_kept(t.fn, got.fn, name)
+        _assert_kept(t.arg, got.arg, name)
+    elif isinstance(t, Abs):
+        _assert_kept(t.body, got.body, name)
+
+
+@derandomized
+@given(seeded_terms(max_size=12))
+def test_substitute_rebuilds_only_the_paths_it_changes(case):
+    p, t, _ = case
+    for name in sorted(free_vars(t)):
+        # a name t does not hold: nothing is renamed, so the shapes match
+        got = substitute(t, {name: Var(fresh_var(name, t.all_names), p.vars[name])})
+        _assert_kept(t, got, name)
+
+
+@derandomized
+@given(seeded_terms())
+def test_all_names_hold_every_identifier(case):
+    _, t, _ = case
+    for u in subterms(t):
+        names = {v.name for v in subterms(u) if isinstance(v, Var)}
+        names |= {v.var for v in subterms(u) if isinstance(v, Abs)}
+        assert u.all_names == names
+        if not u.abstractions and not isinstance(u, Var):
+            assert u.all_names is u.free_vars
+
+
 @derandomized
 @given(seeded_terms())
 def test_reducts_agree_with_one_step_reduction(case):
@@ -140,7 +176,7 @@ def test_reducts_agree_with_one_step_reduction(case):
             assert all(s.ty == u.ty for s in steps)
     # near-redexes \x.@(w, x) where x may be free in w, which blocks the step
     ty = rng.choice([a for a in p.ctx.universe if isinstance(a, Arrow)])
-    x = Var(fresh_var("x", all_names(t)), ty.dom)
+    x = Var(fresh_var("x", t.all_names), ty.dom)
     try:
         w = gen_term(p.sig, {**p.vars, x.name: ty.dom}, ty, rng, size=4)
     except GenError:

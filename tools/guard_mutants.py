@@ -66,6 +66,11 @@ MUTANTS = {
         "            if x or not isinstance(si, Fun) or not ty_eq(order, si.ty, t.ty):\n",
         "            if False:\n",
     ),
+    "accApply shortcut condition": (
+        ENGINE,
+        "        if x or not isinstance(a, Fun) or not ty_ge(order, a.ty, b.ty):\n",
+        "        if False:\n",
+    ),
     "1b head": (
         ENGINE,
         "        if not isinstance(t, Fun):\n",
