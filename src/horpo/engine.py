@@ -358,10 +358,15 @@ class Engine:
         Kept left elements are matched one-to-one against alpha-equal right
         elements; every remaining right element must be covered by some
         removed left element. Kept sets are tried largest first, so maximal
-        cancellation wins when several witnesses exist."""
+        cancellation wins when several witnesses exist. No kept set larger
+        than the classes the two lists share (as multisets) can match."""
         left, right = ext_args(s), ext_args(t)
-        n, m = len(left), len(right)
-        for keep_size in range(min(n - 1, m), -1, -1):
+        n, shared, rest = len(left), 0, [b.alpha_class for b in right]
+        for a in left:
+            if a.alpha_class in rest:
+                rest.remove(a.alpha_class)
+                shared += 1
+        for keep_size in range(min(n - 1, shared), -1, -1):
             for keep in combinations(range(n), keep_size):
                 removed = [i for i in range(n) if i not in keep]
                 match = self._match_equal(keep, left, right)

@@ -10,8 +10,8 @@ until all rules of a problem orient.
 from __future__ import annotations
 
 import random
-from itertools import product
-from typing import Callable
+from itertools import islice, product
+from typing import Callable, Iterator
 
 from .accessibility import APP_SYM, acc_table
 from .context import LEX, MUL, OrderingContext
@@ -89,9 +89,7 @@ def _gen(
     if vars_here and (budget <= 2 or rng.random() < 0.3):
         options.append("var")
     funs_here = [
-        f
-        for f in sig.funs
-        if f.out_ty == ty and (budget > f.arity or f.arity == 0)
+        f for f in sig.funs_by_out.get(ty, ()) if budget > f.arity or f.arity == 0
     ]
     if funs_here:
         options.append("fun")
@@ -142,25 +140,22 @@ def _gen(
 
 
 def _candidate_arg_types(sig: Signature, env: dict[str, Ty]) -> list[Ty]:
-    tys = [t for f in sig.funs for t in (*f.arg_tys, f.out_ty)]
-    tys.extend(env.values())
-    return list(dict.fromkeys(tys)) or [Data("o")]
+    return list(dict.fromkeys((*sig.fun_types, *env.values()))) or [Data("o")]
 
 
 # ---------------------------------------------------------------------------
 # Reduction steps
 
 
-def _places(t: Term, binders: bool) -> list[tuple[Term, Callable[[Term], Term]]]:
+def _places(t: Term, binders: bool) -> Iterator[tuple[Term, Callable[[Term], Term]]]:
     """Each subterm occurrence u of `t`, pre-order, left to right, with
-    `plug`, which rebuilds `t` with a given term in u's place. Abstraction
-    bodies are entered only when `binders` is true: a term put there may
-    capture the bound variable."""
-    out = []
+    `plug`, which rebuilds `t` with a given term in u's place, made as it
+    is asked for. Abstraction bodies are entered only when `binders` is
+    true: a term put there may capture the bound variable."""
     stack = [(t, lambda v: v)]
     while stack:
         u, plug = stack.pop()
-        out.append((u, plug))
+        yield u, plug
         if isinstance(u, App):
             stack.append((u.arg, lambda v, u=u, plug=plug: plug(App(u.fn, v, u.ty))))
             stack.append((u.fn, lambda v, u=u, plug=plug: plug(App(v, u.arg, u.ty))))
@@ -173,27 +168,27 @@ def _places(t: Term, binders: bool) -> list[tuple[Term, Callable[[Term], Term]]]
             def put(v, u=u, plug=plug):
                 return plug(Abs(u.var, u.var_ty, v, u.ty))
             stack.append((u.body, put))
-    return out
 
 
-def _steps(t: Term, root: Callable[[Term], Term | None]) -> list[Term]:
-    """All one-step reducts of `t`, annotations preserved, where `root(u)`
-    is the reduct of a redex u and None on any other term. The reduct at
-    the root comes first, then those inside the parts, left to right."""
-    return [
+def _steps(t: Term, root: Callable[[Term], Term | None]) -> Iterator[Term]:
+    """All one-step reducts of `t`, annotations preserved, made as they are
+    asked for, where `root(u)` is the reduct of a redex u and None on any
+    other term. The reduct at the root comes first, then those inside the
+    parts, left to right."""
+    return (
         plug(reduct)
         for u, plug in _places(t, True)
         if (reduct := root(u)) is not None
-    ]
+    )
 
 
-def beta_step(t: Term) -> list[Term]:
-    """All one-step beta reducts of `t`, annotations preserved."""
+def beta_step(t: Term) -> Iterator[Term]:
+    """All one-step beta reducts of `t`, lazily, annotations preserved."""
     return _steps(t, beta_reduct)
 
 
-def eta_step(t: Term) -> list[Term]:
-    """All one-step eta reducts of `t`."""
+def eta_step(t: Term) -> Iterator[Term]:
+    """All one-step eta reducts of `t`, lazily."""
     return _steps(t, eta_reduct)
 
 
@@ -201,7 +196,7 @@ def inject_beta_redex(
     sig: Signature, env: dict[str, Ty], t: Term, rng: random.Random
 ) -> Term:
     """Replace one random subterm u of `t` by @(\\x:T. u', a) reducing to u."""
-    u, plug = rng.choice(_places(t, False))
+    u, plug = rng.choice(list(_places(t, False)))
     arg_ty = rng.choice(_candidate_arg_types(sig, env))
     arg = gen_term(sig, env, arg_ty, rng, size=2)
     x = fresh_var("b", free_vars(t) | set(env))
@@ -242,7 +237,7 @@ def _shrink(check, t: Term) -> Term:
     changed = True
     while changed:
         changed = False
-        for sub, plug in _places(t, False)[1:]:
+        for sub, plug in islice(_places(t, False), 1, None):
             if sub.size <= 1:
                 continue
             candidate = plug(Var(fresh_var("s", free_vars(t)), sub.ty))
@@ -291,12 +286,12 @@ def run_properties(
                 redex = inject()
             except GenError:  # no small argument for the redex: no probe
                 continue
-            reducts = step(redex) if redex is not None else []
-            if not reducts:
+            reduct = next(iter(step(redex)), None) if redex is not None else None
+            if reduct is None:
                 continue
-            tr = engine.gt_type((), redex, reducts[0])
+            tr = engine.gt_type((), redex, reduct)
             if tr is None:
-                shown = term_str(redex), term_str(reducts[0])
+                shown = term_str(redex), term_str(reduct)
                 findings.append(Finding(prop, "%s not > its reduct %s" % shown))
             else:
                 _validate(ctx, tr, findings, prop)
@@ -400,8 +395,8 @@ def enumerate_terms(
         for n, vt in scope.items():
             if vt == target:
                 results.append(Var(n, vt))
-        for f in sig.funs:
-            if f.out_ty != target or f.arity >= budget:
+        for f in sig.funs_by_out.get(target, ()):
+            if f.arity >= budget:
                 continue
             arg_lists: list[list[Term]] = [[]]
             for at in f.arg_tys:

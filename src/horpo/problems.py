@@ -37,7 +37,6 @@ from .terms import (
     SortDecl,
     Term,
     Ty,
-    TypingError,
     Var,
     free_vars,
     term_str,
@@ -110,8 +109,11 @@ class _Parser:
         self.types: dict[Ty, Ty] = {}
         # the function symbols declared so far
         self.funs: dict[str, FunDecl] = {}
-        # each binder's variable, the first token of its type, and the type
-        self.binders: list[tuple[Token, Token, Ty]] = []
+        # each sort named in a type, with its number of arguments, and each
+        # variable declared or bound, with what it is: both are checked once
+        # every statement is read
+        self.sorts_named: list[tuple[Token, int]] = []
+        self.var_names: list[tuple[Token, str]] = []
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -164,6 +166,7 @@ class _Parser:
         if self.peek().kind == "(":
             self.next()
             args = self.items(self.parse_type, ")")
+        self.sorts_named.append((name, len(args)))
         ty = Data(name.text, tuple(args))
         return self.types.setdefault(ty, ty)
 
@@ -177,10 +180,9 @@ class _Parser:
         if tok.kind == "\\":
             self.next()
             var = self.ident("bound variable")
+            self.var_names.append((var, "bound variable"))
             self.expect(":")
-            first = self.peek()
             ty = self.parse_type()
-            self.binders.append((var, first, ty))  # checked once sorts are known
             self.expect(".")
             body = self.parse_term({**env, var.text: ty})
             arrow = Arrow(ty, body.ty)
@@ -279,6 +281,9 @@ def parse_problem(text: str) -> Problem:
     p = _Parser(text)
     sorts: dict[str, SortDecl] = {}
     order_decls: list[tuple[str, str, str]] = []
+    # each name in an order, prec or status statement, the table that
+    # must declare it, and the message if it does not
+    names: list[tuple[Token, dict, str]] = []
     prec_strict: list[tuple[str, str]] = []
     prec_equiv: list[tuple[str, str]] = []
     statuses: dict[str, str] = {}
@@ -307,6 +312,8 @@ def parse_problem(text: str) -> Problem:
                 raise ProblemError("expected '<' or '='", rel.line, rel.col)
             b = p.ident("sort name")
             order_decls.append((rel.kind, a.text, b.text))
+            message = "undeclared sort %r in order declaration"
+            names += [(a, sorts, message), (b, sorts, message)]
         elif kw == "fun":
             name = p.ident("function symbol")
             if name.text in p.funs:
@@ -330,6 +337,11 @@ def parse_problem(text: str) -> Problem:
             b = p.next()
             if b.kind not in ("ident", "@"):
                 raise ProblemError("expected a function symbol", b.line, b.col)
+            if b.kind == "@" and rel.kind == "=":
+                message = "no symbol may be equivalent to @ in the precedence"
+                raise ProblemError(message, b.line, b.col)
+            for name in (a, b) if b.kind == "ident" else (a,):
+                names.append((name, p.funs, "undeclared symbol in precedence: %s"))
             pair = (a.text, b.text if b.kind == "ident" else APP_SYM)
             if rel.kind == ">":
                 prec_strict.append(pair)
@@ -341,11 +353,13 @@ def parse_problem(text: str) -> Problem:
             if st.text not in (MUL, LEX):
                 raise ProblemError("status must be 'mul' or 'lex'", st.line, st.col)
             statuses[name.text] = st.text
+            names.append((name, p.funs, "status for undeclared symbol %r"))
         elif kw == "var":
             name = p.ident("variable name")
             if name.text in var_env:
                 message = "duplicate variable %r" % name.text
                 raise ProblemError(message, name.line, name.col)
+            p.var_names.append((name, "variable"))
             p.expect(":")
             var_env[name.text] = p.parse_type()
         elif kw == "rule":
@@ -357,44 +371,26 @@ def parse_problem(text: str) -> Problem:
             raise ProblemError("unknown statement %r" % kw, tok.line, tok.col)
         p.expect(";")
 
-    try:
-        sig = Signature(tuple(sorts.values()), tuple(p.funs.values()))
-    except TypingError as exc:
-        raise ProblemError(str(exc)) from exc
-    for kind, a, b in order_decls:
-        for name in (a, b):
-            if name not in sorts:
-                raise ProblemError("undeclared sort %r in order declaration" % name)
+    for name, nargs in p.sorts_named:
+        if name.text not in sorts:
+            raise ProblemError("undeclared sort %r" % name.text, name.line, name.col)
+        arity = sorts[name.text].arity
+        if nargs != arity:
+            message = "sort %r expects %d argument(s), got %d"
+            raise ProblemError(message % (name.text, arity, nargs), name.line, name.col)
+    sig = Signature(tuple(sorts.values()), tuple(p.funs.values()))
+    for name, table, message in names:
+        if name.text not in table:
+            raise ProblemError(message % name.text, name.line, name.col)
+    for name, what in p.var_names:
+        if name.text in p.funs:
+            message = "%s %r clashes with a function symbol" % (what, name.text)
+            raise ProblemError(message, name.line, name.col)
     sort_order = SortOrder(
         sorted(sorts),
         tuple((b, a) for kind, a, b in order_decls if kind == "<"),
         tuple((a, b) for kind, a, b in order_decls if kind == "="),
     )
-    for a, b in prec_strict + prec_equiv:
-        if a not in p.funs or (b not in p.funs and b != APP_SYM):
-            raise ProblemError("undeclared symbol in precedence: %s, %s" % (a, b))
-    for a, b in prec_equiv:
-        if b == APP_SYM:
-            raise ProblemError("no symbol may be equivalent to @ in the precedence")
-    for name in statuses:
-        if name not in p.funs:
-            raise ProblemError("status for undeclared symbol %r" % name)
-    for name, ty in var_env.items():
-        if name in p.funs:
-            raise ProblemError("variable %r clashes with a function symbol" % name)
-        try:
-            sig.check_type(ty)
-        except TypingError as exc:
-            raise ProblemError(str(exc)) from exc
-
-    for var, first, ty in p.binders:
-        if var.text in p.funs:
-            message = "bound variable %r clashes with a function symbol" % var.text
-            raise ProblemError(message, var.line, var.col)
-        try:
-            sig.check_type(ty)
-        except TypingError as exc:
-            raise ProblemError(str(exc), first.line, first.col) from exc
 
     rules: list[Rule] = []
     for lhs, rhs, tok in typed_rules:

@@ -14,11 +14,17 @@ children's facts: its size, its number of abstractions, its free variables,
 every identifier in it, free or bound, binders included (`all_names`, the
 free-variable set itself when it has no abstraction) and its
 alpha-equivalence class (`alpha_class`); a variable's name sets are made
-on each read. Only the accessibility layer still caches on a node on
-first use: its acc-below candidates (the first strict subterm of each
-class that is acc-below it), keyed by `ctx.acc`, the sort order and the
-minimal types, all by identity, and beside them those candidates that no
-argument of the node offers. The contract for facts and caches:
+on each read. A `Signature` builds its symbols by output type and its
+argument and output types in its constructor. Three values are cached on
+first use:
+  - on an abstraction, its body opened by each fresh name (`open_abs`),
+    so each opening yields one body, with its alpha class and caches;
+  - on a type, its printed form (`ty_str`);
+  - in the accessibility layer, a node's acc-below candidates (the first
+    strict subterm of each class that is acc-below it), keyed by
+    `ctx.acc`, the sort order and the minimal types, all by identity, and
+    beside them those candidates that no argument of the node offers.
+The contract for facts and caches (a type is a node here too):
   - nodes are immutable, so a fact or cached value never goes stale;
   - they live in the node's `__dict__`, not among the fields that
     `Record` compares, hashes and prints, so they never affect equality,
@@ -120,14 +126,18 @@ Ty = Data | Arrow
 
 
 def ty_str(ty: Ty) -> str:
-    if isinstance(ty, Data):
-        if ty.args:
-            return "%s(%s)" % (ty.sort, ",".join(ty_str(a) for a in ty.args))
-        return ty.sort
-    dom = ty_str(ty.dom)
-    if isinstance(ty.dom, Arrow):
-        dom = "(%s)" % dom
-    return "%s -> %s" % (dom, ty_str(ty.cod))
+    """The printed type, cached on `ty`."""
+    text = ty.__dict__.get("_str")
+    if text is None:
+        if isinstance(ty, Data):
+            args = ",".join(map(ty_str, ty.args))
+            text = "%s(%s)" % (ty.sort, args) if args else ty.sort
+        else:
+            dom = ty_str(ty.dom)
+            dom = "(%s)" % dom if isinstance(ty.dom, Arrow) else dom
+            text = "%s -> %s" % (dom, ty_str(ty.cod))
+        _set(ty, "_str", text)
+    return text
 
 
 def ty_subterms(ty: Ty) -> Iterator[Ty]:
@@ -185,9 +195,16 @@ class Signature:
             if f.name in self.fun_by_name:
                 raise TypingError("duplicate function symbol %r" % f.name)
             self.fun_by_name[f.name] = f
+        # the symbols of each output type, and every argument and output
+        # type once, both in declaration order
+        self.funs_by_out: dict[Ty, list[FunDecl]] = {}
+        tys: dict[Ty, None] = {}
         for f in self.funs:
+            self.funs_by_out.setdefault(f.out_ty, []).append(f)
             for ty in (*f.arg_tys, f.out_ty):
                 self.check_type(ty)
+                tys[ty] = None
+        self.fun_types = tuple(tys)
 
     def check_type(self, ty: Ty) -> None:
         """Verify every sort in `ty` is declared with the right arity."""
@@ -385,8 +402,15 @@ def substitute(t: Term, subst: Mapping[str, Term]) -> Term:
 
 
 def open_abs(t: Abs, z: str) -> Term:
-    """The body of `t` with its bound variable instantiated by `Var(z)`."""
-    return substitute(t.body, {t.var: Var(z, t.var_ty)})
+    """The body of `t` with its bound variable instantiated by `Var(z)`,
+    built once per name and cached on `t`."""
+    opened = t.__dict__.get("_opened")
+    if opened is None:
+        opened = t.__dict__["_opened"] = {}
+    body = opened.get(z)
+    if body is None:
+        body = opened[z] = substitute(t.body, {t.var: Var(z, t.var_ty)})
+    return body
 
 
 def beta_reduct(t: Term) -> Term | None:

@@ -96,11 +96,9 @@ def ty_eq(order: SortOrder, a: Ty, b: Ty) -> bool:
     if a is b:
         return True
     if isinstance(a, Data) and isinstance(b, Data):
-        return (
-            order.cmp(a.sort, b.sort) is Cmp.EQ
-            and len(a.args) == len(b.args)
-            and all(ty_eq(order, x, y) for x, y in zip(a.args, b.args))
-        )
+        if order._repr[a.sort] != order._repr[b.sort] or len(a.args) != len(b.args):
+            return False
+        return not a.args or all(ty_eq(order, x, y) for x, y in zip(a.args, b.args))
     if isinstance(a, Arrow) and isinstance(b, Arrow):
         return ty_eq(order, a.dom, b.dom) and ty_eq(order, a.cod, b.cod)
     return False

@@ -104,14 +104,14 @@ def test_wrapped_sides_are_well_typed(brouwer, nat_rec, map_problem):
 def test_beta_step_examples():
     n = Var("n", Nat)
     redex = App(Abs("x", Nat, Var("x", Nat), Arrow(Nat, Nat)), n, Nat)
-    assert beta_step(redex) == [n]
-    assert beta_step(Fun("0", (), Data("Ord"))) == []
+    assert list(beta_step(redex)) == [n]
+    assert list(beta_step(Fun("0", (), Data("Ord")))) == []
 
 
 def test_eta_step_example():
     F = Var("F", Arrow(Nat, Nat))
     eta = Abs("x", Nat, App(F, Var("x", Nat), Nat), Arrow(Nat, Nat))
-    assert eta_step(eta) == [F]
+    assert list(eta_step(eta)) == [F]
     # x free in the function part blocks the step
     G = Var("x", Arrow(Nat, Nat))
     no = Abs("x", Nat, App(G, Var("x", Nat), Nat), Arrow(Nat, Nat))

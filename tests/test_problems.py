@@ -133,9 +133,30 @@ def test_precedence_cycle_rejected():
             "sort N ;\nfun f : [] -> N ;\nprec f > ( ;",
             "line 3, col 10: expected a function symbol",
         ),
-        ("sort N ;\norder N < M ;", "undeclared sort 'M' in order declaration"),
-        ("sort N ;\nstatus f mul ;", "status for undeclared symbol 'f'"),
-        ("sort N ;\nvar X : M ;", "undeclared sort 'M'"),
+        (
+            "sort N ;\nfun f : [] -> N ;\nprec f > g ;",
+            "line 3, col 10: undeclared symbol in precedence: g",
+        ),
+        (
+            "sort N ;\norder N < M ;",
+            "line 2, col 11: undeclared sort 'M' in order declaration",
+        ),
+        ("sort N ;\nstatus f mul ;", "line 2, col 8: status for undeclared symbol 'f'"),
+        ("sort N ;\nvar X : M ;", "line 2, col 9: undeclared sort 'M'"),
+        # the errors found once every statement is read name their tokens too
+        ("sort N ;\nfun f : [N] -> N -> M ;", "line 2, col 21: undeclared sort 'M'"),
+        (
+            "sort N ;\nsort L / 1 ;\nfun f : [L(N, N)] -> N ;",
+            "line 3, col 10: sort 'L' expects 1 argument(s), got 2",
+        ),
+        (
+            "sort N ;\nvar f : N ;\nfun f : [] -> N ;",
+            "line 2, col 5: variable 'f' clashes with a function symbol",
+        ),
+        (
+            "sort N ;\nfun f : [] -> N ;\nprec f = @ ;",
+            "line 3, col 10: no symbol may be equivalent to @ in the precedence",
+        ),
         # each variable is declared once, before the rules that use it
         (
             "sort N ;\nsort M ;\nfun f : [N] -> N ;\nvar x : N ;\n"
@@ -198,7 +219,8 @@ def test_precedence_cycle_rejected():
         ("var # x", "line 1, col 5: expected variable name, found 'end of input'"),
     ],
     ids=[
-        "arity", "prec-symbol", "order-sort", "status-symbol", "var-type",
+        "arity", "prec-symbol", "prec-undeclared", "order-sort", "status-symbol",
+        "var-type", "fun-type", "sort-arguments", "var-clash", "prec-app",
         "var-repeated", "var-after-rule", "sort-repeated", "fun-repeated",
         "unbound-variable", "symbol-arity", "argument-type", "apply-non-arrow",
         "apply-domain", "binder-sort", "binder-clash", "binder-clash-later",

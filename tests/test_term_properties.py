@@ -1,6 +1,7 @@
 """Property tests for the term-layer steps the engine, the trace checker and
 the harness share: opening a binder, substitution, the beta and eta reducts,
-and printing.
+and printing; and for the values the term layer caches (opened binders,
+printed types, a signature's tables), against the computations they replace.
 
 Terms are seeded by `gen_term` over the brouwer, map and nat_rec signatures;
 hypothesis draws the problem, the type, the seed and the size. The runs are
@@ -9,6 +10,7 @@ derandomized, so every run checks the same examples.
 import random
 from itertools import count
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +28,7 @@ from horpo.terms import (
     Abs,
     App,
     Arrow,
+    Data,
     Fun,
     TypingError,
     Var,
@@ -38,8 +41,10 @@ from horpo.terms import (
     subterms,
     substitute,
     term_str,
+    ty_str,
 )
 from test_alpha_classes import rename_binders, walker_alpha_eq
+from test_problems import PARSED
 
 PROBLEMS = {name: load(name + ".horpo") for name in ("brouwer", "map", "nat_rec")}
 
@@ -91,6 +96,67 @@ def test_open_abs_then_rebind_is_alpha_equal(case, pick):
         rebound = Abs(z, u.var_ty, body, u.ty)
         assert alpha_eq(rebound, u)
         assert walker_alpha_eq(rebound, u)
+
+
+@derandomized
+@given(seeded_terms(), st.integers(0, 3))
+def test_open_abs_is_built_once_per_name(case, pick):
+    _, t, _ = case
+    for u in subterms(t):
+        if not isinstance(u, Abs):
+            continue
+        inner = sorted(u.all_names - free_vars(u))
+        z = inner[pick % len(inner)] if pick and inner else fresh_var("z", u.all_names)
+        body = open_abs(u, z)
+        assert open_abs(u, z) is body
+        assert alpha_eq(body, substitute(u.body, {u.var: Var(z, u.var_ty)}))
+        # another name gets a body of its own, in which that name is free
+        z2 = fresh_var("z", u.all_names | {z})
+        other = open_abs(u, z2)
+        if u.var in free_vars(u.body):
+            assert z in free_vars(body) and z2 not in free_vars(body)
+            assert z2 in free_vars(other) and z not in free_vars(other)
+        else:
+            assert body is other is u.body
+
+
+def _printed(ty):
+    """A fresh print of `ty`: the definition that `ty_str` caches."""
+    if isinstance(ty, Data):
+        args = ",".join(map(_printed, ty.args))
+        return "%s(%s)" % (ty.sort, args) if args else ty.sort
+    dom = _printed(ty.dom)
+    dom = "(%s)" % dom if isinstance(ty.dom, Arrow) else dom
+    return "%s -> %s" % (dom, _printed(ty.cod))
+
+
+types = st.recursive(
+    st.builds(Data, st.sampled_from(["N", "Ord"])),
+    lambda inner: st.one_of(
+        st.builds(Arrow, inner, inner),
+        st.builds(Data, st.just("P"), st.lists(inner, min_size=1, max_size=2).map(tuple)),
+    ),
+    max_leaves=6,
+)
+
+
+@derandomized
+@given(types)
+def test_cached_type_print_is_a_fresh_print(ty):
+    # the first read prints and caches; the second reads the cache
+    assert ty_str(ty) == _printed(ty)
+    assert ty_str(ty) == _printed(ty)
+    assert ty_str(Arrow(ty, ty)) == _printed(Arrow(ty, ty))
+
+
+@pytest.mark.parametrize("path", PARSED, ids=lambda p: p.stem)
+def test_signature_tables_are_the_scans_they_replace(path):
+    p = parse_problem(path.read_text())
+    sig = p.sig
+    tys = [t for f in sig.funs for t in (*f.arg_tys, f.out_ty)]
+    assert sig.fun_types == tuple(dict.fromkeys(tys))
+    for ty in (*p.ctx.universe, Data("undeclared")):
+        assert sig.funs_by_out.get(ty, []) == [f for f in sig.funs if f.out_ty == ty]
 
 
 @derandomized
@@ -168,7 +234,7 @@ def test_reducts_agree_with_one_step_reduction(case):
     t = inject_eta_redex(t, rng) or t
     for step, reduct in ((beta_step, beta_reduct), (eta_step, eta_reduct)):
         for u in subterms(t):
-            steps, r = step(u), reduct(u)
+            steps, r = list(step(u)), reduct(u)
             # one step per redex position, the root's first
             assert len(steps) == sum(reduct(v) is not None for v in subterms(u))
             if r is not None:

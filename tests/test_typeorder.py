@@ -1,6 +1,7 @@
 import pytest
 
 from horpo.harness import _weak_orders
+from horpo.problems import parse_problem
 from horpo.terms import Arrow, Data, ty_str
 from horpo.typeorder import (
     Cmp,
@@ -15,6 +16,8 @@ from horpo.typeorder import (
     type_universe,
     validate_axioms,
 )
+
+from test_problems import PARSED
 
 Nat = Data("Nat")
 Ord = Data("Ord")
@@ -201,3 +204,30 @@ def test_ty_eq_is_structural_on_distinct_objects():
         assert ty_eq(order, a, b) and ty_eq(order, b, a)
         assert ty_ge(order, a, b) and not ty_gt(order, a, b)
     assert not ty_eq(order, Arrow(A, Nat), Arrow(Nat, A))
+
+
+def _ty_eq_by_cmp(order, a, b):
+    """`ty_eq` as first defined: data types through `order.cmp`."""
+    if a is b:
+        return True
+    if isinstance(a, Data) and isinstance(b, Data):
+        return (
+            order.cmp(a.sort, b.sort) is Cmp.EQ
+            and len(a.args) == len(b.args)
+            and all(_ty_eq_by_cmp(order, x, y) for x, y in zip(a.args, b.args))
+        )
+    if isinstance(a, Arrow) and isinstance(b, Arrow):
+        return _ty_eq_by_cmp(order, a.dom, b.dom) and _ty_eq_by_cmp(order, a.cod, b.cod)
+    return False
+
+
+@pytest.mark.parametrize("path", PARSED, ids=lambda p: p.stem)
+def test_ty_eq_by_representatives_is_ty_eq_by_cmp(path):
+    p = parse_problem(path.read_text())
+    sorts = sorted(s.name for s in p.sig.sorts)
+    # the declared order, and one that makes every sort equivalent
+    one_class = SortOrder(sorts, (), tuple(zip(sorts, sorts[1:])))
+    for order in (p.sort_order, one_class):
+        for a in p.ctx.universe:
+            for b in p.ctx.universe:
+                assert ty_eq(order, a, b) == _ty_eq_by_cmp(order, a, b)

@@ -1,10 +1,12 @@
 """Guard-deletion mutants of the engine, the accessibility layer, the type
-order, the harness and the parser, run against tier-1.
+order, the harness and the parser, and cache-key mutants of the term layer,
+run against tier-1.
 
-Each mutant is one exact replacement in one file of `src/horpo` that turns
+Each mutant is one exact replacement in one file of `src/horpo`. Most turn
 a guard condition (a test whose truth rejects a goal, a candidate or an
 input) into `False`, or a check call into `pass`, so the guard never
-fires. For each mutant, in turn,
+fires; the rest make a cache answer for keys it was not built for. For
+each mutant, in turn,
 the script writes the mutated file into a temporary copy of the checkout,
 runs tier-1 there with `-x`, and prints the first failing test; a run
 that exceeds the timeout counts as killed. Then it restores the file.
@@ -38,6 +40,7 @@ ACC = "src/horpo/accessibility.py"
 TYPES = "src/horpo/typeorder.py"
 HARNESS = "src/horpo/harness.py"
 PARSER = "src/horpo/problems.py"
+TERMS = "src/horpo/terms.py"
 
 # name -> (file, old text, new text); old text occurs once in its file
 MUTANTS = {
@@ -259,17 +262,36 @@ MUTANTS = {
         "                if out.ty.dom != a.ty:\n",
         "                if False:\n",
     ),
-    "binder clash": (
+    "variable clash": (
         PARSER,
-        "        if var.text in p.funs:\n",
+        "    for name, what in p.var_names:\n        if name.text in p.funs:\n",
+        "    for name, what in p.var_names:\n        if False:\n",
+    ),
+    "undeclared sort": (
+        PARSER,
+        "        if name.text not in sorts:\n",
         "        if False:\n",
     ),
-    "binder sort": (
+    "sort arguments": (
         PARSER,
-        "            sig.check_type(ty)\n        except TypingError as exc:\n"
-        "            raise ProblemError(str(exc), first.line",
-        "            pass\n        except TypingError as exc:\n"
-        "            raise ProblemError(str(exc), first.line",
+        "        if nargs != arity:\n",
+        "        if False:\n",
+    ),
+    "undeclared name": (
+        PARSER,
+        "        if name.text not in table:\n",
+        "        if False:\n",
+    ),
+    # the caches of the term layer, each keyed too coarsely
+    "open_abs key without name": (
+        TERMS,
+        "    body = opened.get(z)\n",
+        "    body = next(iter(opened.values()), None)\n",
+    ),
+    "any output type's symbols": (
+        TERMS,
+        "            self.funs_by_out.setdefault(f.out_ty, []).append(f)\n",
+        "            self.funs_by_out.setdefault(f.out_ty, list(self.funs))\n",
     ),
 }
 
