@@ -7,7 +7,7 @@ independent validator can replay.
 """
 from .accessibility import acc_ge, acc_gt, acc_indices, acc_table
 from .context import LEX, MUL, OrderingContext
-from .engine import Engine, EngineError
+from .engine import Engine
 from .problems import (
     Problem,
     ProblemError,

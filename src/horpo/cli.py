@@ -9,10 +9,10 @@
 Exit codes: 0 success, 1 a check failed (rule not oriented, property
 finding, search exhausted), 2 invalid input or parameters, a file that
 cannot be read (missing, a directory, or not UTF-8), input nested too
-deeply for the recursive term walks, an internal engine error, a proof
-trace that fails replay, or search parameters that fail their check: one
-`error:` line on stderr, or one `axiom violation:` line per violated axiom.
-A closed stdout ends the run quietly, with the command's own exit code.
+deeply for the recursive term walks, a proof trace that fails replay, or
+search parameters that fail their check: one `error:` line on stderr, or
+one `axiom violation:` line per violated axiom. A closed stdout ends the
+run quietly, with the command's own exit code.
 """
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ import argparse
 import os
 import sys
 
-from .engine import EngineError
 from .problems import (
     Problem,
     ProblemError,
@@ -47,7 +46,6 @@ _ERRORS = {
     OSError: "{}",  # the file is missing, a directory, or unreadable
     UnicodeDecodeError: "{}",  # the file is not UTF-8
     ProblemError: "{}",
-    EngineError: "{}",
     _Failure: "{}",
     TraceError: "trace fails replay: {}",
     RecursionError: "input nested too deeply",

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import CORPUS, ROOT, rebuild
 from horpo import cli, harness
-from horpo.engine import Engine, EngineError
+from horpo.engine import Engine
 from horpo.traces import Trace
 
 
@@ -27,13 +27,13 @@ from horpo.traces import Trace
 )
 def test_engine_error_is_one_line_and_exit_2(argv, monkeypatch, capsys):
     def fail(self, x, s, t):
-        raise EngineError("recursion guard exceeded")
+        raise RecursionError("maximum recursion depth exceeded")
 
-    monkeypatch.setattr(Engine, "_gt", fail)
+    monkeypatch.setattr(Engine, "gt", fail)
     assert cli.main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: recursion guard exceeded\n"
+    assert err == "error: input nested too deeply\n"
 
 
 def _tower_file(tmp_path, lhs_depth, rhs_depth):
@@ -228,7 +228,7 @@ def test_search_answer_failing_its_check_is_one_line_and_exit_2(
 def test_properties_findings_exit_1(fmt, monkeypatch, capsys):
     # an ordering that orients every pair: irreflexivity fails, and no
     # trace it makes replays
-    monkeypatch.setattr(Engine, "_gt", lambda self, x, s, t: Trace("4a", s, t, x))
+    monkeypatch.setattr(Engine, "gt", lambda self, x, s, t: Trace("4a", s, t, x))
     argv = ["properties", str(CORPUS / "nat_rec.horpo"), "--samples", "30"]
     assert cli.main(argv + ["--seed", "3", "--format", fmt]) == 1
     out, err = capsys.readouterr()

@@ -5,10 +5,26 @@ from conftest import CORPUS, load, typecheck
 
 from horpo.accessibility import acc_candidates
 from horpo.context import MUL
-from horpo.engine import Engine, EngineError
-from horpo.harness import GenError, enumerate_terms, gen_term
+from horpo.engine import Engine
+from horpo.harness import (
+    GenError,
+    enumerate_terms,
+    exhaustive_check,
+    gen_term,
+    run_properties,
+)
 from horpo.problems import parse_problem
-from horpo.terms import Abs, App, Arrow, Data, Fun, Var, alpha_eq, term_str
+from horpo.terms import (
+    Abs,
+    App,
+    Arrow,
+    Data,
+    Fun,
+    Var,
+    alpha_eq,
+    beta_reduct,
+    term_str,
+)
 from horpo.traces import Trace, apply_witness, trace_to_jsonable
 from horpo.typeorder import Cmp, ty_eq
 
@@ -220,17 +236,8 @@ class _GenericWitnessEngine(Engine):
     """The reference: case 1a's and accApply's generic witness loops, which
     ask every candidate of every argument (every strict candidate of the
     pair's left side, for accApply) with every vector over X (the empty one
-    included) through `apply_witness`, and a `ge` that always enters `_gt`.
-    It retires no witness, so the engine must agree with it on every
-    verdict, trace and memo key."""
-
-    def ge(self, x, s, t):
-        if alpha_eq(s, t):
-            trace = Trace("refl", s, t, x)
-            self.memo.setdefault(("ge", x, s.alpha_class, t.alpha_class), trace)
-            return trace
-        self._raise_limit(s, t)
-        return self._gt(x, s, t)
+    included) through `apply_witness`. It retires no witness, so the engine
+    must agree with it on every verdict, trace and memo key."""
 
     def _case_1a(self, x, s, t):
         for i, si in enumerate(s.args, start=1):
@@ -289,7 +296,7 @@ class _ArgumentsFirstEngine(Engine):
             return None
         children = []
         for tj in t.args:
-            tr = self._gt(x, s, tj)
+            tr = self.gt(x, s, tj)
             if tr is None:
                 return None
             children.append(tr)
@@ -303,7 +310,7 @@ class _ArgumentsFirstEngine(Engine):
 def _outcome(engine, kind, x, s, t):
     try:
         trace = getattr(engine, kind)(x, s, t)
-    except (EngineError, RecursionError) as exc:
+    except RecursionError as exc:
         return type(exc).__name__
     return None if trace is None else trace_to_jsonable(trace)
 
@@ -448,3 +455,130 @@ def test_not_oriented_tower_work_is_pinned(monkeypatch, lhs, rhs, calls, entries
     engine = Engine(p.ctx)
     assert engine.orient_rule(p.rules[0].lhs, p.rules[0].rhs) is None
     assert (len(made), len(engine.memo)) == (calls, entries)
+
+
+# ---------------------------------------------------------------------------
+# The termination measure of the recursion (see the module docstring of
+# `horpo.engine`): mu(X, s, t) = (|t|, |X|, s), lexicographically, with left
+# sides ordered by (->beta u |>)+
+
+
+class _Erased:
+    """Terms up to the names of their variables, free and bound, as small
+    integers: opening a binder renames its variable, so the subterm step
+    of the measure compares these shapes. Each node's shape and the
+    shapes of its strict subterms are cached by identity, with the node
+    kept alive."""
+
+    def __init__(self):
+        self.ids, self.shapes, self.below = {}, {}, {}
+
+    def shape(self, t):
+        got = self.shapes.get(id(t))
+        if got is not None:
+            return got[1]
+        if isinstance(t, Var):
+            key = ("var", t.ty)
+        elif isinstance(t, Fun):
+            key = ("fun", t.sym, *[self.shape(a) for a in t.args])
+        elif isinstance(t, App):
+            key = ("app", self.shape(t.fn), self.shape(t.arg))
+        else:
+            key = ("abs", t.var_ty, self.shape(t.body))
+        shape = self.ids.setdefault(key, len(self.ids))
+        self.shapes[id(t)] = (t, shape)
+        return shape
+
+    def strict_subterms(self, t):
+        """The shapes of the strict subterms of `t`, binder bodies included."""
+        got = self.below.get(id(t))
+        if got is not None:
+            return got[1]
+        if isinstance(t, Fun):
+            parts = t.args
+        elif isinstance(t, App):
+            parts = (t.fn, t.arg)
+        else:
+            parts = (t.body,) if isinstance(t, Abs) else ()
+        out = set()
+        for u in parts:
+            out.add(self.shape(u))
+            out |= self.strict_subterms(u)
+        self.below[id(t)] = (t, out)
+        return out
+
+
+def _measure_step(parent, child, erased):
+    """The component of the measure that the step from goal `parent` to
+    goal `child`, each (X, s, t), decreases: "t", "X", "subterm" (the left
+    side moves to a strict subterm, up to variable names) or "beta" (to its
+    beta-reduct); None when the measure does not decrease."""
+    (x, s, t), (cx, cs, ct) = parent, child
+    if ct.size != t.size:
+        return "t" if ct.size < t.size else None
+    if len(cx) != len(x):
+        return "X" if len(cx) < len(x) else None
+    if erased.shape(cs) in erased.strict_subterms(s):
+        return "subterm"
+    reduct = beta_reduct(s)
+    if reduct is not None and alpha_eq(reduct, cs):
+        return "beta"
+    return None
+
+
+def _measure_files():
+    data = CORPUS.parent / "tests" / "data"
+    paths = sorted((data / "loops").glob("*.horpo"))
+    paths += sorted((data / "positive").glob("*.horpo"))
+    return _corpus_problems() + [parse_problem(p.read_text()) for p in paths]
+
+
+def test_every_engine_goal_decreases_the_measure(monkeypatch):
+    # every call of `gt` made while another is running is a parent -> child
+    # step, memo hits included
+    gt, stack, edges = Engine.gt, [], []
+
+    def recording(engine, x, s, t):
+        if stack:
+            edges.append((stack[-1], (x, s, t)))
+        stack.append((x, s, t))
+        try:
+            return gt(engine, x, s, t)
+        finally:
+            stack.pop()
+
+    monkeypatch.setattr(Engine, "gt", recording)
+    files = _measure_files()
+    towers = []
+    for k in (8, 16, 32):
+        towers.append(_unary(_nest("c", k), _nest("c", k // 2)))
+        towers.append(_unary(_nest("c", k // 2), _nest("c", k)))
+        towers.append(_unary(_nest("c", k), "z"))
+    for p in files + towers:
+        for rule in p.rules:
+            Engine(p.ctx).orient_rule(rule.lhs, rule.rhs)
+    for p in files:
+        for seed in (1, 2, 3):
+            run_properties(p.ctx, p.vars, seed=seed)
+        for ty in p.ctx.universe:
+            exhaustive_check(p.ctx, p.vars, ty, 3)
+    assert not stack
+
+    erased = _Erased()
+    kinds = {"t": 0, "X": 0, "subterm": 0, "beta": 0}
+    larger = {"X": 0, "beta": 0}
+    for parent, child in edges:
+        kind = _measure_step(parent, child, erased)
+        assert kind is not None, [
+            (len(x), term_str(s), term_str(t)) for x, s, t in (parent, child)
+        ]
+        kinds[kind] += 1
+        if kind in larger and child[1].size >= parent[1].size:
+            larger[kind] += 1
+    assert all(kinds.values()) and all(larger.values()), (kinds, larger)
+
+    # a step that grows t is refused, though its left side moves to a
+    # strict subterm
+    zero = Fun("0", (), Ord)
+    one = Fun("s", (zero,), Ord)
+    assert _measure_step(((), one, zero), ((), zero, one), erased) is None

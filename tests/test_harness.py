@@ -179,7 +179,7 @@ def _shallow_strict_subterms(t):
 def test_run_properties_reports_an_ordering_that_orients_everything(
     nat_rec, monkeypatch
 ):
-    monkeypatch.setattr(Engine, "_gt", _every_pair_oriented)
+    monkeypatch.setattr(Engine, "gt", _every_pair_oriented)
     shrunk, shrink = [], harness._shrink
 
     def recording(check, t):
@@ -208,7 +208,7 @@ def test_run_properties_reports_an_ordering_that_orients_everything(
 def test_exhaustive_check_reports_an_ordering_that_orients_everything(
     nat_rec, monkeypatch
 ):
-    monkeypatch.setattr(Engine, "_gt", _every_pair_oriented)
+    monkeypatch.setattr(Engine, "gt", _every_pair_oriented)
     findings = exhaustive_check(nat_rec.ctx, nat_rec.vars, Nat, max_size=4)
     assert {f.prop for f in findings} == {
         "irreflexivity",

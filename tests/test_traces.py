@@ -139,7 +139,7 @@ def test_validator_never_calls_engine(brouwer, monkeypatch):
 
     tr = _rule3_trace(brouwer)
     monkeypatch.setattr(
-        Engine, "_gt", lambda *a, **k: pytest.fail("validator invoked the engine")
+        Engine, "gt", lambda *a, **k: pytest.fail("validator invoked the engine")
     )
     check_trace(brouwer.ctx, tr, "gt", ())
     del traces_mod
