@@ -34,7 +34,6 @@ corpus, the test data, towers and the randomized probes.
 """
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterator
 
 from .accessibility import acc_candidates, acc_new_candidates
@@ -345,60 +344,124 @@ class Engine:
 
     def _mul_ext(self, x: XSet, s: Term, t: Term, pair_kind: str) -> Trace | None:
         """Dershowitz-Manna strict multiset extension of the argument lists
-        of `s` and `t` (`ext_args`), with an explicit witness.
+        of `s` and `t` (`ext_args`), with an explicit witness: kept left
+        elements cancel alpha-equal right elements one to one, at least one
+        left element is removed, and every other right element is covered
+        by a removed left element that `_pair` accepts.
 
-        Kept left elements are matched one-to-one against alpha-equal right
-        elements; every remaining right element must be covered by some
-        removed left element. Kept sets are tried largest first, so maximal
-        cancellation wins when several witnesses exist. No kept set larger
-        than the classes the two lists share (as multisets) can match."""
+        Copies of one alpha class are interchangeable, since `_pair`'s
+        answer depends only on the two classes, so a witness is fixed, up
+        to copies, by the shared classes left open (cancelling one copy
+        fewer than they could). Maximal cancellation is tried first, then
+        the greatest set of open classes that gives a witness, found as a
+        fixpoint (`_mul_open`). No set of kept elements is enumerated, and
+        each pair of classes is decided once per call: one that holds is
+        asked again only for each cover node it makes."""
         left, right = ext_args(s), ext_args(t)
-        n, shared, rest = len(left), 0, [b.alpha_class for b in right]
+        if not left:
+            return None
+        known: dict = {}
+        rclasses = [b.alpha_class for b in right]
         for a in left:
-            if a.alpha_class in rest:
-                rest.remove(a.alpha_class)
-                shared += 1
-        for keep_size in range(min(n - 1, shared), -1, -1):
-            for keep in combinations(range(n), keep_size):
-                removed = [i for i in range(n) if i not in keep]
-                match = self._match_equal(keep, left, right)
-                if match is None:
-                    continue
-                equal_pairs, leftover_r = match
-                cover: list[tuple[int, int]] = []
-                children: list[Trace] = []
-                ok = True
-                for j in leftover_r:
-                    for i in removed:
-                        tr = self._pair(x, left[i], right[j], pair_kind)
-                        if tr is not None:
-                            cover.append((i, j))
-                            children.append(tr)
-                            break
-                    else:
-                        ok = False
-                        break
-                if ok:
-                    aux = (("equal", tuple(equal_pairs)), ("cover", tuple(cover)))
-                    return Trace("mulExt", s, t, x, tuple(children), aux)
+            if a.alpha_class in rclasses:
+                break
+        else:
+            # nothing is shared: the empty keep set is the only one
+            every = range(len(right))
+            return self._mul_cover(x, s, t, pair_kind, (), range(len(left)), every, known)
+        lpos: dict = {}
+        for i, a in enumerate(left):
+            lpos.setdefault(a.alpha_class, []).append(i)
+        rpos: dict = {}
+        for j, c in enumerate(rclasses):
+            rpos.setdefault(c, []).append(j)
+        for opened in self._mul_open(x, left, right, lpos, rpos, pair_kind, known):
+            # a class's first left copies cancel its first right copies
+            partner: dict[int, int] = {}
+            for c, idx in lpos.items():
+                js = rpos.get(c)
+                if js:
+                    k = min(len(idx), len(js)) - (c in opened)
+                    partner.update(zip(js[:k], idx[:k]))
+            kept = set(partner.values())
+            removed = [i for i in range(len(left)) if i not in kept]
+            equal = [(partner[j], j) for j in range(len(right)) if j in partner]
+            leftover = [j for j in range(len(right)) if j not in partner]
+            found = self._mul_cover(x, s, t, pair_kind, equal, removed, leftover, known)
+            if found is not None:
+                return found
         return None
 
-    def _match_equal(self, keep, left, right):
-        """Match each kept left index to a distinct alpha-equal right index.
-
-        Each kept index, in order, takes the least free alpha-equal right
-        index. Alpha-equality is an equivalence, so this succeeds whenever
-        any matching exists, and it finds the lexicographically first one."""
-        free = list(range(len(right)))
-        pairs = []
-        for i in keep:
-            cls = left[i].alpha_class
-            j = next((j for j in free if right[j].alpha_class is cls), None)
-            if j is None:
+    def _mul_cover(
+        self, x, s, t, pair_kind, equal, removed, leftover, known
+    ) -> Trace | None:
+        """Cover each leftover right element, in order, with the first
+        removed left element that `_pair` accepts; None when one has no
+        cover. `known` holds the answer for each pair of classes asked so
+        far, and a pair known to fail is not asked again."""
+        left, right = ext_args(s), ext_args(t)
+        cover: list[tuple[int, int]] = []
+        children: list[Trace] = []
+        for j in leftover:
+            b = right[j]
+            for i in removed:
+                key = (left[i].alpha_class, b.alpha_class)
+                if known.get(key) is False:
+                    continue
+                tr = self._pair(x, left[i], b, pair_kind)
+                known[key] = tr is not None
+                if tr is not None:
+                    cover.append((i, j))
+                    children.append(tr)
+                    break
+            else:
                 return None
-            free.remove(j)
-            pairs.append((i, j))
-        return sorted(pairs, key=lambda p: p[1]), free
+        aux = (("equal", tuple(equal)), ("cover", tuple(cover)))
+        return Trace("mulExt", s, t, x, tuple(children), aux)
+
+    def _mul_open(self, x, left, right, lpos, rpos, pair_kind, known):
+        """The sets of open classes to try, in order. First maximal
+        cancellation: no class open, or, when that would cancel every left
+        element, one class, the class of the last element first. Then the
+        greatest set that gives a witness, if any does. A left class is
+        available when it is open or has more left copies than right ones,
+        and a class with more right copies than left ones is forced (one
+        of them always needs a cover). Every shared class starts open, and
+        open classes that no available class covers are closed until every
+        open class is covered; it fails when a forced class is uncovered or
+        no left class is available. Sets that give witnesses are closed
+        under union, and closing a class only takes available classes away,
+        so each of them stays within the result."""
+        spare = {c for c, idx in lpos.items() if len(idx) > len(rpos.get(c, ()))}
+        if spare:
+            yield ()
+        else:
+            yield from ((c,) for c in dict.fromkeys(a.alpha_class for a in reversed(left)))
+        forced = [c for c, idx in rpos.items() if len(idx) > len(lpos.get(c, ()))]
+        opened = [c for c in rpos if c in lpos]
+
+        def covered(c) -> bool:
+            if any(known.get((d, c)) for d in avail):
+                return True
+            for d in avail:
+                if (d, c) not in known:
+                    tr = self._pair(x, left[lpos[d][0]], right[rpos[c][0]], pair_kind)
+                    known[d, c] = tr is not None
+                    if tr is not None:
+                        return True
+            return False
+
+        while True:
+            avail = [c for c in lpos if c in spare or c in opened]
+            if not avail:
+                return
+            if not all(covered(c) for c in forced):
+                return
+            still = [c for c in opened if covered(c)]
+            if len(still) == len(opened):
+                yield opened
+                return
+            opened = still
 
     def _lex_ext(self, x: XSet, s: Term, t: Term, pair_kind: str) -> Trace | None:
         # equivalent heads, so equal arities: one arity per precedence class

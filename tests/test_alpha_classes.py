@@ -15,6 +15,7 @@ from horpo.engine import Engine
 from horpo.harness import enumerate_terms
 from horpo.problems import parse_problem
 from horpo.terms import Abs, App, Data, Fun, Var, alpha_eq
+from horpo.traces import Trace
 
 Nat = Data("Nat")
 Ord = Data("Ord")
@@ -135,7 +136,24 @@ def match_by_permutations(keep, left, right):
     return None
 
 
-def test_greedy_match_equals_permutation_order(toy_ctx):
+def maximal_cancellation_by_permutations(left, right):
+    """The first keep set, largest first and then in `combinations` order,
+    that leaves a left element removed and has a matching, with its first
+    matching in permutation order."""
+    for size in range(min(len(left) - 1, len(right)), -1, -1):
+        for keep in combinations(range(len(left)), size):
+            match = match_by_permutations(keep, left, right)
+            if match is not None:
+                return match
+    return None
+
+
+def test_greedy_maximal_keep_set_equals_permutation_order(toy_ctx, monkeypatch):
+    # every pair holds, so the engine's first witness is its maximal
+    # cancellation: the greedy keep set and its greedy matching
+    monkeypatch.setattr(
+        Engine, "_pair", lambda self, x, a, b, kind: Trace("refl", a, b, x)
+    )
     engine = Engine(toy_ctx)
     # few distinct classes, each spelt several ways, so elements repeat
     atoms = [
@@ -146,13 +164,17 @@ def test_greedy_match_equals_permutation_order(toy_ctx):
         Abs("b", Nat, Var("b")),
     ]
     rng = random.Random(20)
-    for _ in range(300):
-        left = [rng.choice(atoms) for _ in range(rng.randint(0, 5))]
-        right = [rng.choice(atoms) for _ in range(rng.randint(0, 5))]
-        for size in range(min(len(left), len(right)) + 1):
-            for keep in combinations(range(len(left)), size):
-                want = match_by_permutations(keep, left, right)
-                assert engine._match_equal(keep, left, right) == want
+    for _ in range(2000):
+        left = [rng.choice(atoms) for _ in range(rng.randint(0, 6))]
+        right = [rng.choice(atoms) for _ in range(rng.randint(0, 6))]
+        tr = engine._mul_ext((), Fun("f", tuple(left)), Fun("f", tuple(right)), "union")
+        want = maximal_cancellation_by_permutations(left, right)
+        if want is None:
+            assert tr is None
+            continue
+        equal, leftover = want
+        assert list(tr.get("equal")) == equal
+        assert [j for _, j in tr.get("cover")] == leftover
 
 
 def _tower(k, rhs_k, rhs_sym="c", reverse=False):

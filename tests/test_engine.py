@@ -1,7 +1,8 @@
 import random
+from itertools import combinations
 
 import pytest
-from conftest import CORPUS, load, typecheck
+from conftest import CORPUS, load, make_toy_ctx, typecheck
 
 from horpo.accessibility import acc_candidates
 from horpo.context import MUL
@@ -25,7 +26,7 @@ from horpo.terms import (
     beta_reduct,
     term_str,
 )
-from horpo.traces import Trace, apply_witness, trace_to_jsonable
+from horpo.traces import Trace, apply_witness, ext_args, trace_to_jsonable
 from horpo.typeorder import Cmp, ty_eq
 
 Nat = Data("Nat")
@@ -348,18 +349,27 @@ def _nest(sym, k):
     return "%s(" % sym * k + "z" + ")" * k
 
 
-def _rule_and_tower_goals():
-    problems = _corpus_problems()
-    for k in (2, 5, 8, 16):
-        problems.append(_unary(_nest("c", k), _nest("c", k // 2)))
-        problems.append(_unary(_nest("c", k // 2), _nest("c", k)))
-        problems.append(_unary(_nest("c", k), _nest("d", k)))
+def _rule_goals(problems):
+    """Each problem's context, with `gt`, `ge` and `gt_type` on both
+    directions of each of its rules."""
     for p in problems:
         goals = []
         for rule in p.rules:
             for s, t in ((rule.lhs, rule.rhs), (rule.rhs, rule.lhs)):
                 goals += [(kind, (), s, t) for kind in ("gt", "ge", "gt_type")]
         yield p.ctx, goals
+
+
+def _towers(ks):
+    """Towers, reversed towers and incomparable towers of each height."""
+    for k in ks:
+        yield _unary(_nest("c", k), _nest("c", k // 2))
+        yield _unary(_nest("c", k // 2), _nest("c", k))
+        yield _unary(_nest("c", k), _nest("d", k))
+
+
+def _rule_and_tower_goals():
+    return _rule_goals([*_corpus_problems(), *_towers((2, 5, 8, 16))])
 
 
 def _seeded_goals():
@@ -426,6 +436,175 @@ def test_witness_under_a_binder_orients():
     tr = Engine(load("brouwer_search.horpo").ctx).gt((), s, zero)
     assert tr is not None and tr.label == "1a"
     assert alpha_eq(tr.get("w"), zero)
+
+
+# ---------------------------------------------------------------------------
+# The multiset extension against every keep set
+
+
+def _match_equal(keep, left, right):
+    """Match each kept left index, in order, to the least free alpha-equal
+    right index: (the pairs sorted by right index, the free right indices),
+    or None when some kept index has no partner."""
+    free = list(range(len(right)))
+    pairs = []
+    for i in keep:
+        j = next((j for j in free if alpha_eq(left[i], right[j])), None)
+        if j is None:
+            return None
+        free.remove(j)
+        pairs.append((i, j))
+    return sorted(pairs, key=lambda p: p[1]), free
+
+
+class _KeepSetEngine(Engine):
+    """The multiset extension by its definition: every keep set that leaves
+    a left element removed, largest first and then in `combinations`
+    order, cancelled against alpha-equal right elements, and each other
+    right element covered by the first removed left element that `_pair`
+    accepts."""
+
+    def _mul_ext(self, x, s, t, pair_kind):
+        left, right = ext_args(s), ext_args(t)
+        n = len(left)
+        for size in range(min(n - 1, len(right)), -1, -1):
+            for keep in combinations(range(n), size):
+                match = _match_equal(keep, left, right)
+                if match is None:
+                    continue
+                equal, leftover = match
+                removed = [i for i in range(n) if i not in keep]
+                cover, children = [], []
+                for j in leftover:
+                    for i in removed:
+                        tr = self._pair(x, left[i], right[j], pair_kind)
+                        if tr is not None:
+                            cover.append((i, j))
+                            children.append(tr)
+                            break
+                    else:
+                        break
+                else:
+                    aux = (("equal", tuple(equal)), ("cover", tuple(cover)))
+                    return Trace("mulExt", s, t, x, tuple(children), aux)
+        return None
+
+
+def _multisets(n):
+    """The benchmark's oriented f(s(x0), x1..) -> f(x1.., x0) and the
+    non-oriented f(x0..x(n-1)) -> f(x0..x(n-2), x0), of arity n."""
+    xs = ["x%d" % i for i in range(n)]
+    return parse_problem(
+        "sort N ;\nfun s : [N] -> N ;\nfun f : [%s] -> N ;\n" % ", ".join(["N"] * n)
+        + "".join("var %s : N ;\n" % x for x in xs)
+        + "rule f(s(%s)%s) -> f(%s) ;\n"
+        % (xs[0], "".join(", " + x for x in xs[1:]), ", ".join(xs[1:] + xs[:1]))
+        + "rule f(%s) -> f(%s) ;\n" % (", ".join(xs), ", ".join(xs[:-1] + xs[:1]))
+    )
+
+
+def test_multiset_extension_agrees_with_every_keep_set():
+    # each goal on fresh engines: the same outcome and trace JSON, and the
+    # same answer to every goal both memos hold
+    problems = _measure_files() + list(_towers((2, 3, 4, 6, 8, 12, 16, 24, 32)))
+    problems += [_multisets(n) for n in range(2, 11)]
+    sources = (*_rule_goals(problems), *_seeded_goals(), *_small_goals())
+    for ctx, goals in sources:
+        for kind, x, s, t in goals:
+            new, ref = Engine(ctx), _KeepSetEngine(ctx)
+            goal = (kind, term_str(s), term_str(t))
+            assert _outcome(new, kind, x, s, t) == _outcome(ref, kind, x, s, t), goal
+            for key in new.memo.keys() & ref.memo.keys():
+                assert (new.memo[key] is None) == (ref.memo[key] is None), goal
+
+
+def _relation_engines(monkeypatch, holds):
+    """The engine and the keep-set reference with `_pair` replaced by the
+    relation `holds` on the two elements' names; toy terms `z`, `sc(z)`,
+    ... stand for the elements."""
+
+    def pair(self, x, a, b, pair_kind):
+        return Trace("refl", a, b, x) if (a.sym, b.sym) in holds else None
+
+    monkeypatch.setattr(Engine, "_pair", pair)
+    return Engine(make_toy_ctx()), _KeepSetEngine(make_toy_ctx())
+
+
+def _elements(names):
+    return Fun("f", tuple(Fun(name) for name in names))
+
+
+def test_non_transitive_pairs_need_a_witness_below_maximal_cancellation(monkeypatch):
+    # {a, b} > {a, c} holds only through b > a and a > c: maximal
+    # cancellation keeps a and asks b > c, which fails
+    new, ref = _relation_engines(monkeypatch, {("b", "a"), ("a", "c")})
+    s, t = _elements("ab"), _elements("ac")
+    tr = new._mul_ext((), s, t, "union")
+    assert tr is not None and ref._mul_ext((), s, t, "union") is not None
+    assert tr.get("equal") == () and tr.get("cover") == ((1, 0), (0, 1))
+    # {a, b, d} > {a, b, c} through d > a and a > c: no class covers b,
+    # so b stays cancelled while a is opened
+    new, ref = _relation_engines(monkeypatch, {("d", "a"), ("a", "c")})
+    s, t = _elements("abd"), _elements("abc")
+    tr = new._mul_ext((), s, t, "union")
+    assert tr is not None and ref._mul_ext((), s, t, "union") is not None
+    assert tr.get("equal") == ((1, 1),) and tr.get("cover") == ((2, 0), (0, 2))
+
+
+def test_an_uncovered_class_with_more_right_copies_fails(monkeypatch):
+    # {a, b} against {a, a, b} with only b > a: keeping b leaves a's two
+    # right copies to a's one removed copy, and opening b leaves b, which
+    # nothing covers
+    new, ref = _relation_engines(monkeypatch, {("b", "a")})
+    s, t = _elements("ab"), _elements("aab")
+    assert new._mul_ext((), s, t, "union") is None
+    assert ref._mul_ext((), s, t, "union") is None
+    # with a > b as well, opening both classes works
+    new, ref = _relation_engines(monkeypatch, {("b", "a"), ("a", "b")})
+    assert new._mul_ext((), s, t, "union") is not None
+    assert ref._mul_ext((), s, t, "union") is not None
+
+
+def test_random_relations_give_the_reference_verdicts(monkeypatch):
+    # pairs decided by a random relation on five elements, transitive or
+    # not: the engine finds a witness exactly when some keep set has one,
+    # and each witness it finds is one
+    rng = random.Random(25)
+    names = "abcde"
+    for _ in range(1500):
+        holds = {(a, b) for a in names for b in names if rng.random() < 0.3}
+        new, ref = _relation_engines(monkeypatch, holds)
+        left = rng.choices(names[:4], k=rng.randint(0, 5))
+        right = rng.choices(names[1:], k=rng.randint(0, 5))
+        s, t = _elements(left), _elements(right)
+        tr = new._mul_ext((), s, t, "union")
+        assert (tr is None) == (ref._mul_ext((), s, t, "union") is None)
+        if tr is not None:
+            equal, cover = tr.get("equal"), tr.get("cover")
+            assert all(left[i] == right[j] for i, j in equal)
+            assert len(equal) < len(left)
+            assert sorted(j for _, j in (*equal, *cover)) == list(range(len(right)))
+            assert not {i for i, _ in equal} & {i for i, _ in cover}
+            assert all((left[i], right[j]) in holds for i, j in cover)
+
+
+@pytest.mark.parametrize("n, calls", [(14, 14), (64, 64)])
+def test_failing_multiset_work_is_pinned(monkeypatch, n, calls):
+    # f(x0..x(n-1)) > f(x0..x(n-2), x0): maximal cancellation asks
+    # x(n-1) > x0, and x0, which has more right copies than left ones,
+    # then has no cover among the n classes. `_KeepSetEngine` makes
+    # 576 / 2,816 / 13,312 / 61,440 calls at n = 8 / 10 / 12 / 14
+    gt_type, made = Engine.gt_type, []
+
+    def counted(engine, x, s, t):
+        made.append(None)
+        return gt_type(engine, x, s, t)
+
+    monkeypatch.setattr(Engine, "gt_type", counted)
+    p = _multisets(n)
+    rule = p.rules[1]
+    assert Engine(p.ctx).orient_rule(rule.lhs, rule.rhs) is None
+    assert len(made) == calls <= 2 * n
 
 
 @pytest.mark.parametrize(
