@@ -127,20 +127,9 @@ class Engine:
 
     def _case_1a(self, x: XSet, s: Term, t: Term) -> Trace | None:
         """Some witness at or acc-below an argument s_i, applied to variables
-        of X, is >= t under an empty X. When X is empty and s_i is algebraic
-        of t's type (up to equivalence), s_i is tried first; if s_i >= t
-        fails, s_i > t failed after its own case 1a asked s_i's arguments and
-        their strict candidates (failures are reported only after every
-        applicable case was tried), so only s_i's other candidates are asked.
-        Re-asking skipped nodes would only read the memo."""
-        ctx, order = self.ctx, self.ctx.sort_order
+        of X, is >= t under an empty X."""
         for i, si in enumerate(s.args, start=1):
-            if x or not isinstance(si, Fun) or not ty_eq(order, si.ty, t.ty):
-                cands = self._witnesses(x, si, t, strict=False)
-            else:
-                new = acc_new_candidates(ctx.acc, order, ctx.min_types, si)
-                cands = ((w, (), w) for w in (si, *new) if ty_eq(order, w.ty, t.ty))
-            for w, xs, wapp in cands:
+            for w, xs, wapp in self._witnesses(x, si, t, strict=False):
                 inner = self.ge(EMPTY_X, wapp, t)
                 if inner is not None:
                     return Trace(
@@ -283,16 +272,39 @@ class Engine:
         applied witness has a type equivalent to t's, as (w, applied names,
         applied witness), shortest vector first (only the empty one when X
         is empty). The caller compares the applied witness against `t` with
-        an empty bound set, while this generator waits off the stack."""
+        an empty bound set, while this generator waits off the stack.
+
+        `base` itself comes first, unless `strict`. The rest are cut when
+        `base` is algebraic and the memo holds base > t under X as failed:
+        then only the candidates that are not an argument of `base` or a
+        candidate of one are offered. That failed goal's case 1a asked each
+        argument of `base` and each candidate of one (or found it refuted,
+        by this rule), applied to every vector over the same X, to be >= t,
+        and failures are reported only after every case was tried. So every
+        skipped witness fails, for any X, and asking it again would only
+        read the memo."""
+        ctx, order = self.ctx, self.ctx.sort_order
+        if not strict:
+            yield from self._applied(x, base, t)
+        key = ("gt", x, base.alpha_class, t.alpha_class)
+        if isinstance(base, Fun) and key in self.memo and self.memo[key] is None:
+            below = acc_new_candidates(ctx.acc, order, ctx.min_types, base)
+        else:
+            below = acc_candidates(ctx.acc, order, ctx.min_types, base, True)
+        for w in below:
+            yield from self._applied(x, w, t)
+
+    def _applied(self, x: XSet, w: Term, t: Term):
+        """`w` applied to each vector over X that gives t's type, as
+        `_witnesses` yields them."""
         ctx = self.ctx
-        for w in acc_candidates(ctx.acc, ctx.sort_order, ctx.min_types, base, strict):
-            if ty_eq(ctx.sort_order, w.ty, t.ty):
-                yield w, (), w
-            if x:
-                for xs in self._x_vectors(x, w):
-                    wapp = apply_witness(ctx, w, xs, t.ty)
-                    if wapp is not None:
-                        yield w, tuple(name for name, _ in xs), wapp
+        if ty_eq(ctx.sort_order, w.ty, t.ty):
+            yield w, (), w
+        if x:
+            for xs in self._x_vectors(x, w):
+                wapp = apply_witness(ctx, w, xs, t.ty)
+                if wapp is not None:
+                    yield w, tuple(name for name, _ in xs), wapp
 
     def _x_vectors(self, x: XSet, w: Term):
         """All non-empty typed vectors over X applicable to w, shortest first."""
@@ -315,28 +327,13 @@ class Engine:
         self, x: XSet, a: Term, b: Term, pair_kind: str
     ) -> Trace | None:
         """One extension subgoal: the typed comparison, or (for the status
-        case under an algebraic head) the strict composite carrying X.
-
-        When X is empty, `a` is algebraic and the type gate passed, the
-        composite asks only `a`'s new candidates, as case 1a does for its
-        arguments: a > b has just failed after its case 1a asked, under the
-        same empty X, every argument of `a` and every strict candidate of
-        one, of b's type (failures are reported only after every applicable
-        case was tried), so none of those can be the first witness. With a
-        failed gate a > b was never asked; with a non-empty X the witness
-        may need applying to freed variables, which case 1a never does."""
+        case under an algebraic head) the strict composite carrying X."""
         if pair_kind == "type_x":
             return self.gt_type(x, a, b)
         tr = self.gt_type(EMPTY_X, a, b)
         if tr is not None:
             return tr
-        ctx, order = self.ctx, self.ctx.sort_order
-        if x or not isinstance(a, Fun) or not ty_ge(order, a.ty, b.ty):
-            witnesses = self._witnesses(x, a, b, strict=True)
-        else:
-            new = acc_new_candidates(ctx.acc, order, ctx.min_types, a)
-            witnesses = ((w, (), w) for w in new if ty_eq(order, w.ty, b.ty))
-        for w, xs, wapp in witnesses:
+        for w, xs, wapp in self._witnesses(x, a, b, strict=True):
             inner = self.ge(EMPTY_X, wapp, b)
             if inner is not None:
                 return Trace("accApply", a, b, x, (inner,), (("w", w), ("xs", xs)))
@@ -349,14 +346,15 @@ class Engine:
         left element is removed, and every other right element is covered
         by a removed left element that `_pair` accepts.
 
-        Copies of one alpha class are interchangeable, since `_pair`'s
-        answer depends only on the two classes, so a witness is fixed, up
-        to copies, by the shared classes left open (cancelling one copy
-        fewer than they could). Maximal cancellation is tried first, then
-        the greatest set of open classes that gives a witness, found as a
-        fixpoint (`_mul_open`). No set of kept elements is enumerated, and
-        each pair of classes is decided once per call: one that holds is
-        asked again only for each cover node it makes."""
+        Each candidate witness (equal pairs, removed left indices, leftover
+        right indices) is covered here, each leftover right element in
+        order by the first removed left element that `_pair` accepts. When
+        no class is shared (every tower goal) the empty keep set is the only
+        candidate and nothing else is built, so a case-1b level spends five
+        frames: `gt`, `_case_1b`, this, `_pair` and `gt_type`. Otherwise
+        `_mul_open` yields the candidates. `known` holds the answer for each
+        pair of classes asked so far: one known to fail is not asked again,
+        and one that holds only for each cover node it makes."""
         left, right = ext_args(s), ext_args(t)
         if not left:
             return None
@@ -364,19 +362,60 @@ class Engine:
         rclasses = [b.alpha_class for b in right]
         for a in left:
             if a.alpha_class in rclasses:
+                witnesses = self._mul_open(x, left, right, pair_kind, known)
                 break
         else:
-            # nothing is shared: the empty keep set is the only one
-            every = range(len(right))
-            return self._mul_cover(x, s, t, pair_kind, (), range(len(left)), every, known)
+            witnesses = (((), range(len(left)), range(len(right))),)
+        for equal, removed, leftover in witnesses:
+            cover: list[tuple[int, int]] = []
+            children: list[Trace] = []
+            for j in leftover:
+                b = right[j]
+                for i in removed:
+                    key = (left[i].alpha_class, b.alpha_class)
+                    if known.get(key) is False:
+                        continue
+                    tr = self._pair(x, left[i], b, pair_kind)
+                    known[key] = tr is not None
+                    if tr is not None:
+                        cover.append((i, j))
+                        children.append(tr)
+                        break
+                else:
+                    break
+            else:
+                aux = (("equal", tuple(equal)), ("cover", tuple(cover)))
+                return Trace("mulExt", s, t, x, tuple(children), aux)
+        return None
+
+    def _mul_open(self, x, left, right, pair_kind, known):
+        """The candidate witnesses when some class is shared, in order, as
+        `_mul_ext` covers them. Copies of one alpha class are
+        interchangeable, since `_pair`'s answer depends only on the two
+        classes, so a witness is fixed, up to copies, by the shared classes
+        left open (cancelling one copy fewer than they could): a class's
+        first left copies cancel its first right copies.
+
+        First maximal cancellation: no class open, or, when that would
+        cancel every left element, one class, the class of the last element
+        first. Then the greatest set of open classes that gives a witness,
+        if any does. A left class is available when it is open or has more
+        left copies than right ones, and a class with more right copies
+        than left ones is forced (one of them always needs a cover). Every
+        shared class starts open, and open classes that no available class
+        covers are closed until every open class is covered; it fails when
+        a forced class is uncovered or no left class is available. Sets
+        that give witnesses are closed under union, and closing a class
+        only takes available classes away, so each of them stays within
+        the result. No set of kept elements is enumerated."""
         lpos: dict = {}
         for i, a in enumerate(left):
             lpos.setdefault(a.alpha_class, []).append(i)
         rpos: dict = {}
-        for j, c in enumerate(rclasses):
-            rpos.setdefault(c, []).append(j)
-        for opened in self._mul_open(x, left, right, lpos, rpos, pair_kind, known):
-            # a class's first left copies cancel its first right copies
+        for j, b in enumerate(right):
+            rpos.setdefault(b.alpha_class, []).append(j)
+
+        def witness(opened):
             partner: dict[int, int] = {}
             for c, idx in lpos.items():
                 js = rpos.get(c)
@@ -384,59 +423,16 @@ class Engine:
                     k = min(len(idx), len(js)) - (c in opened)
                     partner.update(zip(js[:k], idx[:k]))
             kept = set(partner.values())
-            removed = [i for i in range(len(left)) if i not in kept]
             equal = [(partner[j], j) for j in range(len(right)) if j in partner]
-            leftover = [j for j in range(len(right)) if j not in partner]
-            found = self._mul_cover(x, s, t, pair_kind, equal, removed, leftover, known)
-            if found is not None:
-                return found
-        return None
+            removed = [i for i in range(len(left)) if i not in kept]
+            return equal, removed, [j for j in range(len(right)) if j not in partner]
 
-    def _mul_cover(
-        self, x, s, t, pair_kind, equal, removed, leftover, known
-    ) -> Trace | None:
-        """Cover each leftover right element, in order, with the first
-        removed left element that `_pair` accepts; None when one has no
-        cover. `known` holds the answer for each pair of classes asked so
-        far, and a pair known to fail is not asked again."""
-        left, right = ext_args(s), ext_args(t)
-        cover: list[tuple[int, int]] = []
-        children: list[Trace] = []
-        for j in leftover:
-            b = right[j]
-            for i in removed:
-                key = (left[i].alpha_class, b.alpha_class)
-                if known.get(key) is False:
-                    continue
-                tr = self._pair(x, left[i], b, pair_kind)
-                known[key] = tr is not None
-                if tr is not None:
-                    cover.append((i, j))
-                    children.append(tr)
-                    break
-            else:
-                return None
-        aux = (("equal", tuple(equal)), ("cover", tuple(cover)))
-        return Trace("mulExt", s, t, x, tuple(children), aux)
-
-    def _mul_open(self, x, left, right, lpos, rpos, pair_kind, known):
-        """The sets of open classes to try, in order. First maximal
-        cancellation: no class open, or, when that would cancel every left
-        element, one class, the class of the last element first. Then the
-        greatest set that gives a witness, if any does. A left class is
-        available when it is open or has more left copies than right ones,
-        and a class with more right copies than left ones is forced (one
-        of them always needs a cover). Every shared class starts open, and
-        open classes that no available class covers are closed until every
-        open class is covered; it fails when a forced class is uncovered or
-        no left class is available. Sets that give witnesses are closed
-        under union, and closing a class only takes available classes away,
-        so each of them stays within the result."""
         spare = {c for c, idx in lpos.items() if len(idx) > len(rpos.get(c, ()))}
         if spare:
-            yield ()
+            yield witness(())
         else:
-            yield from ((c,) for c in dict.fromkeys(a.alpha_class for a in reversed(left)))
+            for c in dict.fromkeys(a.alpha_class for a in reversed(left)):
+                yield witness((c,))
         forced = [c for c, idx in rpos.items() if len(idx) > len(lpos.get(c, ()))]
         opened = [c for c in rpos if c in lpos]
 
@@ -459,7 +455,7 @@ class Engine:
                 return
             still = [c for c in opened if covered(c)]
             if len(still) == len(opened):
-                yield opened
+                yield witness(opened)
                 return
             opened = still
 

@@ -452,7 +452,7 @@ def exhaustive_check(
                 gt[i].add(j)
     for i in gt:
         for j in gt[i]:
-            if i in gt[j]:
+            if i < j and i in gt[j]:
                 findings.append(
                     Finding(
                         "antisymmetry",

@@ -109,10 +109,13 @@ def test_input_error_is_one_line_and_exit_2(name, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("lhs_depth,rhs_depth", [(200, 100), (220, 0)])
+@pytest.mark.parametrize("lhs_depth,rhs_depth", [(240, 120), (220, 0)])
 def test_deep_tower_is_decided(tmp_path, lhs_depth, rhs_depth):
-    # one tower level costs the engine 3 frames (1a) or 2 (1b), and the
-    # replay 1; c^300(z) > c^150(z) above is the first size left too deep
+    # one tower level costs the engine 3 frames on case 1a and 5 on case 1b
+    # (`test_frames_per_tower_level_are_pinned`), and the replay 1 per trace
+    # level; c^247(z) > c^123(z) is the deepest decided, so a sixth frame
+    # per 1b level fails c^240(z) > c^120(z). c^300(z) > c^150(z) above is
+    # left too deep
     path = _tower_file(tmp_path, lhs_depth, rhs_depth)
     proc = subprocess.run(
         [sys.executable, "-m", "horpo.cli", "check", str(path)],

@@ -1,9 +1,11 @@
 import random
+import sys
 from itertools import combinations
 
 import pytest
 from conftest import CORPUS, load, make_toy_ctx, typecheck
 
+from horpo import traces
 from horpo.accessibility import acc_candidates
 from horpo.context import MUL
 from horpo.engine import Engine
@@ -26,8 +28,14 @@ from horpo.terms import (
     beta_reduct,
     term_str,
 )
-from horpo.traces import Trace, apply_witness, ext_args, trace_to_jsonable
-from horpo.typeorder import Cmp, ty_eq
+from horpo.traces import (
+    Trace,
+    apply_witness,
+    check_trace,
+    ext_args,
+    trace_to_jsonable,
+)
+from horpo.typeorder import Cmp, ty_eq, ty_ge
 
 Nat = Data("Nat")
 Ord = Data("Ord")
@@ -229,38 +237,17 @@ def test_eta_case_3c(brouwer):
 
 
 # ---------------------------------------------------------------------------
-# Cases 1a and accApply against the generic witness loops, and case 1b
-# against the arguments-first order
+# The witness loops (cases 1a and 2a, accApply) against the uncut witness
+# list, and case 1b against the arguments-first order
 
 
 class _GenericWitnessEngine(Engine):
-    """The reference: case 1a's and accApply's generic witness loops, which
-    ask every candidate of every argument (every strict candidate of the
-    pair's left side, for accApply) with every vector over X (the empty one
-    included) through `apply_witness`. It retires no witness, so the engine
-    must agree with it on every verdict, trace and memo key."""
-
-    def _case_1a(self, x, s, t):
-        for i, si in enumerate(s.args, start=1):
-            for w, xs, wapp in self._witnesses(x, si, t, strict=False):
-                inner = self.ge((), wapp, t)
-                if inner is not None:
-                    return Trace(
-                        "1a", s, t, x, (inner,), (("i", i), ("w", w), ("xs", xs))
-                    )
-        return None
-
-    def _pair(self, x, a, b, pair_kind):
-        if pair_kind == "type_x":
-            return self.gt_type(x, a, b)
-        tr = self.gt_type((), a, b)
-        if tr is not None:
-            return tr
-        for w, xs, wapp in self._witnesses(x, a, b, strict=True):
-            inner = self.ge((), wapp, b)
-            if inner is not None:
-                return Trace("accApply", a, b, x, (inner,), (("w", w), ("xs", xs)))
-        return None
+    """The reference: the engine's witness loops (cases 1a and 2a and the
+    accApply composite) over the uncut witness list, which holds every
+    candidate of the base (every strict one, for accApply) with every
+    vector over X (the empty one included) through `apply_witness`. It
+    retires no witness, so the engine must agree with it on every verdict,
+    trace and memo key."""
 
     def _witnesses(self, x, base, t, strict):
         ctx = self.ctx
@@ -634,6 +621,135 @@ def test_not_oriented_tower_work_is_pinned(monkeypatch, lhs, rhs, calls, entries
     engine = Engine(p.ctx)
     assert engine.orient_rule(p.rules[0].lhs, p.rules[0].rhs) is None
     assert (len(made), len(engine.memo)) == (calls, entries)
+
+
+# ---------------------------------------------------------------------------
+# The paper's first two claims as contrasts: each engine below drops one of
+# its choices and loses rules the paper's definition orients
+
+
+class _GatedEveryGoalEngine(Engine):
+    """The type gate type(s) >= type(t) on every goal s > t, as in the
+    definition that Jouannaud & Rubio (JACM 2007) refine; the paper asks it
+    only where types must be compared (`gt_type`)."""
+
+    def gt(self, x, s, t):
+        if not ty_ge(self.ctx.sort_order, s.ty, t.ty):
+            return None
+        return super().gt(x, s, t)
+
+
+class _UnappliedWitnessEngine(Engine):
+    """No witness is applied to variables of X: the bound variables serve
+    case 4a only."""
+
+    def _x_vectors(self, x, w):
+        yield from ()
+
+
+def _lost_rules(contrast):
+    """The rules of `corpus/` and `tests/data/positive`, as "file n" with n
+    counted from 1, that the engine orients and `contrast` does not; the
+    contrast orients none that the engine does not."""
+    paths = sorted(CORPUS.glob("*.horpo"))
+    paths += sorted((CORPUS.parent / "tests" / "data" / "positive").glob("*.horpo"))
+    lost = []
+    for path in paths:
+        if path.name == "bad_freevar.horpo":
+            continue
+        p = parse_problem(path.read_text())
+        for n, rule in enumerate(p.rules, start=1):
+            ours = Engine(p.ctx).orient_rule(rule.lhs, rule.rhs) is not None
+            theirs = contrast(p.ctx).orient_rule(rule.lhs, rule.rhs) is not None
+            assert ours or not theirs, (path.name, n)
+            if ours and not theirs:
+                lost.append("%s %d" % (path.stem, n))
+    return lost
+
+
+def test_a_type_gate_on_every_goal_loses_rules():
+    # claim 1: type comparisons only where needed
+    assert _lost_rules(_GatedEveryGoalEngine) == [
+        "brouwer 2",
+        "brouwer 3",
+        "brouwer_search 2",
+        "map 2",
+        "nat_rec 2",
+        "limit2 2",
+        "limit2 3",
+        "list_limit 2",
+        "list_limit 3",
+        "tree 2",
+        "two_branches 2",
+    ]
+
+
+def test_no_witness_applied_to_bound_variables_loses_rules():
+    # claim 2: bound variables are explicit, and witnesses are applied to them
+    assert _lost_rules(_UnappliedWitnessEngine) == [
+        "brouwer 3",
+        "limit2 3",
+        "list_limit 3",
+        "tree 2",
+        "two_branches 2",
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Stack frames per tower level, which set how deep a tower `check` decides
+# (README)
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def _first_depths(monkeypatch, owner, name, sides):
+    """Patch `owner.name` to record the stack depth of its first call on
+    each pair of side sizes; `sides` picks the two sides from the call's
+    arguments. The patch puts one frame of its own under each call."""
+    original, depths = getattr(owner, name), {}
+
+    def recording(*args):
+        s, t = sides(*args)
+        depths.setdefault((s.size, t.size), _stack_depth())
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, recording)
+    return depths
+
+
+@pytest.mark.parametrize(
+    "m, engine_frames, trace_levels",
+    [(0, 3, 1), (20, 5, 3)],
+    ids=["case_1a", "case_1b"],
+)
+def test_frames_per_tower_level_are_pinned(monkeypatch, m, engine_frames, trace_levels):
+    # c^40(z) > c^m(z) first asks c^(40-i)(z) > c^(m-i)(z) (> z, once m-i
+    # is 0) i levels down a chain that spends, per level, `gt`, `_case_1a`
+    # and `ge` on case 1a, and `gt`, `_case_1b`, `_mul_ext`, `_pair` and
+    # `gt_type` on case 1b. The replay spends one frame per trace level:
+    # per tower level, the 1a node, or the 1b, mulExt and typeCheck nodes
+    k = 40
+    p = _unary(_nest("c", k), _nest("c", m))
+    rule = p.rules[0]
+    goals = _first_depths(monkeypatch, Engine, "gt", lambda e, x, s, t: (s, t))
+    trace = Engine(p.ctx).orient_rule(rule.lhs, rule.rhs)
+    replayed = _first_depths(
+        monkeypatch, traces, "_check_goal", lambda ctx, tr, kind, x, s, t, done: (s, t)
+    )
+    check_trace(p.ctx, trace, "gt", ())
+
+    def per_level(depths, calls):
+        # from 2 to 12 levels down, less the patch's frame per call
+        down = [depths[k - i + 1, max(m - i, 0) + 1] for i in (2, 12)]
+        return (down[1] - down[0]) / 10 - calls
+
+    assert per_level(goals, 1) == engine_frames
+    assert per_level(replayed, trace_levels) == trace_levels
 
 
 # ---------------------------------------------------------------------------

@@ -218,6 +218,13 @@ def test_exhaustive_check_reports_an_ordering_that_orients_everything(
     assert "irreflexivity: z > itself" in map(str, findings)
     assert "antisymmetry: z and succ(z) dominate each other" in map(str, findings)
     assert [f.prop for f in findings].count("termination") == 1
+    # each unordered pair is reported once, not again in the other order
+    pairs = [
+        frozenset(f.detail.removesuffix(" dominate each other").split(" and "))
+        for f in findings
+        if f.prop == "antisymmetry"
+    ]
+    assert len(set(pairs)) == len(pairs) > 1
 
 
 def test_enumerate_terms_small(toy_ctx, toy_env):

@@ -64,15 +64,16 @@ MUTANTS = {
         "        if isinstance(s, Var):\n            return None\n",
         "        if False:\n            return None\n",
     ),
-    "1a shortcut condition": (
+    # the witness cut is sound only after a failed goal on an algebraic base
+    "witness cut on any answer": (
         ENGINE,
-        "            if x or not isinstance(si, Fun) or not ty_eq(order, si.ty, t.ty):\n",
-        "            if False:\n",
+        "        if isinstance(base, Fun) and key in self.memo and self.memo[key] is None:\n",
+        "        if isinstance(base, Fun) and key in self.memo:\n",
     ),
-    "accApply shortcut condition": (
+    "witness cut on any base": (
         ENGINE,
-        "        if x or not isinstance(a, Fun) or not ty_ge(order, a.ty, b.ty):\n",
-        "        if False:\n",
+        "        if isinstance(base, Fun) and key in self.memo and self.memo[key] is None:\n",
+        "        if key in self.memo and self.memo[key] is None:\n",
     ),
     "1b head": (
         ENGINE,
@@ -166,6 +167,11 @@ MUTANTS = {
         ENGINE,
         "            if not avail:\n",
         "            if False:\n",
+    ),
+    "multiset uncovered right": (
+        ENGINE,
+        "                else:\n                    break\n",
+        "                else:\n                    pass\n",
     ),
     "lex equal prefix": (
         ENGINE,
