@@ -144,6 +144,14 @@ def _cmd_properties(args):
     return (1 if findings else 0), doc, lines
 
 
+def count(text: str) -> int:
+    """A count option's value; below zero, argparse reports it and exits 2."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError("%s is negative" % text)
+    return n
+
+
 # (name, help, command, its options besides FILE and --format)
 _COMMANDS = (
     ("check", "orient every rule of a problem file", _cmd_check, [
@@ -155,9 +163,9 @@ _COMMANDS = (
     ("validate", "check the ordering parameters only", _cmd_validate, []),
     ("search", "search parameters that orient all rules", _cmd_search, []),
     ("properties", "randomized metatheory probes", _cmd_properties, [
-        ("--samples", {"type": int, "default": 50}),
+        ("--samples", {"type": count, "default": 50}),
         ("--seed", {"type": int, "default": 0}),
-        ("--exhaustive-size", {"type": int, "default": 0, "help": "also enumerate "
+        ("--exhaustive-size", {"type": count, "default": 0, "help": "also enumerate "
                                "all terms up to this size and cross-check"}),
     ]),
 )

@@ -43,8 +43,7 @@ class OrderingContext:
         statuses completed for the signature: every symbol sits strictly
         above the application operator `@`, `mul` is the default status,
         and `@` has status `mul`."""
-        tys = [ty for f in sig.funs for ty in (*f.arg_tys, f.out_ty)]
-        universe = type_universe(tys + list(extra_types))
+        universe = type_universe(sig.fun_types + tuple(extra_types))
         names = [f.name for f in sig.funs]
         prec = QuasiOrder(
             names + [APP_SYM],

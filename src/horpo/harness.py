@@ -4,12 +4,15 @@ Hand-rolled, seed-deterministic generators produce well-typed terms over a
 problem's signature; the property runner then probes irreflexivity,
 stability under substitution, monotonicity, and compatibility with beta/eta
 reduction, replaying every produced trace through the independent validator.
-A small parameter search enumerates sort orders, precedences and statuses
-until all rules of a problem orient.
+The exhaustive probe enumerates every term of one type up to a size and
+checks the strict order on them for irreflexivity, antisymmetry and
+acyclicity. A small parameter search enumerates sort orders, precedences
+and statuses until all rules of a problem orient.
 """
 from __future__ import annotations
 
 import random
+from graphlib import CycleError, TopologicalSorter
 from itertools import islice, product
 from typing import Callable, Iterator
 
@@ -44,12 +47,11 @@ class GenError(Exception):
 
 
 class GenConfig:
-    def __init__(
-        self, max_size: int = 12, abs_prob: float = 0.5, app_prob: float = 0.25
-    ):
-        self.max_size = max_size
-        self.abs_prob = abs_prob
-        self.app_prob = app_prob
+    """The generator's largest size budget and its branch probabilities."""
+
+    max_size = 12
+    abs_prob = 0.5
+    app_prob = 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -437,9 +439,9 @@ def exhaustive_check(
     ty: Ty,
     max_size: int = 4,
 ) -> list[Finding]:
-    """Irreflexivity, antisymmetry and descending-chain boundedness (no
-    chain longer than 50) over all term pairs of the given type up to
-    `max_size`."""
+    """Irreflexivity, antisymmetry and acyclicity of the strict order over
+    all term pairs of the given type up to `max_size`: on a finite set, a
+    strict order is well-founded exactly when it has no cycle."""
     findings: list[Finding] = []
     terms = enumerate_terms(ctx.sig, env, ty, max_size)
     gt: dict[int, set[int]] = {i: set() for i in range(len(terms))}
@@ -460,28 +462,11 @@ def exhaustive_check(
                         % (term_str(terms[i]), term_str(terms[j])),
                     )
                 )
-    # longest strict chain must be finite (the relation on this finite set
-    # must be acyclic, which antisymmetry + transitivity of reachability give)
-    color: dict[int, int] = {}
-
-    def dfs(i: int, depth: int) -> bool:
-        if depth > 50:
-            return True
-        color[i] = 1
-        for j in gt[i]:
-            if color.get(j) == 1:
-                return True
-            if color.get(j) != 2 and dfs(j, depth + 1):
-                return True
-        color[i] = 2
-        return False
-
-    for i in range(len(terms)):
-        if color.get(i) is None and dfs(i, 0):
-            findings.append(
-                Finding("termination", "cycle through %s" % term_str(terms[i]))
-            )
-            break
+    try:
+        TopologicalSorter(gt).prepare()
+    except CycleError as exc:
+        t = terms[exc.args[1][0]]
+        findings.append(Finding("termination", "cycle through %s" % term_str(t)))
     return findings
 
 

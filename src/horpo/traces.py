@@ -181,40 +181,33 @@ def trace_to_jsonable(trace: Trace) -> dict:
 
 
 def trace_to_text(trace: Trace) -> str:
-    """One line per node of the unfolded tree, each child two spaces deeper.
-    A node reached once is written in place; the block of a shared node is
-    built once per depth and reused there, as `problems.dump_json` does."""
-    refs: dict[int, int] = {}
-    stack = [trace]
-    while stack:
-        t = stack.pop()
-        seen = refs.get(id(t), 0)
-        refs[id(t)] = seen + 1
-        if not seen:
-            stack.extend(t.children)
+    """One line per node of the unfolded tree, each child two spaces deeper,
+    in one pass: a node is written in place the first time it is reached at
+    a depth, and its lines are joined once and reused when it is reached
+    there again."""
     show = term_printer()
-    blocks: dict[tuple[int, int], str] = {}
+    lines: list[str] = []
+    spans: dict[tuple[int, int], slice | str] = {}
 
-    def write(t: Trace, depth: int, out: list[str]) -> None:
+    def write(t: Trace, depth: int) -> None:
+        key = id(t), depth
+        span = spans.get(key)
+        if span is not None:
+            if isinstance(span, slice):
+                span = spans[key] = "\n".join(lines[span])
+            lines.append(span)
+            return
+        start = len(lines)
         if t.label == "refl":
             line = "refl: %s >= %s" % _sides(show, t)
         else:
             line = "case %s: %s > %s" % (t.label, *_sides(show, t))
-        out.append("  " * depth + line)
-        depth += 1
+        lines.append("  " * depth + line)
         for c in t.children:
-            if refs[id(c)] == 1:
-                write(c, depth, out)
-                continue
-            block = blocks.get((id(c), depth))
-            if block is None:
-                buf: list[str] = []
-                write(c, depth, buf)
-                block = blocks[id(c), depth] = "\n".join(buf)
-            out.append(block)
+            write(c, depth + 1)
+        spans[key] = slice(start, len(lines))
 
-    lines: list[str] = []
-    write(trace, 0, lines)
+    write(trace, 0)
     return "\n".join(lines)
 
 

@@ -253,6 +253,25 @@ def test_properties_findings_exit_1(fmt, monkeypatch, capsys):
     }
 
 
+@pytest.mark.parametrize(
+    "option", [["--samples", "-3"], ["--exhaustive-size", "-2"], ["--samples", "abc"]]
+)
+def test_properties_rejects_a_bad_count_with_exit_2(option, capsys):
+    argv = ["properties", str(CORPUS / "nat_rec.horpo"), *option]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: argument %s: " % option[0] in err
+
+
+def test_properties_accepts_zero_samples(capsys):
+    argv = ["properties", str(CORPUS / "nat_rec.horpo"), "--samples", "0"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == "status: success\n"
+
+
 @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.horpo")), ids=lambda p: p.stem)
 def test_json_mode_prints_json_on_every_exit_code(path, capsys):
     rules = len(re.findall(r"^rule ", path.read_text(), re.M))

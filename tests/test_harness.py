@@ -227,6 +227,48 @@ def test_exhaustive_check_reports_an_ordering_that_orients_everything(
     assert len(set(pairs)) == len(pairs) > 1
 
 
+# 89 terms of type N up to size 7
+CHAIN_PROBLEM = (
+    "sort N ;\nfun z : [] -> N ;\nfun s : [N] -> N ;\nfun f : [N, N] -> N ;\n"
+    "prec f > s ;\n"
+)
+
+
+def _orients_successors(terms, succ):
+    """An `Engine.gt` that orients s > t exactly when t is the term at
+    position succ[i] of `terms` and s the one at position i."""
+    pos = {term_str(t): i for i, t in enumerate(terms)}
+
+    def gt(self, x, s, t):
+        if succ.get(pos[term_str(s)]) == pos[term_str(t)]:
+            return Trace("1a", s, t, x)
+        return None
+
+    return gt
+
+
+def test_exhaustive_check_passes_a_long_acyclic_chain(monkeypatch):
+    p = parse_problem(CHAIN_PROBLEM)
+    terms = enumerate_terms(p.ctx.sig, p.vars, Data("N"), 7)
+    assert len(terms) >= 52
+    chain = {i: i + 1 for i in range(len(terms) - 1)}
+    monkeypatch.setattr(Engine, "gt", _orients_successors(terms, chain))
+    assert exhaustive_check(p.ctx, p.vars, Data("N"), max_size=7) == []
+
+
+def test_exhaustive_check_reports_a_cycle_through_a_term_on_it(monkeypatch):
+    # the first term reaches the cycle 1 > 2 > 3 > 1 but is not on it
+    p = parse_problem(CHAIN_PROBLEM)
+    terms = enumerate_terms(p.ctx.sig, p.vars, Data("N"), 4)
+    monkeypatch.setattr(
+        Engine, "gt", _orients_successors(terms, {0: 1, 1: 2, 2: 3, 3: 1})
+    )
+    findings = exhaustive_check(p.ctx, p.vars, Data("N"), max_size=4)
+    assert [f.prop for f in findings] == ["termination"]
+    on_cycle = {"cycle through %s" % term_str(terms[i]) for i in (1, 2, 3)}
+    assert findings[0].detail in on_cycle
+
+
 def test_enumerate_terms_small(toy_ctx, toy_env):
     terms = enumerate_terms(toy_ctx.sig, toy_env, Data("N"), 3)
     keys = {str(t.size) + ":" + str(t) for t in terms}

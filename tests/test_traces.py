@@ -12,6 +12,7 @@ from horpo.terms import Abs, App, Arrow, Data, Fun, Var, subterms, term_str
 from horpo.traces import (
     Trace,
     TraceError,
+    _sides,
     check_trace,
     trace_to_jsonable,
     trace_to_text,
@@ -554,6 +555,27 @@ def test_text_is_the_unfolded_tree(source):
     assert traces
     for tr in traces:
         assert trace_to_text(tr) == _naive_text(tr)
+
+
+def test_text_formats_each_node_once_per_depth(monkeypatch):
+    # the 19,453 lines of c^20(z) > c^10(z) come from far fewer distinct
+    # (node, depth) pairs; a node reached again at a depth is copied
+    tr = _tower(20)[1]
+    pairs, stack = set(), [(tr, 0)]
+    while stack:
+        t, depth = stack.pop()
+        if (id(t), depth) not in pairs:
+            pairs.add((id(t), depth))
+            stack.extend((c, depth + 1) for c in t.children)
+    calls = []
+
+    def counted(show, t):
+        calls.append(t)
+        return _sides(show, t)
+
+    monkeypatch.setattr("horpo.traces._sides", counted)
+    assert len(trace_to_text(tr).splitlines()) == 19453
+    assert len(calls) == len(pairs) < 19453
 
 
 @pytest.mark.parametrize("source", sorted(_EMITTED))

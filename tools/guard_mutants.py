@@ -1,22 +1,24 @@
 """Guard-deletion mutants of the engine, the accessibility layer, the type
 order, the harness, the parser and the replay checker's bound-variable
-tests, and cache-key mutants of the term layer, run against tier-1.
+tests, and cache mutants of the term layer and the text writer, run
+against tier-1.
 
 Each mutant is one exact replacement in one file of `src/horpo`. Most turn
 a guard condition (a test whose truth rejects a goal, a candidate or an
 input) into `False`, or a check call into `pass`, so the guard never
-fires; the rest make a cache answer for keys it was not built for. For
-each mutant, in turn, the script writes the mutated file into a temporary
-copy of the checkout, runs tier-1 there with `-x`, and prints the first
-failing test; a run that exceeds the timeout is reported as `timeout`,
-since no test was seen to fail. Then it restores the file. The replay checker's mutants run against the
-acceptance tests and the checker's forgeries (`tests/test_traces.py`)
-only: tier-1 reaches that file last, and running all of it for each of
-them takes the whole run past ten minutes on a 2-core box.
+fires; the rest make a cache answer for keys it was not built for, or
+never answer. For each mutant, in turn, the script writes the mutated
+file into a temporary copy of the checkout, runs tier-1 there with `-x`,
+and prints the first failing test; a run that exceeds the timeout is
+reported as `timeout`, since no test was seen to fail. Then it restores
+the file. The mutants of `traces.py` (the replay checker and the text
+writer) run against the acceptance tests and `tests/test_traces.py` only:
+tier-1 reaches that file last, and running all of it for each of them
+takes the whole run past ten minutes on a 2-core box.
 
 Exit status: 0 when every mutant is killed, 1 when one survives or times
-out, or when a replacement no longer matches its file exactly once. Run from anywhere,
-with the interpreter that runs tier-1:
+out, or when a replacement no longer matches its file exactly once. Run
+from anywhere, with the interpreter that runs tier-1:
 
     python tools/guard_mutants.py
 
@@ -240,6 +242,11 @@ MUTANTS = {
         "        if validate_axioms(order, problem.ctx.universe):\n",
         "        if False:\n",
     ),
+    "termination probe": (
+        HARNESS,
+        "        TopologicalSorter(gt).prepare()\n",
+        "        pass\n",
+    ),
     "duplicate sort": (
         PARSER,
         "            if name.text in sorts:\n",
@@ -340,6 +347,12 @@ MUTANTS = {
         TRACES,
         "        if name not in x_tys:\n",
         "        if False:\n",
+    ),
+    # the text writer's copy of a node already written at its depth
+    "text copy": (
+        TRACES,
+        "        span = spans.get(key)\n",
+        "        span = None\n",
     ),
     # the caches of the term layer, each keyed too coarsely
     "open_abs key without name": (
