@@ -16,7 +16,7 @@ from graphlib import CycleError, TopologicalSorter
 from itertools import islice, product
 from typing import Callable, Iterator
 
-from .accessibility import APP_SYM, acc_table
+from .accessibility import APP_SYM
 from .context import LEX, MUL, OrderingContext
 from .engine import Engine
 from .terms import (
@@ -39,7 +39,7 @@ from .terms import (
     ty_str,
 )
 from .traces import TraceError, check_trace
-from .typeorder import Cmp, SortOrder, minimal_types, validate_axioms
+from .typeorder import Cmp, SortOrder, validate_axioms
 
 
 class GenError(Exception):
@@ -474,35 +474,35 @@ def exhaustive_check(
 # Parameter search
 
 
-def _level_assignments(n: int):
-    """The total quasi-orders on n positions as level assignments onto
-    0..levels-1: fewer levels first, then in lexicographic order. The empty
-    set has one, the empty assignment."""
-    for levels in range(min(n, 1), n + 1):
-        yield from _onto_assignments(n, levels)
-
-
-def _onto_assignments(n: int, levels: int):
-    """The maps from n positions onto range(levels), as tuples in
-    lexicographic order. A prefix is dropped as soon as the positions left
-    cannot cover the levels it misses, so every prefix kept completes."""
+def _level_assignments(kinds: list):
+    """The total quasi-orders on the positions of `kinds` with one kind per
+    level, as maps onto levels 0..k-1: fewer levels first, then in
+    lexicographic order. A prefix is dropped as soon as it puts two kinds on
+    one level or the positions left cannot fill its empty levels. The empty
+    list has one, the empty assignment."""
+    n = len(kinds)
     assign = [0] * n
-    uses = [0] * levels
+    held = [None] * n  # the kind on each level that holds a position
+    uses = [0] * n
 
-    def fill(i: int, missing: int):
+    def fill(i: int, levels: int, empty: int):
         if i == n:
             yield tuple(assign)
             return
         for level in range(levels):
-            left = missing - (uses[level] == 0)
-            if left > n - i - 1:
+            fresh = uses[level] == 0
+            if not fresh and held[level] != kinds[i]:
+                continue
+            if empty - fresh > n - i - 1:
                 continue
             assign[i] = level
+            held[level] = kinds[i]
             uses[level] += 1
-            yield from fill(i + 1, left)
+            yield from fill(i + 1, levels, empty - fresh)
             uses[level] -= 1
 
-    return fill(0, levels)
+    for levels in range(len(set(kinds)), n + 1):
+        yield from fill(0, levels, levels)
 
 
 def _order_pairs(elements: list[str], assign: tuple[int, ...]):
@@ -522,12 +522,6 @@ def _order_pairs(elements: list[str], assign: tuple[int, ...]):
         if assign[i] == assign[j]
     )
     return strict, equiv
-
-
-def _weak_orders(elements: list[str]):
-    """All total quasi-orders on `elements` as (strict, equiv) pair lists,
-    in the order of `_level_assignments`."""
-    return (_order_pairs(elements, a) for a in _level_assignments(len(elements)))
 
 
 _LEVEL_CMP = {1: Cmp.GT, 0: Cmp.EQ, -1: Cmp.LT}
@@ -568,7 +562,8 @@ def search_params(problem):
     Returns (sort_order_pairs, prec_pairs, statuses) on success, None when
     the space is exhausted. Enumeration is deterministic: sort orders
     outermost, then statuses (all-mul first), precedences innermost, each
-    precedence a level assignment of the symbols, `@` below all of them.
+    order a level assignment, `@` below every symbol. A precedence level
+    holds one (arity, status) kind, so no other candidate is built.
 
     Each rule's outcome is stored under the precedence comparisons and
     status lookups the engine made for it. A later candidate that answers
@@ -579,31 +574,28 @@ def search_params(problem):
     sig = problem.sig
     sort_names = sorted(s.name for s in sig.sorts)
     fun_names = sorted(f.name for f in sig.funs)
-    arities = [sig.fun(f).arity for f in fun_names]
     multi_arg = [f.name for f in sig.funs if f.arity >= 2]
     status_space = sorted(
         product((MUL, LEX), repeat=len(multi_arg)),
         key=lambda combo: sum(1 for s in combo if s == LEX),
     )
-    for sort_strict, sort_equiv in _weak_orders(sort_names):
-        order = SortOrder(sort_names, sort_strict, sort_equiv)
+    for sort_assign in _level_assignments([None] * len(sort_names)):
+        sort_pairs = _order_pairs(sort_names, sort_assign)
+        order = SortOrder(sort_names, *sort_pairs)
         if validate_axioms(order, problem.ctx.universe):
             continue
         # The type order, accessibility table and minimal types change with
         # the sort order and nothing else, so the engine's answer is a
         # function of its recorded reads only while the sort order stays:
         # outcomes live for one sort order.
-        acc = acc_table(sig.funs, order)
-        min_types = minimal_types(order, problem.ctx.universe)
+        order_ctx = OrderingContext.build(
+            sig, order, extra_types=tuple(problem.vars.values())
+        )
         outcomes: list[list[tuple[_Reads, bool]]] = [[] for _ in problem.rules]
         for combo in status_space:
             statuses = dict(zip(multi_arg, combo))
-            kinds = [(a, statuses.get(f, MUL)) for f, a in zip(fun_names, arities)]
-            for assign in _level_assignments(len(fun_names)):
-                # one arity and one status per precedence class
-                first: dict[int, tuple[int, str]] = {}
-                if any(first.setdefault(lv, k) != k for lv, k in zip(assign, kinds)):
-                    continue
+            kinds = [(sig.fun(f).arity, statuses.get(f, MUL)) for f in fun_names]
+            for assign in _level_assignments(kinds):
                 level = dict(zip(fun_names, assign))
                 level[APP_SYM] = -1
                 for rule, known in zip(problem.rules, outcomes):
@@ -616,8 +608,8 @@ def search_params(problem):
                         # rules would hold answers resting on other reads
                         reads = _Reads(level, statuses)
                         ctx = OrderingContext(
-                            sig, order, reads, reads, acc, min_types,
-                            problem.ctx.universe,
+                            sig, order, reads, reads, order_ctx.acc,
+                            order_ctx.min_types, order_ctx.universe,
                         )
                         engine = Engine(ctx)
                         oriented = engine.orient_rule(rule.lhs, rule.rhs) is not None
@@ -625,7 +617,5 @@ def search_params(problem):
                     if not oriented:
                         break
                 else:
-                    prec = _order_pairs(fun_names, assign)
-                    return (sort_strict, sort_equiv), prec, statuses
+                    return sort_pairs, _order_pairs(fun_names, assign), statuses
     return None
-

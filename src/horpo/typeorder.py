@@ -204,26 +204,19 @@ def validate_axioms(order: SortOrder, universe: Sequence[Ty]) -> list[str]:
 def minimal_types(order: SortOrder, universe: Sequence[Ty]) -> tuple[Ty, ...]:
     """Types of the universe minimal for (strict type order | type subterm)+.
 
-    Minimality is up to type equivalence: an element is minimal when nothing
-    inequivalent sits strictly below it. The result contains data types only.
+    Minimality is up to type equivalence: nothing inequivalent sits below a
+    minimal type in the closure, which holds exactly when no universe type
+    sits directly below it, by `ty_gt` or as a strict subterm. For `ty_gt(a,
+    b)` and `ty_eq(a, b)` never both hold, also under a cyclic sort order,
+    and a strict subterm is never equivalent to its type. The result
+    contains data types only.
     """
-    uni = list(universe)
-    pairs = []
-    for i, a in enumerate(uni):
+
+    def has_below(a: Ty) -> bool:
         strict_subs = set(ty_subterms(a)) - {a}
-        pairs += [
-            (i, j)
-            for j, b in enumerate(uni)
-            if ty_gt(order, a, b) or b in strict_subs
-        ]
-    below = _transitive_closure(pairs)
-    return tuple(
-        a
-        for i, a in enumerate(uni)
-        if not any(
-            (i, j) in below and not ty_eq(order, a, b) for j, b in enumerate(uni)
-        )
-    )
+        return any(b in strict_subs or ty_gt(order, a, b) for b in universe)
+
+    return tuple(a for a in universe if not has_below(a))
 
 
 def is_minimal_type(order: SortOrder, min_types: Sequence[Ty], ty: Ty) -> bool:

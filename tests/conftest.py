@@ -1,6 +1,7 @@
 import inspect
 import os
 import pathlib
+from itertools import product
 from typing import Mapping
 
 import pytest
@@ -96,6 +97,41 @@ def typecheck(
         return Abs(t.var, t.var_ty, body, types.setdefault(ty, ty))
 
     return go(dict(env), t)
+
+
+# The reference enumeration of `harness._level_assignments`, which walks
+# the same maps but drops a prefix as soon as it breaks the kind rule or
+# leaves more levels empty than positions left to fill them.
+def level_assignments_by_filter(kinds):
+    """Every map from the positions of `kinds` onto k levels, k = 0..n, in
+    lexicographic order, kept when each level holds one kind."""
+    n = len(kinds)
+    for levels in range(n + 1):
+        for assign in product(range(levels), repeat=n):
+            if set(assign) == set(range(levels)) and (
+                len(set(zip(assign, kinds))) == levels
+            ):
+                yield assign
+
+
+def weak_orders_by_filter(elements):
+    """The total quasi-orders on `elements` as (strict, equiv) pair lists,
+    from the reference level assignments with one kind."""
+    n = len(elements)
+    for assign in level_assignments_by_filter([None] * n):
+        strict = tuple(
+            (elements[i], elements[j])
+            for i in range(n)
+            for j in range(n)
+            if assign[i] > assign[j]
+        )
+        equiv = tuple(
+            (elements[i], elements[j])
+            for i in range(n)
+            for j in range(i + 1, n)
+            if assign[i] == assign[j]
+        )
+        yield strict, equiv
 
 
 def load(name):

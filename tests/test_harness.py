@@ -3,7 +3,14 @@ from itertools import product
 
 import pytest
 
-from conftest import CORPUS, ROOT, load, typecheck
+from conftest import (
+    CORPUS,
+    ROOT,
+    level_assignments_by_filter,
+    load,
+    typecheck,
+    weak_orders_by_filter,
+)
 from horpo import harness
 from horpo.accessibility import APP_SYM
 from horpo.context import LEX, MUL, OrderingContext
@@ -338,46 +345,19 @@ def test_search_skips_sort_orders_breaking_the_axioms(monkeypatch):
     assert validate_axioms(order, with_p.ctx.universe)
 
 
-def _onto_by_filter(n, levels):
-    """Reference enumeration: every map from n positions to `levels`
-    levels, kept when it is onto."""
-    return (
-        assign
-        for assign in product(range(levels), repeat=n)
-        if set(assign) == set(range(levels))
-    )
-
-
-def _weak_orders_by_filter(elements):
-    """Reference enumeration: the onto maps to k levels, k = 0..n, as
-    (strict, equiv) pair lists."""
-    n = len(elements)
-    for levels in range(n + 1):
-        for assign in _onto_by_filter(n, levels):
-            strict = [
-                (elements[i], elements[j])
-                for i in range(n)
-                for j in range(n)
-                if assign[i] > assign[j]
-            ]
-            equiv = [
-                (elements[i], elements[j])
-                for i in range(n)
-                for j in range(i + 1, n)
-                if assign[i] == assign[j]
-            ]
-            yield tuple(strict), tuple(equiv)
-
-
-def test_weak_orders_match_the_filter_and_count_ordered_partitions():
+def test_level_assignments_match_the_filter_and_count_ordered_partitions():
     counts = []
     for n in range(7):
-        elements = ["e%d" % i for i in range(n)]
-        got = list(harness._weak_orders(elements))
+        got = list(harness._level_assignments([None] * n))
         counts.append(len(got))
-        assert got == list(_weak_orders_by_filter(elements))
-    # the empty set has one order, the empty one
+        assert got == list(level_assignments_by_filter([None] * n))
+    # the empty list has one assignment, the empty one
     assert counts == [1, 1, 3, 13, 75, 541, 4683]
+    # no level holds two kinds
+    for kinds in ([0, 1], [0, 1, 2], [0, 1, 2, 0, 1], [0, 0, 1, 1, 0, 1]):
+        assert list(harness._level_assignments(kinds)) == list(
+            level_assignments_by_filter(kinds)
+        )
 
 
 def test_search_finds_the_same_parameters_as_the_filter(monkeypatch):
@@ -388,7 +368,7 @@ def test_search_finds_the_same_parameters_as_the_filter(monkeypatch):
     ]
     found = [search_params(p) for p in problems]
     # both the sort orders and the precedences are level assignments
-    monkeypatch.setattr(harness, "_onto_assignments", _onto_by_filter)
+    monkeypatch.setattr(harness, "_level_assignments", level_assignments_by_filter)
     assert found == [search_params(p) for p in problems]
     assert sum(f is not None for f in found) == len(problems) - 1
 
@@ -406,7 +386,7 @@ def _search_by_generate_and_test(problem):
     )
     symbols = [f.name for f in sig.funs] + [APP_SYM]
     above_app = tuple((f, APP_SYM) for f in fun_names)
-    for sort_strict, sort_equiv in _weak_orders_by_filter(sort_names):
+    for sort_strict, sort_equiv in weak_orders_by_filter(sort_names):
         order = SortOrder(sort_names, sort_strict, sort_equiv)
         if validate_axioms(order, problem.ctx.universe):
             continue
@@ -415,7 +395,7 @@ def _search_by_generate_and_test(problem):
         )
         for combo in status_space:
             statuses = dict(zip(multi_arg, combo))
-            for prec_strict, prec_equiv in _weak_orders_by_filter(fun_names):
+            for prec_strict, prec_equiv in weak_orders_by_filter(fun_names):
                 # completed as `OrderingContext.build` does: every symbol above `@`
                 prec = QuasiOrder(symbols, (*prec_strict, *above_app), prec_equiv)
                 ctx = OrderingContext(
@@ -445,6 +425,11 @@ ACKERMANN = (
     "rule ack(s(X), 0) -> ack(X, s(0)) ;\n"
     "rule ack(s(X), s(Y)) -> ack(X, ack(s(X), Y)) ;\n"
 )
+PLUS = (
+    "fun plus : [N, N] -> N ;\n"
+    "rule plus(0, Y) -> Y ;\n"
+    "rule plus(s(X), Y) -> s(plus(X, Y)) ;\n"
+)
 SEARCH_CASES = {
     **{
         path.name: path.read_text()
@@ -455,6 +440,8 @@ SEARCH_CASES = {
     "brouwer_search+symbol": BROUWER_SEARCH + EXTRA_SYMBOL,
     "brouwer_search+symbol+blocker": BROUWER_SEARCH + EXTRA_SYMBOL + BLOCKER,
     "ackermann": ACKERMANN,
+    # two binary symbols: a class may not hold both when their statuses differ
+    "ackermann+plus": ACKERMANN + PLUS,
 }
 
 
@@ -481,6 +468,22 @@ def test_exhausted_search_runs_the_engine_67_times(monkeypatch):
     assert search_params(parse_problem(BROUWER_SEARCH + BLOCKER)) is None
     # pinned; without reuse the same search makes 2,640 calls
     assert len(calls) == 67
+
+
+def test_exhausted_search_builds_793_level_assignments(monkeypatch):
+    built = []
+    level_assignments = harness._level_assignments
+
+    def counted(kinds):
+        for assign in level_assignments(kinds):
+            built.append(assign)
+            yield assign
+
+    monkeypatch.setattr(harness, "_level_assignments", counted)
+    assert search_params(parse_problem(BROUWER_SEARCH + BLOCKER)) is None
+    # pinned; building every assignment and dropping those that put two
+    # arities or statuses in one class builds 1,963
+    assert len(built) == 793
 
 
 def test_search_without_function_symbols_needs_no_parameters():

@@ -1,8 +1,8 @@
 import pytest
 
-from horpo.harness import _weak_orders
+from conftest import ROOT, weak_orders_by_filter
 from horpo.problems import parse_problem
-from horpo.terms import Arrow, Data, ty_str
+from horpo.terms import Arrow, Data, ty_str, ty_subterms
 from horpo.typeorder import (
     Cmp,
     QuasiOrder,
@@ -109,6 +109,62 @@ def test_minimal_types_small(order):
     assert minimal_types(order, type_universe([Nat, Arrow(Nat, Nat)])) == (Nat,)
 
 
+def _minimal_types_by_closure(order, universe):
+    """`minimal_types` by its definition: nothing inequivalent below in the
+    transitive closure of (strict type order | strict subterm)."""
+    uni = list(universe)
+    below = {
+        (i, j)
+        for i, a in enumerate(uni)
+        for j, b in enumerate(uni)
+        if ty_gt(order, a, b) or (b != a and b in ty_subterms(a))
+    }
+    while True:
+        more = {(i, k) for i, j in below for j2, k in below if j == j2} - below
+        if not more:
+            break
+        below |= more
+    return tuple(
+        a
+        for i, a in enumerate(uni)
+        if not any(
+            (i, j) in below and not ty_eq(order, a, b) for j, b in enumerate(uni)
+        )
+    )
+
+
+def _weak_and_cyclic_orders(sorts):
+    """Every weak order on `sorts`; then, for each sort, the cycle of it
+    above itself; then each weak order with one of its strict pairs also
+    reversed, which makes a cycle, with and without the weak order's
+    equivalences."""
+    for strict, equiv in weak_orders_by_filter(sorts):
+        yield SortOrder(sorts, strict, equiv)
+    for a in sorts:
+        yield SortOrder(sorts, ((a, a),))
+    for strict, equiv in weak_orders_by_filter(sorts):
+        for a, b in strict:
+            for eq in dict.fromkeys((equiv, ())):
+                yield SortOrder(sorts, strict + ((b, a),), eq)
+
+
+def test_minimal_types_match_the_closure_under_every_sort_order():
+    paths = [
+        p
+        for d in ("corpus", "tests/data/loops", "tests/data/positive")
+        for p in sorted((ROOT / d).glob("*.horpo"))
+        if p.name != "bad_freevar.horpo"
+    ]
+    orders = 0
+    for path in paths:
+        uni = parse_problem(path.read_text()).ctx.universe
+        sorts = sorted({t.sort for t in uni if isinstance(t, Data)})
+        for order in _weak_and_cyclic_orders(sorts):
+            orders += 1
+            assert minimal_types(order, uni) == _minimal_types_by_closure(order, uni)
+    assert orders == 1008
+
+
 def test_minimal_types_are_data(brouwer, nat_rec, map_problem):
     for p in (brouwer, nat_rec, map_problem):
         assert p.ctx.min_types  # nonempty
@@ -183,7 +239,7 @@ def test_monotonicity_matches_all_triples_under_every_sort_order():
     ]
     for uni in universes:
         sorts = sorted({t.sort for t in uni if isinstance(t, Data)})
-        for strict, equiv in _weak_orders(sorts):
+        for strict, equiv in weak_orders_by_filter(sorts):
             order = SortOrder(sorts, strict, equiv)
             expected = _monotonicity_over_all_triples(order, uni)
             got = [v for v in validate_axioms(order, uni) if "monotonicity" in v]

@@ -234,8 +234,13 @@ MUTANTS = {
     ),
     "class arity and status": (
         HARNESS,
-        "                if any(first.setdefault(lv, k) != k for lv, k in zip(assign, kinds)):\n",
-        "                if False:\n",
+        "            if not fresh and held[level] != kinds[i]:\n",
+        "            if False:\n",
+    ),
+    "walk fills every level": (
+        HARNESS,
+        "            if empty - fresh > n - i - 1:\n",
+        "            if False:\n",
     ),
     "search sort order axioms": (
         HARNESS,
