@@ -24,8 +24,6 @@ from .typeorder import (
     ty_ge,
 )
 
-APP_SYM = "@"
-
 
 def acc_indices(decl: FunDecl, order: SortOrder) -> frozenset[int]:
     """1-based argument positions of `decl` that are accessible.
@@ -60,10 +58,8 @@ AccTable = Mapping[str, frozenset[int]]
 
 
 def acc_table(decls: Sequence[FunDecl], order: SortOrder) -> dict[str, frozenset[int]]:
-    """Accessible positions per symbol; `@` has none."""
-    table = {d.name: acc_indices(d, order) for d in decls}
-    table[APP_SYM] = frozenset()
-    return table
+    """Accessible positions per symbol."""
+    return {d.name: acc_indices(d, order) for d in decls}
 
 
 def _candidates(

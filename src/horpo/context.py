@@ -6,7 +6,7 @@ the minimal types, which depend only on the signature and the sort order.
 """
 from __future__ import annotations
 
-from .accessibility import APP_SYM, AccTable, acc_table
+from .accessibility import AccTable, acc_table
 from .terms import Signature, Ty
 from .typeorder import QuasiOrder, SortOrder, minimal_types, type_universe
 
@@ -39,20 +39,13 @@ class OrderingContext:
         statuses: dict[str, str] | None = None,
         extra_types: tuple[Ty, ...] = (),
     ) -> "OrderingContext":
-        """The context of the given parameters, with the precedence and
-        statuses completed for the signature: every symbol sits strictly
-        above the application operator `@`, `mul` is the default status,
-        and `@` has status `mul`."""
+        """The context of the given parameters, with the precedence over
+        the declared symbols and `mul` as the default status."""
         universe = type_universe(sig.fun_types + tuple(extra_types))
         names = [f.name for f in sig.funs]
-        prec = QuasiOrder(
-            names + [APP_SYM],
-            tuple(prec_strict) + tuple((name, APP_SYM) for name in names),
-            tuple(prec_equiv),
-        )
+        prec = QuasiOrder(names, prec_strict, prec_equiv)
         stats = dict.fromkeys(names, MUL)
         stats.update(statuses or {})
-        stats[APP_SYM] = MUL
         return OrderingContext(
             sig, sort_order, prec, stats, acc_table(sig.funs, sort_order),
             minimal_types(sort_order, universe), universe,

@@ -170,7 +170,7 @@ class Engine:
                 return None
             splits = [list(t.args)]
         elif isinstance(t, App):
-            # every context puts each symbol strictly above `@`
+            # applications sit below every symbol: no precedence test
             splits = app_splits(t)
         else:
             return None

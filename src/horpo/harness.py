@@ -16,7 +16,6 @@ from graphlib import CycleError, TopologicalSorter
 from itertools import islice, product
 from typing import Callable, Iterator
 
-from .accessibility import APP_SYM
 from .context import LEX, MUL, OrderingContext
 from .engine import Engine
 from .terms import (
@@ -562,8 +561,8 @@ def search_params(problem):
     Returns (sort_order_pairs, prec_pairs, statuses) on success, None when
     the space is exhausted. Enumeration is deterministic: sort orders
     outermost, then statuses (all-mul first), precedences innermost, each
-    order a level assignment, `@` below every symbol. A precedence level
-    holds one (arity, status) kind, so no other candidate is built.
+    order a level assignment. A precedence level holds one (arity, status)
+    kind, so no other candidate is built.
 
     Each rule's outcome is stored under the precedence comparisons and
     status lookups the engine made for it. A later candidate that answers
@@ -597,7 +596,6 @@ def search_params(problem):
             kinds = [(sig.fun(f).arity, statuses.get(f, MUL)) for f in fun_names]
             for assign in _level_assignments(kinds):
                 level = dict(zip(fun_names, assign))
-                level[APP_SYM] = -1
                 for rule, known in zip(problem.rules, outcomes):
                     oriented = next(
                         (ok for reads, ok in known if reads.agree(level, statuses)),

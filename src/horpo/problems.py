@@ -23,7 +23,6 @@ from functools import partial
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .context import LEX, MUL, OrderingContext
-from .accessibility import APP_SYM
 from .engine import Engine
 from .terms import (
     Abs,
@@ -344,16 +343,18 @@ def parse_problem(text: str) -> Problem:
                 raise ProblemError(message, b.line, b.col)
             for name in (a, b) if b.kind == "ident" else (a,):
                 names.append((name, p.funs, "undeclared symbol in precedence: %s"))
-            pair = (a.text, b.text if b.kind == "ident" else APP_SYM)
-            if rel.kind == ">":
-                prec_strict.append(pair)
-            else:
-                prec_equiv.append(pair)
+            # `f > @` records nothing: case 1c puts every symbol above `@`
+            if b.kind == "ident":
+                pairs = prec_strict if rel.kind == ">" else prec_equiv
+                pairs.append((a.text, b.text))
         elif kw == "status":
             name = p.ident("function symbol")
             st = p.ident("status")
             if st.text not in (MUL, LEX):
                 raise ProblemError("status must be 'mul' or 'lex'", st.line, st.col)
+            if name.text in statuses:
+                message = "duplicate status for symbol %r" % name.text
+                raise ProblemError(message, name.line, name.col)
             statuses[name.text] = st.text
             names.append((name, p.funs, "status for undeclared symbol %r"))
         elif kw == "var":

@@ -481,8 +481,8 @@ def _1c_premises(
             raise TraceError("case 1c needs a strictly smaller head symbol")
         targs = list(t.args)
     elif isinstance(t, App):
-        # every declared symbol is above @; the split is the one whose
-        # length matches the children
+        # applications sit below every symbol: no precedence test; the
+        # split is the one whose length matches the children
         splits = app_splits(t)
         targs = next(
             (a for a in splits if len(a) == len(node.children)), splits[0]

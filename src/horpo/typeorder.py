@@ -3,10 +3,11 @@
 The type ordering is generated from a user-supplied quasi-order on sort
 symbols: data types compare by their heads (equivalence is congruent in the
 arguments), and arrow types follow the arrow preservation / decreasingness
-rules. Of the four axioms the ordering must satisfy, arrow preservation and
-arrow decreasingness hold by the definitions of `ty_eq` and `ty_gt`; the
-other two, well-foundedness and arrow monotonicity, are machine-checked over
-the finite, subterm-closed universe of types occurring in a problem.
+rules. Arrow preservation, arrow decreasingness and arrow monotonicity in
+the codomain (tau >= sigma implies a->tau >= a->sigma) hold by the
+definitions of `ty_eq` and `ty_gt`; well-foundedness and monotonicity in the
+domain (tau->a >= sigma->a) are machine-checked over the finite,
+subterm-closed universe of types occurring in a problem.
 """
 from __future__ import annotations
 
@@ -154,8 +155,8 @@ def type_universe(tys: Iterable[Ty]) -> tuple[Ty, ...]:
 
 
 def validate_axioms(order: SortOrder, universe: Sequence[Ty]) -> list[str]:
-    """Check well-foundedness and arrow monotonicity over `universe` (the
-    other two axioms hold by construction).
+    """Check well-foundedness and arrow monotonicity in the domain over
+    `universe` (the other axioms hold by construction).
 
     Returns a list of human-readable violations; empty means all axioms hold
     on this universe. Violations are data, not exceptions.
@@ -176,9 +177,9 @@ def validate_axioms(order: SortOrder, universe: Sequence[Ty]) -> list[str]:
     for i, a in enumerate(uni):
         if (i, i) in reach:
             violations.append("well-foundedness: cycle through type %s" % ty_str(a))
-    # arrow monotonicity: tau >= sigma implies a->tau >= a->sigma and
-    # tau->a >= sigma->a, checked for every instance whose composed types
-    # all live in the universe
+    # arrow monotonicity in the domain: tau >= sigma implies tau->a >=
+    # sigma->a, checked for every instance whose composed types all live in
+    # the universe
     arrows = {t for t in universe if isinstance(t, Arrow)}
     for a in universe:
         # the types u for which both a->u and u->a are in the universe
@@ -189,15 +190,11 @@ def validate_axioms(order: SortOrder, universe: Sequence[Ty]) -> list[str]:
             for sigma in partners:
                 if not ty_ge(order, tau, sigma):
                     continue
-                for left, right in (
-                    (Arrow(a, tau), Arrow(a, sigma)),
-                    (Arrow(tau, a), Arrow(sigma, a)),
-                ):
-                    if not ty_ge(order, left, right):
-                        violations.append(
-                            "arrow monotonicity: %s !>= %s"
-                            % (ty_str(left), ty_str(right))
-                        )
+                left, right = Arrow(tau, a), Arrow(sigma, a)
+                if not ty_ge(order, left, right):
+                    violations.append(
+                        "arrow monotonicity: %s !>= %s" % (ty_str(left), ty_str(right))
+                    )
     return violations
 
 

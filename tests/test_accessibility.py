@@ -51,10 +51,6 @@ def test_an_output_inside_a_sort_argument_is_not_accessible():
     assert acc_indices(c, order) == frozenset()
 
 
-def test_app_has_no_accessible_positions(brouwer):
-    assert brouwer.ctx.acc["@"] == frozenset()
-
-
 def test_accessible(brouwer):
     # with no minimal types, only reach through accessible positions can
     # make a subterm acc-below

@@ -1,6 +1,5 @@
 import pytest
 
-from horpo.accessibility import APP_SYM
 from horpo.context import OrderingContext
 from horpo.problems import ProblemError, parse_problem
 from horpo.typeorder import Cmp
@@ -8,15 +7,21 @@ from horpo.typeorder import Cmp
 
 def test_precedence_completion(brouwer):
     ctx = OrderingContext.build(
-        brouwer.sig, brouwer.sort_order, (("lim", "s"),), (),
-        {"rec": "lex", APP_SYM: "lex"},
+        brouwer.sig, brouwer.sort_order, (("lim", "s"),), (), {"rec": "lex"},
     )
     for f in brouwer.sig.funs:
-        assert ctx.prec.cmp(f.name, APP_SYM) is Cmp.GT
         assert ctx.statuses[f.name] == ("lex" if f.name == "rec" else "mul")
-    assert ctx.statuses[APP_SYM] == "mul"
     assert ctx.prec.cmp("lim", "s") is Cmp.GT
     assert ctx.prec.cmp("s", "rec") is Cmp.INCOMP
+
+
+def test_build_leaves_app_out(brouwer):
+    # case 1c puts applications below every symbol; no table holds `@`
+    ctx = OrderingContext.build(brouwer.sig, brouwer.sort_order)
+    names = [f.name for f in brouwer.sig.funs]
+    assert list(ctx.prec.elements) == names
+    assert list(ctx.statuses) == names
+    assert list(ctx.acc) == names
 
 
 SIG = (

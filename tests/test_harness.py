@@ -12,7 +12,6 @@ from conftest import (
     weak_orders_by_filter,
 )
 from horpo import harness
-from horpo.accessibility import APP_SYM
 from horpo.context import LEX, MUL, OrderingContext
 from horpo.engine import Engine
 from horpo.harness import (
@@ -384,8 +383,6 @@ def _search_by_generate_and_test(problem):
         product((MUL, LEX), repeat=len(multi_arg)),
         key=lambda combo: combo.count(LEX),
     )
-    symbols = [f.name for f in sig.funs] + [APP_SYM]
-    above_app = tuple((f, APP_SYM) for f in fun_names)
     for sort_strict, sort_equiv in weak_orders_by_filter(sort_names):
         order = SortOrder(sort_names, sort_strict, sort_equiv)
         if validate_axioms(order, problem.ctx.universe):
@@ -396,8 +393,7 @@ def _search_by_generate_and_test(problem):
         for combo in status_space:
             statuses = dict(zip(multi_arg, combo))
             for prec_strict, prec_equiv in weak_orders_by_filter(fun_names):
-                # completed as `OrderingContext.build` does: every symbol above `@`
-                prec = QuasiOrder(symbols, (*prec_strict, *above_app), prec_equiv)
+                prec = QuasiOrder(fun_names, prec_strict, prec_equiv)
                 ctx = OrderingContext(
                     sig, order, prec, {**order_ctx.statuses, **statuses},
                     order_ctx.acc, order_ctx.min_types, order_ctx.universe,

@@ -217,6 +217,10 @@ def test_precedence_cycle_rejected():
         ("sort Nat€", "line 1, col 9: unexpected character '€'"),
         # a comment moves no column: end of input is placed at its '#'
         ("var # x", "line 1, col 5: expected variable name, found 'end of input'"),
+        (
+            "sort N ;\nfun f : [N, N] -> N ;\nstatus f lex ;\nstatus f mul ;",
+            "line 4, col 8: duplicate status for symbol 'f'",
+        ),
     ],
     ids=[
         "arity", "prec-symbol", "prec-undeclared", "order-sort", "status-symbol",
@@ -225,6 +229,7 @@ def test_precedence_cycle_rejected():
         "unbound-variable", "symbol-arity", "argument-type", "apply-non-arrow",
         "apply-domain", "binder-sort", "binder-clash", "binder-clash-later",
         "lambda-after-tab", "char-after-identifier", "eof-after-comment",
+        "status-repeated",
     ],
 )
 def test_declaration_errors(text, message):
@@ -254,6 +259,18 @@ def test_round_trip(brouwer, nat_rec, map_problem):
         text = print_problem(p)
         again = parse_problem(text)
         assert print_problem(again) == text
+
+
+def test_precedence_above_app_records_nothing():
+    p = parse_problem(
+        "sort N ;\nfun z : [] -> N ;\nfun f : [N] -> N ;\n"
+        "prec f > @ ;\nprec f > z ;\n"
+    )
+    assert (p.prec_strict, p.prec_equiv) == ((("f", "z"),), ())
+    printed = print_problem(p)
+    again = parse_problem(printed)
+    assert (again.prec_strict, again.prec_equiv) == (p.prec_strict, p.prec_equiv)
+    assert print_problem(again) == printed
 
 
 def test_round_trip_sort_of_two_arguments():

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from conftest import ROOT, weak_orders_by_filter
@@ -244,6 +246,31 @@ def test_monotonicity_matches_all_triples_under_every_sort_order():
             expected = _monotonicity_over_all_triples(order, uni)
             got = [v for v in validate_axioms(order, uni) if "monotonicity" in v]
             assert got == expected
+
+
+def test_monotonicity_in_the_codomain_holds_by_definition():
+    # why `validate_axioms` checks only tau->a >= sigma->a
+    paths = [
+        p
+        for d in ("corpus", "tests/data/loops", "tests/data/positive")
+        for p in sorted((ROOT / d).glob("*.horpo"))
+        if p.name != "bad_freevar.horpo"
+    ]
+    instances = 0
+    for path in paths:
+        uni = parse_problem(path.read_text()).ctx.universe
+        sorts = sorted({t.sort for t in uni if isinstance(t, Data)})
+        orders = [SortOrder(sorts, s, e) for s, e in weak_orders_by_filter(sorts)]
+        orders.append(SortOrder(sorts, tuple(product(sorts, repeat=2))))
+        for order in orders:
+            for tau in uni:
+                for sigma in uni:
+                    if not ty_ge(order, tau, sigma):
+                        continue
+                    for a in uni:
+                        instances += 1
+                        assert ty_ge(order, Arrow(a, tau), Arrow(a, sigma))
+    assert instances == 50979
 
 
 def test_ty_eq_is_structural_on_distinct_objects():

@@ -217,8 +217,8 @@ MUTANTS = {
     ),
     "monotonicity violation": (
         TYPES,
-        "                    if not ty_ge(order, left, right):\n",
-        "                    if False:\n",
+        "                if not ty_ge(order, left, right):\n",
+        "                if False:\n",
     ),
     # `_shrink`'s `sub.size <= 1` guard has no mutant: without it the shrink
     # loop never ends, and only the timeout would kill it
@@ -260,6 +260,11 @@ MUTANTS = {
     "duplicate function symbol": (
         PARSER,
         "            if name.text in p.funs:\n",
+        "            if False:\n",
+    ),
+    "duplicate status": (
+        PARSER,
+        "            if name.text in statuses:\n",
         "            if False:\n",
     ),
     "unbound variable": (
