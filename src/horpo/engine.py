@@ -8,7 +8,16 @@ success does not depend on the order.
 Case order within the algebraic group is 1b, 1c, 1a (status, precedence,
 then accessible subterm): when several cases apply, this prefers the
 derivation that descends through the right-hand side, which is the shape the
-reference derivations take.
+reference derivations take. When both sides are algebraic with equivalent
+heads, 1a comes first, and only 1b follows (1c, 4a and 4b need another
+right side): a tower c^k(z) > c^(k/2)(z) then takes one 1a step per
+level, a chain of k/2 goals, where 1b builds a DAG of about k^2/8 goals
+whose unfolded trace doubles with each level. Trying 1a first on every
+algebraic goal would change the reference derivations (1a would take
+over goals that 1c proves).
+
+Before any case, `_refuted` answers a goal s > t for which one step of
+case 1a proves t > s: the ordering is well-founded, so s > t fails.
 
 The recursion terminates: every goal `gt` asks while deciding the goal
 (X, s, t) is smaller in the measure
@@ -36,7 +45,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .accessibility import acc_candidates, acc_new_candidates
+from .accessibility import acc_candidates, acc_ge, acc_new_candidates
 from .context import MUL, OrderingContext
 from .terms import (
     Abs,
@@ -65,6 +74,8 @@ _CASES = {
     App: ("_case_2a", "_case_2b", "_case_2c", "_case_4a", "_case_4b"),
     Abs: ("_case_3a", "_case_3b", "_case_3c", "_case_4a"),
 }
+# The cases tried when s and t are algebraic with equivalent heads
+_EQUIVALENT_HEADS = ("_case_1a", "_case_1b")
 
 
 class Engine:
@@ -83,13 +94,53 @@ class Engine:
         key = ("gt", x, s.alpha_class, t.alpha_class)
         if key in self.memo:
             return self.memo[key]
-        # looked up by name, so that a patched case method takes effect
-        for case in _CASES[type(s)]:
-            result = getattr(self, case)(x, s, t)
-            if result is not None:
-                break
+        result = None
+        if not self._refuted(x, s, t):
+            cases = _CASES[type(s)]
+            if (
+                isinstance(s, Fun)
+                and isinstance(t, Fun)
+                and self.ctx.prec.cmp(s.sym, t.sym) is Cmp.EQ
+            ):
+                cases = _EQUIVALENT_HEADS
+            # looked up by name, so that a patched case method takes effect
+            for case in cases:
+                result = getattr(self, case)(x, s, t)
+                if result is not None:
+                    break
         self.memo[key] = result
         return result
+
+    def _refuted(self, x: XSet, s: Term, t: Term) -> bool:
+        """s > t fails because t > s holds by one step of case 1a, in the
+        same type class: X is empty, t is algebraic, s and t have
+        equivalent types, and s is alpha-equal to an argument t_i of t or
+        acc-below one. Case 1a then proves t > s with the witness t_i, or
+        t_i's candidate in s's class, which has s's type, and a `refl`
+        child.
+
+        The paper proves its ordering well-founded on well-typed terms, for
+        a type order with the properties it requires (`validate_axioms`),
+        as Jouannaud & Rubio (JACM 2007) do for HORPO: no infinite chain
+        u1 > u2 > ... has type(u_i) >= type(u_i+1) at each step. With
+        equivalent types, s > t and t > s would give the chain s > t > s >
+        ..., so s > t fails, and every case would fail on it. The answer is
+        the one the cases give, and a failure makes no trace. A refutation
+        only ever denies a goal, so it can lose a proof but never make one.
+
+        Tested cheapest first: X and t's head, then s's class among the
+        arguments of t no smaller than s and their cached candidates (each
+        a strict subterm), then the types."""
+        if x or not isinstance(t, Fun):
+            return False
+        ctx = self.ctx
+        for ti in t.args:
+            if (
+                ti.size >= s.size
+                and acc_ge(ctx.acc, ctx.sort_order, ctx.min_types, ti, s) is not None
+            ):
+                return ty_eq(ctx.sort_order, s.ty, t.ty)
+        return False
 
     def ge(self, x: XSet, s: Term, t: Term) -> Trace | None:
         if alpha_eq(s, t):
@@ -282,7 +333,8 @@ class Engine:
         by this rule), applied to every vector over the same X, to be >= t,
         and failures are reported only after every case was tried. So every
         skipped witness fails, for any X, and asking it again would only
-        read the memo."""
+        read the memo. A goal that `_refuted` answered ran no case, but its
+        case 1a would fail as well, so its skipped witnesses fail too."""
         ctx, order = self.ctx, self.ctx.sort_order
         if not strict:
             yield from self._applied(x, base, t)

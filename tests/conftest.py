@@ -138,6 +138,18 @@ def load(name):
     return parse_problem((CORPUS / name).read_text())
 
 
+def shared_tower_text(k):
+    """c^k(a) -> c^k(b) with a > b. Case 1a fails on each goal c^i(a) >
+    c^i(b), so case 1b proves it, and the trace of c^(i-1)(a) > c^(i-1)(b)
+    sits under both the 1a node of the first argument goal and the
+    extension: the unfolded trace doubles with each level."""
+    nest = lambda leaf: "c(" * k + leaf + ")" * k
+    return (
+        "sort N ;\nfun a : [] -> N ;\nfun b : [] -> N ;\nfun c : [N] -> N ;\n"
+        "prec a > b ;\nrule %s -> %s ;\n" % (nest("a"), nest("b"))
+    )
+
+
 @pytest.fixture(scope="session")
 def brouwer():
     return load("brouwer.horpo")

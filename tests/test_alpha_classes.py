@@ -198,18 +198,18 @@ def _multiset(n):
 
 
 MEMO_SIZES = [
-    ("tower", 16, _tower(16, 8), True, 53),
-    ("tower", 24, _tower(24, 12), True, 103),
-    ("tower", 32, _tower(32, 16), True, 169),
-    ("tower_rev", 16, _tower(16, 8, reverse=True), False, 45),
-    ("tower_rev", 24, _tower(24, 12, reverse=True), False, 91),
-    ("tower_rev", 32, _tower(32, 16, reverse=True), False, 153),
+    ("tower", 16, _tower(16, 8), True, 9),
+    ("tower", 24, _tower(24, 12), True, 13),
+    ("tower", 32, _tower(32, 16), True, 17),
+    ("tower_rev", 16, _tower(16, 8, reverse=True), False, 1),
+    ("tower_rev", 24, _tower(24, 12, reverse=True), False, 1),
+    ("tower_rev", 32, _tower(32, 16, reverse=True), False, 1),
     ("incomparable", 16, _tower(16, 16, "d"), False, 17),
     ("incomparable", 24, _tower(24, 24, "d"), False, 25),
     ("incomparable", 32, _tower(32, 32, "d"), False, 33),
-    ("multiset", 6, _multiset(6), True, 19),
-    ("multiset", 7, _multiset(7), True, 22),
-    ("multiset", 8, _multiset(8), True, 25),
+    ("multiset", 6, _multiset(6), True, 20),
+    ("multiset", 7, _multiset(7), True, 23),
+    ("multiset", 8, _multiset(8), True, 26),
 ]
 
 

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from conftest import CORPUS, ROOT, rebuild
+from conftest import CORPUS, ROOT, rebuild, shared_tower_text
 from horpo import cli, harness
 from horpo.engine import Engine
 from horpo.traces import Trace
@@ -46,17 +46,17 @@ def _tower_file(tmp_path, lhs_depth, rhs_depth):
     return path
 
 
-# c^1200(z) is too deep for the parser; c^300(z) > c^150(z) parses but is too
-# deep for the engine's recursion, which validate and properties never reach
+# c^1200(z) is too deep for the parser; c^400(z) > z parses but is too deep
+# for the engine's recursion, which validate and properties never reach
 DEEP_CASES = [
     (1200, 0, "check"),
     (1200, 0, "trace"),
     (1200, 0, "validate"),
     (1200, 0, "search"),
     (1200, 0, "properties"),
-    (300, 150, "check"),
-    (300, 150, "trace"),
-    (300, 150, "search"),
+    (400, 0, "check"),
+    (400, 0, "trace"),
+    (400, 0, "search"),
 ]
 
 
@@ -109,13 +109,16 @@ def test_input_error_is_one_line_and_exit_2(name, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("lhs_depth,rhs_depth", [(240, 120), (220, 0)])
+@pytest.mark.parametrize(
+    "lhs_depth,rhs_depth", [(240, 120), (220, 0), (480, 240), (320, 0)]
+)
 def test_deep_tower_is_decided(tmp_path, lhs_depth, rhs_depth):
-    # one tower level costs the engine 3 frames on case 1a and 5 on case 1b
-    # (`test_frames_per_tower_level_are_pinned`), and the replay 1 per trace
-    # level; c^247(z) > c^123(z) is the deepest decided, so a sixth frame
-    # per 1b level fails c^240(z) > c^120(z). c^300(z) > c^150(z) above is
-    # left too deep
+    # a tower takes case 1a at each level, which costs the engine 3 frames
+    # (`test_frames_per_tower_level_are_pinned`), and the replay 1; the
+    # parser spends 2 per level of nesting. c^329(z) > z is the deepest
+    # decided, so a fourth engine frame per level fails c^320(z) > z; and
+    # c^492(z) > c^246(z) (the parser's limit), so a third parser frame
+    # fails c^480(z) > c^240(z). c^400(z) > z above is too deep
     path = _tower_file(tmp_path, lhs_depth, rhs_depth)
     proc = subprocess.run(
         [sys.executable, "-m", "horpo.cli", "check", str(path)],
@@ -179,17 +182,34 @@ def test_trace_failing_replay_is_one_line_and_exit_2(argv, monkeypatch, capsys):
     ids=["trace", "check-traces"],
 )
 def test_shared_trace_json_is_the_stdlib_text(tmp_path, command):
-    # c^14(z) > c^7(z): 99 distinct trace nodes, 1,853 once unfolded
-    path = _tower_file(tmp_path, 14, 7)
+    # c^9(a) > c^9(b): 37 distinct trace nodes, 2,556 once unfolded
+    path = tmp_path / "shared.horpo"
+    path.write_text(shared_tower_text(9))
     proc = subprocess.run(
         [sys.executable, "-m", "horpo.cli", *command, str(path)],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0 and proc.stderr == ""
-    assert len(proc.stdout) > 1_900_000
+    assert len(proc.stdout) > 2_700_000
     expected = json.dumps(json.loads(proc.stdout), sort_keys=True, indent=2) + "\n"
     assert proc.stdout == expected
+
+
+def test_tower_trace_is_one_line_per_level(tmp_path):
+    # c^160(z) > c^80(z) takes case 1a at each of its 80 levels: 80 1a lines
+    # and a refl line
+    path = _tower_file(tmp_path, 160, 80)
+    proc = subprocess.run(
+        [sys.executable, "-m", "horpo.cli", "trace", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 81
+    assert [line.split(":")[0].strip() for line in lines] == ["case 1a"] * 80 + ["refl"]
 
 
 def test_golden_trace_json_is_byte_identical():
@@ -320,8 +340,9 @@ def test_trace_reports_an_unoriented_rule_as_its_check_entry(capsys):
 
 
 def test_closed_stdout_ends_the_run_quietly(tmp_path):
-    # c^24(z) > c^12(z): about 10 MB of text, far more than a pipe holds
-    path = _tower_file(tmp_path, 24, 12)
+    # c^10(a) > c^10(b): 361 KB of text, far more than a pipe holds
+    path = tmp_path / "shared.horpo"
+    path.write_text(shared_tower_text(10))
     proc = subprocess.Popen(
         [sys.executable, "-m", "horpo.cli", "trace", str(path)],
         stdout=subprocess.PIPE,

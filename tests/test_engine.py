@@ -3,12 +3,12 @@ import sys
 from itertools import combinations
 
 import pytest
-from conftest import CORPUS, load, make_toy_ctx, typecheck
+from conftest import CORPUS, load, make_toy_ctx, shared_tower_text, typecheck
 
 from horpo import traces
 from horpo.accessibility import acc_candidates
 from horpo.context import MUL
-from horpo.engine import Engine
+from horpo.engine import _CASES, Engine
 from horpo.harness import (
     GenError,
     enumerate_terms,
@@ -212,15 +212,19 @@ def test_disabled_case_hook(brouwer, monkeypatch):
 
 def test_case_1b_needs_every_argument_goal():
     # the lex extension holds (s(x) > x), but the rule loops: its right side
-    # holds its left side, so the argument goal f(s(x), y) > itself fails
+    # holds its left side, so the argument goal f(s(x), y) > itself fails.
+    # The engine refutes the rule before case 1b runs, so 1b is asked with
+    # the refutation off
     p = parse_problem(
         "sort N ; fun s : [N] -> N ; fun f : [N, N] -> N ; var x : N ;"
         " var y : N ; status f lex ; rule f(s(x), y) -> f(x, f(s(x), y)) ;"
     )
     (rule,) = p.rules
-    engine = Engine(p.ctx)
+    engine = _UnrefutedEngine(p.ctx)
     assert engine._lex_ext((), rule.lhs, rule.rhs, "union") is not None
     assert engine.orient_rule(rule.lhs, rule.rhs) is None
+    assert len(engine.memo) > 1
+    assert Engine(p.ctx).orient_rule(rule.lhs, rule.rhs) is None
 
 
 def test_all_corpus_rules_orient(brouwer, nat_rec, map_problem):
@@ -241,7 +245,27 @@ def test_eta_case_3c(brouwer):
 # list, and case 1b against the arguments-first order
 
 
-class _GenericWitnessEngine(Engine):
+class _PaperOrderEngine(Engine):
+    """The engine as its cases define it: every goal tries the cases of
+    `_CASES` in order, also at equivalent heads, and no goal is refuted
+    before they run. The references below build on it, so that each
+    differs from it only in the rule that it checks."""
+
+    def gt(self, x, s, t):
+        if isinstance(s, Var):
+            return None
+        key = ("gt", x, s.alpha_class, t.alpha_class)
+        if key in self.memo:
+            return self.memo[key]
+        for case in _CASES[type(s)]:
+            result = getattr(self, case)(x, s, t)
+            if result is not None:
+                break
+        self.memo[key] = result
+        return result
+
+
+class _GenericWitnessEngine(_PaperOrderEngine):
     """The reference: the engine's witness loops (cases 1a and 2a and the
     accApply composite) over the uncut witness list, which holds every
     candidate of the base (every strict one, for accApply) with every
@@ -273,7 +297,7 @@ class _GenericWitnessEngine(Engine):
             frontier = nxt
 
 
-class _ArgumentsFirstEngine(Engine):
+class _ArgumentsFirstEngine(_PaperOrderEngine):
     """Case 1b with its premises in the paper's order: every argument goal
     s > t_j, then the status extension."""
 
@@ -307,10 +331,10 @@ def _assert_agrees(ctx, goals, shared=True):
     """Each goal (kind, x, s, t) gives the same outcome, trace JSON and memo
     (keys, and which of them hold a proof) on the engine and the reference;
     with `shared`, one pair of engines answers the goals in turn."""
-    new, ref = Engine(ctx), _GenericWitnessEngine(ctx)
+    new, ref = _PaperOrderEngine(ctx), _GenericWitnessEngine(ctx)
     for kind, x, s, t in goals:
         if not shared:
-            new, ref = Engine(ctx), _GenericWitnessEngine(ctx)
+            new, ref = _PaperOrderEngine(ctx), _GenericWitnessEngine(ctx)
         goal = (kind, term_str(s), term_str(t))
         assert _outcome(new, kind, x, s, t) == _outcome(ref, kind, x, s, t), goal
         memo = {key: trace is None for key, trace in new.memo.items()}
@@ -402,17 +426,17 @@ def test_case_1b_extension_first_agrees_with_arguments_first():
     # always part of the reference's: a failing extension can ask pairs
     # (of a smaller kept set, say) that the reference never reaches when an
     # argument goal fails first. In all it holds about a quarter fewer.
-    sizes = {Engine: 0, _ArgumentsFirstEngine: 0}
+    sizes = {_PaperOrderEngine: 0, _ArgumentsFirstEngine: 0}
     for ctx, goals in (*_rule_and_tower_goals(), *_seeded_goals(), *_small_goals()):
         for kind, x, s, t in goals:
-            new, ref = Engine(ctx), _ArgumentsFirstEngine(ctx)
+            new, ref = _PaperOrderEngine(ctx), _ArgumentsFirstEngine(ctx)
             goal = (kind, term_str(s), term_str(t))
             assert _outcome(new, kind, x, s, t) == _outcome(ref, kind, x, s, t), goal
             for key in new.memo.keys() & ref.memo.keys():
                 assert (new.memo[key] is None) == (ref.memo[key] is None), goal
-            sizes[Engine] += len(new.memo)
+            sizes[_PaperOrderEngine] += len(new.memo)
             sizes[_ArgumentsFirstEngine] += len(ref.memo)
-    assert sizes[Engine] < 0.8 * sizes[_ArgumentsFirstEngine]
+    assert sizes[_PaperOrderEngine] < 0.8 * sizes[_ArgumentsFirstEngine]
 
 
 def test_witness_under_a_binder_orients():
@@ -444,7 +468,7 @@ def _match_equal(keep, left, right):
     return sorted(pairs, key=lambda p: p[1]), free
 
 
-class _KeepSetEngine(Engine):
+class _KeepSetEngine(_PaperOrderEngine):
     """The multiset extension by its definition: every keep set that leaves
     a left element removed, largest first and then in `combinations`
     order, cancelled against alpha-equal right elements, and each other
@@ -498,7 +522,7 @@ def test_multiset_extension_agrees_with_every_keep_set():
     sources = (*_rule_goals(problems), *_seeded_goals(), *_small_goals())
     for ctx, goals in sources:
         for kind, x, s, t in goals:
-            new, ref = Engine(ctx), _KeepSetEngine(ctx)
+            new, ref = _PaperOrderEngine(ctx), _KeepSetEngine(ctx)
             goal = (kind, term_str(s), term_str(t))
             assert _outcome(new, kind, x, s, t) == _outcome(ref, kind, x, s, t), goal
             for key in new.memo.keys() & ref.memo.keys():
@@ -597,19 +621,19 @@ def test_failing_multiset_work_is_pinned(monkeypatch, n, calls):
 @pytest.mark.parametrize(
     "lhs, rhs, calls, entries",
     [
-        (_nest("c", 16), _nest("c", 32), 136, 153),
-        (_nest("c", 32), _nest("c", 64), 528, 561),
-        (_nest("c", 64), _nest("c", 128), 2080, 2145),
+        (_nest("c", 16), _nest("c", 32), 0, 1),
+        (_nest("c", 32), _nest("c", 64), 0, 1),
+        (_nest("c", 64), _nest("c", 128), 0, 1),
         (_nest("c", 32), _nest("d", 32), 32, 33),
     ],
     ids=["tower_rev32", "tower_rev64", "tower_rev128", "incomparable32"],
 )
 def test_not_oriented_tower_work_is_pinned(monkeypatch, lhs, rhs, calls, entries):
-    # pinned; deciding case 1b's extension first walks a reversed tower's
-    # failing goals down the diagonal: about k^2/8 goals for a right side
-    # c^k(z). The arguments-first order gave 528 calls and 562 goals at k = 32 and
-    # 2,080 and 2,146 at k = 64; the generic witness loop of that order
-    # made 3,128 and 23,408 calls
+    # pinned; a reversed tower c^(k/2)(z) > c^k(z) is refuted before any
+    # case runs (`Engine._refuted`): c^(k/2)(z) is acc-below c^(k-1)(z), so
+    # case 1a proves the reverse. Its cases would walk about k^2/8 failing
+    # goals down the diagonal. The incomparable tower asks case 1a one
+    # level down each time
     ge, made = Engine.ge, []
 
     def counted(engine, x, s, t):
@@ -624,11 +648,94 @@ def test_not_oriented_tower_work_is_pinned(monkeypatch, lhs, rhs, calls, entries
 
 
 # ---------------------------------------------------------------------------
+# Refuting a goal whose reverse holds by one step of case 1a, and trying 1a
+# first at equivalent heads, against the engine without them
+
+
+class _UnrefutedEngine(Engine):
+    """The engine with no goal refuted before its cases run."""
+
+    def _refuted(self, x, s, t):
+        return False
+
+
+def _probe_goals(monkeypatch, problems):
+    """Each problem's context, with the goals, up to alpha, that three
+    property runs and the size-3 exhaustive check ask the engine from
+    outside it."""
+    depth, asked, out = [0], {}, []
+
+    def recording(kind):
+        original = getattr(Engine, kind)
+
+        def call(engine, x, s, t):
+            if not depth[0]:
+                key = (kind, x, s.alpha_class, t.alpha_class)
+                asked.setdefault(key, (kind, x, s, t))
+            depth[0] += 1
+            try:
+                return original(engine, x, s, t)
+            finally:
+                depth[0] -= 1
+
+        return call
+
+    with monkeypatch.context() as patched:
+        for kind in ("gt", "gt_type"):
+            patched.setattr(Engine, kind, recording(kind))
+        for p in problems:
+            asked.clear()
+            for seed in (1, 2, 3):
+                run_properties(p.ctx, p.vars, seed=seed)
+            for ty in p.ctx.universe:
+                exhaustive_check(p.ctx, p.vars, ty, 3)
+            out.append((p.ctx, list(asked.values())))
+    return out
+
+
+def test_a_goal_of_another_type_is_not_refuted():
+    # g(h(b)) > h(b) by case 1a, but h(b) : A and g(h(b)) : B have
+    # inequivalent types, so no cycle follows and h(b) > g(h(b)) runs its
+    # cases: case 1a asks b >= g(h(b)). b : B, like g(h(b)), is refuted
+    p = parse_problem(
+        "sort A ;\nsort B ;\nfun b : [] -> B ;\nfun h : [B] -> A ;\n"
+        "fun g : [A] -> B ;\n"
+    )
+    b = Fun("b", (), Data("B"))
+    s = Fun("h", (b,), Data("A"))
+    t = Fun("g", (s,), Data("B"))
+    engine = Engine(p.ctx)
+    assert engine.gt((), s, t) is None
+    assert len(engine.memo) == 2
+    assert engine.memo[("gt", (), b.alpha_class, t.alpha_class)] is None
+    engine = Engine(p.ctx)
+    assert engine.gt((), b, t) is None and len(engine.memo) == 1
+
+
+def test_refutation_changes_no_outcome_and_case_order_no_verdict(monkeypatch):
+    # each goal set on one engine of each kind: the same outcome and trace
+    # JSON with the refutation on and off, and the same verdict as the
+    # cases in `_CASES` order
+    files = _measure_files()
+    problems = files + list(_towers((2, 5, 8, 16, 32)))
+    problems += [_multisets(n) for n in range(2, 11)]
+    sources = [*_rule_goals(problems), *_seeded_goals(), *_small_goals()]
+    sources += _probe_goals(monkeypatch, files)
+    for ctx, goals in sources:
+        on, off, paper = Engine(ctx), _UnrefutedEngine(ctx), _PaperOrderEngine(ctx)
+        for kind, x, s, t in goals:
+            goal = (kind, term_str(s), term_str(t))
+            outcome = _outcome(on, kind, x, s, t)
+            assert outcome == _outcome(off, kind, x, s, t), goal
+            assert (outcome is None) == (_outcome(paper, kind, x, s, t) is None), goal
+
+
+# ---------------------------------------------------------------------------
 # The paper's first two claims as contrasts: each engine below drops one of
 # its choices and loses rules the paper's definition orients
 
 
-class _GatedEveryGoalEngine(Engine):
+class _GatedEveryGoalEngine(_PaperOrderEngine):
     """The type gate type(s) >= type(t) on every goal s > t, as in the
     definition that Jouannaud & Rubio (JACM 2007) refine; the paper asks it
     only where types must be compared (`gt_type`)."""
@@ -639,7 +746,7 @@ class _GatedEveryGoalEngine(Engine):
         return super().gt(x, s, t)
 
 
-class _UnappliedWitnessEngine(Engine):
+class _UnappliedWitnessEngine(_PaperOrderEngine):
     """No witness is applied to variables of X: the bound variables serve
     case 4a only."""
 
@@ -723,18 +830,21 @@ def _first_depths(monkeypatch, owner, name, sides):
 
 
 @pytest.mark.parametrize(
-    "m, engine_frames, trace_levels",
-    [(0, 3, 1), (20, 5, 3)],
+    "p, engine_frames, trace_levels",
+    [
+        (_unary(_nest("c", 40), "z"), 3, 1),
+        (parse_problem(shared_tower_text(40)), 5, 2),
+    ],
     ids=["case_1a", "case_1b"],
 )
-def test_frames_per_tower_level_are_pinned(monkeypatch, m, engine_frames, trace_levels):
-    # c^40(z) > c^m(z) first asks c^(40-i)(z) > c^(m-i)(z) (> z, once m-i
-    # is 0) i levels down a chain that spends, per level, `gt`, `_case_1a`
-    # and `ge` on case 1a, and `gt`, `_case_1b`, `_mul_ext`, `_pair` and
-    # `gt_type` on case 1b. The replay spends one frame per trace level:
-    # per tower level, the 1a node, or the 1b, mulExt and typeCheck nodes
-    k = 40
-    p = _unary(_nest("c", k), _nest("c", m))
+def test_frames_per_tower_level_are_pinned(monkeypatch, p, engine_frames, trace_levels):
+    # c^40(z) > z first asks c^(40-i)(z) > z, and c^40(a) > c^40(b) first
+    # asks c^(40-i)(a) > c^(40-i)(b), i levels down a chain that spends,
+    # per level, `gt`, `_case_1a` and `ge` on case 1a, and `gt`,
+    # `_case_1b`, `_mul_ext`, `_pair` and `gt_type` on case 1b (where case
+    # 1a fails first). The replay spends one frame per trace level: per
+    # tower level, the 1a node, or the 1b node and the 1a node of its first
+    # argument goal
     rule = p.rules[0]
     goals = _first_depths(monkeypatch, Engine, "gt", lambda e, x, s, t: (s, t))
     trace = Engine(p.ctx).orient_rule(rule.lhs, rule.rhs)
@@ -745,7 +855,7 @@ def test_frames_per_tower_level_are_pinned(monkeypatch, m, engine_frames, trace_
 
     def per_level(depths, calls):
         # from 2 to 12 levels down, less the patch's frame per call
-        down = [depths[k - i + 1, max(m - i, 0) + 1] for i in (2, 12)]
+        down = [depths[rule.lhs.size - i, max(rule.rhs.size - i, 1)] for i in (2, 12)]
         return (down[1] - down[0]) / 10 - calls
 
     assert per_level(goals, 1) == engine_frames

@@ -452,7 +452,7 @@ def test_only_lex_orients_ackermann():
     assert found is not None and found[2] == {"ack": LEX}
 
 
-def test_exhausted_search_runs_the_engine_67_times(monkeypatch):
+def test_exhausted_search_runs_the_engine_75_times(monkeypatch):
     calls = []
     orient_rule = Engine.orient_rule
 
@@ -462,8 +462,11 @@ def test_exhausted_search_runs_the_engine_67_times(monkeypatch):
 
     monkeypatch.setattr(Engine, "orient_rule", counted)
     assert search_params(parse_problem(BROUWER_SEARCH + BLOCKER)) is None
-    # pinned; without reuse the same search makes 2,640 calls
-    assert len(calls) == 67
+    # pinned; without reuse the same search makes 2,640 calls. A goal at
+    # equivalent heads whose case 1a fails before 1b succeeds reads more of
+    # the precedence than 1b alone, so fewer stored outcomes answer a later
+    # candidate
+    assert len(calls) == 75
 
 
 def test_exhausted_search_builds_793_level_assignments(monkeypatch):

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from conftest import CORPUS, ROOT, rebuild
+from conftest import CORPUS, ROOT, rebuild, shared_tower_text
 from horpo.context import OrderingContext
 from horpo.engine import Engine
 from horpo.problems import ProblemError, check_problem, parse_problem
@@ -231,12 +231,20 @@ def test_validator_rejects_3a_fresh_name_in_bound_set(nat_rec):
 
 
 def _tower(k):
-    """c^k(z) > c^(k/2)(z): the engine's memo shares most of the trace."""
+    """c^k(z) > c^(k/2)(z): a chain of k/2 1a nodes, and a refl leaf."""
     nest = lambda n: "c(" * n + "z" + ")" * n
     p = parse_problem(
         "sort N ;\nfun z : [] -> N ;\nfun c : [N] -> N ;\n"
         "rule %s -> %s ;\n" % (nest(k), nest(k // 2))
     )
+    rule = p.rules[0]
+    return p, Engine(p.ctx).orient_rule(rule.lhs, rule.rhs)
+
+
+def _shared_tower(k):
+    """c^k(a) > c^k(b) (`shared_tower_text`): the engine's memo shares most
+    of the trace."""
+    p = parse_problem(shared_tower_text(k))
     rule = p.rules[0]
     return p, Engine(p.ctx).orient_rule(rule.lhs, rule.rhs)
 
@@ -265,9 +273,9 @@ def _paths(trace):
 def test_replay_visits_each_distinct_goal_once(monkeypatch):
     import horpo.traces as traces_mod
 
-    p, tr = _tower(14)
+    p, tr = _shared_tower(8)
     paths, nodes = _paths(tr)
-    assert sum(paths.values()) > 15 * len(nodes)  # 1,853 unfolded, 99 distinct
+    assert sum(paths.values()) > 15 * len(nodes)  # 1,276 unfolded, 33 distinct
     # the distinct goals reached, each run of a node's local check, and the
     # distinct goals checked
     reached, visits, goals = set(), [], set()
@@ -298,11 +306,18 @@ def test_replay_visits_each_distinct_goal_once(monkeypatch):
 
 
 def test_deep_trace_replays_under_the_default_recursion_limit():
-    # orienting c^400(z) > c^200(z) needs a raised limit; its replay does not
+    # orienting c^800(z) > c^400(z) needs a raised limit (the engine spends
+    # 3 frames on each of its 400 1a levels); its replay, 1 frame per
+    # level, does not. The terms are built in a loop: the parser spends 2
+    # frames per level, past what CPython 3.12 allows at this depth
+    p = parse_problem("sort N ;\nfun z : [] -> N ;\nfun c : [N] -> N ;\n")
+    tower = [Fun("z", (), Data("N"))]
+    for _ in range(800):
+        tower.append(Fun("c", (tower[-1],), Data("N")))
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(10_000)
     try:
-        p, tr = _tower(400)
+        tr = Engine(p.ctx).orient_rule(tower[800], tower[400])
     finally:
         sys.setrecursionlimit(limit)
     check_trace(p.ctx, tr, "gt", ())
@@ -326,7 +341,7 @@ def _replace_node(trace, target, forged):
 
 
 def test_forged_node_inside_a_shared_subtrace_raises():
-    p, tr = _tower(14)
+    p, tr = _shared_tower(8)
     paths, nodes = _paths(tr)
     # the strict node reached along the most paths, below the root
     target = max(
@@ -409,7 +424,7 @@ def test_extension_node_under_two_parents_is_replayed_under_each():
 
 
 def test_jsonable_shares_dicts_and_unfolds_to_the_tree():
-    _, tr = _tower(14)
+    _, tr = _shared_tower(8)
     paths, nodes = _paths(tr)
     obj = trace_to_jsonable(tr)
     count, dicts, stack = 0, set(), [obj]
@@ -543,6 +558,7 @@ def _hand_trace():
 _EMITTED = {
     "corpus": _corpus_traces,
     "towers": lambda: [_tower(k)[1] for k in range(2, 15)],
+    "shared_towers": lambda: [_shared_tower(k)[1] for k in range(1, 9)],
     "map_unroll": lambda: [_map_unroll(4)[1], _map_unroll(6)[1]],
     "ho_nest": lambda: [_ho_nest(d)[1] for d in (1, 2, 3)],
     "hand": lambda: [_hand_trace()],
@@ -558,9 +574,9 @@ def test_text_is_the_unfolded_tree(source):
 
 
 def test_text_formats_each_node_once_per_depth(monkeypatch):
-    # the 19,453 lines of c^20(z) > c^10(z) come from far fewer distinct
+    # the 5,116 lines of c^10(a) > c^10(b) come from far fewer distinct
     # (node, depth) pairs; a node reached again at a depth is copied
-    tr = _tower(20)[1]
+    tr = _shared_tower(10)[1]
     pairs, stack = set(), [(tr, 0)]
     while stack:
         t, depth = stack.pop()
@@ -574,8 +590,8 @@ def test_text_formats_each_node_once_per_depth(monkeypatch):
         return _sides(show, t)
 
     monkeypatch.setattr("horpo.traces._sides", counted)
-    assert len(trace_to_text(tr).splitlines()) == 19453
-    assert len(calls) == len(pairs) < 19453
+    assert len(trace_to_text(tr).splitlines()) == 5116
+    assert len(calls) == len(pairs) < 5116
 
 
 @pytest.mark.parametrize("source", sorted(_EMITTED))
@@ -598,7 +614,7 @@ APP_PROBLEM = (
 def _oriented_rules():
     """(problem, trace) for every rule that orients of the corpus, of
     tests/data/positive and of LEX_PROBLEM and APP_PROBLEM, and for the
-    towers, map_unroll and ho_nest above."""
+    towers, shared towers, map_unroll and ho_nest above."""
     paths = sorted(CORPUS.glob("*.horpo"))
     paths += sorted((ROOT / "tests" / "data" / "positive").glob("*.horpo"))
     texts = [path.read_text() for path in paths] + [LEX_PROBLEM, APP_PROBLEM]
@@ -609,7 +625,7 @@ def _oriented_rules():
         except ProblemError:
             continue
         pairs += [(p, Engine(p.ctx).orient_rule(r.lhs, r.rhs)) for r in p.rules]
-    pairs += [_tower(k) for k in range(2, 15)]
+    pairs += [_tower(k) for k in range(2, 15)] + [_shared_tower(k) for k in range(1, 9)]
     pairs += [_map_unroll(4), _map_unroll(6)] + [_ho_nest(d) for d in (1, 2, 3)]
     return [(p, tr) for p, tr in pairs if tr is not None]
 

@@ -14,7 +14,8 @@ reported as `timeout`, since no test was seen to fail. Then it restores
 the file. The mutants of `traces.py` (the replay checker and the text
 writer) run against the acceptance tests and `tests/test_traces.py` only:
 tier-1 reaches that file last, and running all of it for each of them
-takes the whole run past ten minutes on a 2-core box.
+takes the whole run past ten minutes on a 2-core box. For the same reason
+the mutants in `NARROW` run against the tests named beside them.
 
 Exit status: 0 when every mutant is killed, 1 when one survives or times
 out, or when a replacement no longer matches its file exactly once. Run
@@ -76,6 +77,23 @@ MUTANTS = {
         ENGINE,
         "        if isinstance(base, Fun) and key in self.memo and self.memo[key] is None:\n",
         "        if key in self.memo and self.memo[key] is None:\n",
+    ),
+    # the refutation of a goal whose reverse holds by one step of case 1a
+    "refutation off": (
+        ENGINE,
+        "        if x or not isinstance(t, Fun):\n            return False\n",
+        "        if True:\n            return False\n",
+    ),
+    "refutation across types": (
+        ENGINE,
+        "                return ty_eq(ctx.sort_order, s.ty, t.ty)\n",
+        "                return True\n",
+    ),
+    # case 1a first only at equivalent heads
+    "1a first at any heads": (
+        ENGINE,
+        "    Fun: (\"_case_1b\", \"_case_1c\", \"_case_1a\", ",
+        "    Fun: (\"_case_1a\", \"_case_1b\", \"_case_1c\", ",
     ),
     "1b head": (
         ENGINE,
@@ -377,6 +395,15 @@ MUTANTS = {
     ),
 }
 
+# mutants run against a few tests, which tier-1 reaches late
+NARROW = {
+    "refutation off": ["tests/test_engine.py::test_not_oriented_tower_work_is_pinned"],
+    "refutation across types": [
+        "tests/test_engine.py::test_a_goal_of_another_type_is_not_refuted"
+    ],
+    "1a first at any heads": ["tests/test_acceptance.py"],
+}
+
 FAILED = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.M)
 
 
@@ -389,8 +416,9 @@ def run_mutant(copy: pathlib.Path, name: str) -> str | None:
     path.write_text(original.replace(old, new))
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(copy / "src"))
     try:
+        tests = CHECKER_TESTS if rel == TRACES else []
         proc = subprocess.run(
-            TIER1 + (CHECKER_TESTS if rel == TRACES else []),
+            TIER1 + NARROW.get(name, tests),
             cwd=copy, env=env, capture_output=True, text=True,
             timeout=TIMEOUT_S,
         )
