@@ -89,8 +89,11 @@ def _cmd_trace(args):
     if trace is None:
         entry = rule_entry(problem, args.rule, "not-oriented")
         return 1, entry, [rule_line(entry)]
-    # lazy: the text unfolds every shared subtrace, so only text mode pays it
-    return 0, trace_to_jsonable(trace), map(trace_to_text, [trace])
+    # each format builds only what it prints; text mode's object is only
+    # tested against None
+    if args.format == "json":
+        return 0, trace_to_jsonable(trace), []
+    return 0, {}, [trace_to_text(trace)]
 
 
 def _cmd_validate(args):

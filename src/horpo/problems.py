@@ -554,6 +554,9 @@ def report_to_text(problem: Problem, report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
+_CONTAINERS = frozenset((dict, list, tuple))
+
+
 def dump_json(obj: dict) -> str:
     """The text of `json.dumps(obj, sort_keys=True, indent=2) + "\\n"`, in time
     linear in the distinct containers of `obj` at each depth plus copying
@@ -562,21 +565,30 @@ def dump_json(obj: dict) -> str:
     `obj` is acyclic and its keys are str. A dict or list reached more than
     once by identity (a shared subtrace from `trace_to_jsonable`) is
     rendered once per indentation depth it occurs at, straight at that
-    depth, and its text is reused at each of its positions there."""
+    depth, and its text is reused at each of its positions there. A
+    pre-pass counts the positions of each non-empty dict, list and tuple;
+    one of a subclass is not counted, so it and what it holds are rendered
+    at each position.
+
+    Each value costs a few steps of one loop: the writer prints a str, an
+    int and an empty dict, list or tuple itself, and calls `json.dumps`
+    only for the other scalars (floats, bools, None, and subclasses of str
+    and int) and for a root that is no non-empty container. A trace from
+    `trace_to_jsonable` costs no call to it."""
     refs: dict[int, int] = {}
-    stack = [obj]
+    stack = [obj] if isinstance(obj, (dict, list, tuple)) and obj else []
     while stack:
         o = stack.pop()
-        if isinstance(o, (dict, list, tuple)):
-            seen = refs.get(id(o), 0)
-            refs[id(o)] = seen + 1
-            if not seen:
-                stack.extend(o.values() if isinstance(o, dict) else o)
+        seen = refs.get(id(o), 0)
+        refs[id(o)] = seen + 1
+        if not seen:
+            for v in o.values() if isinstance(o, dict) else o:
+                if type(v) in _CONTAINERS and v:
+                    stack.append(v)
+    if not refs:
+        return json.dumps(obj) + "\n"
     out: list[str] = []
-    if isinstance(obj, (dict, list, tuple)) and obj:
-        _encode(obj, "\n", out, refs, {})
-    else:
-        out.append(json.dumps(obj))
+    _encode(obj, "\n", out, refs, {})
     out.append("\n")
     return "".join(out)
 
@@ -590,35 +602,42 @@ def _encode(
 ) -> None:
     """Append the indented text of the non-empty container `o` to `out`.
     `nl` is a line break followed by the indentation of the line `o` starts
-    on; `texts` holds, by identity and indentation, the text of each shared
-    container rendered so far."""
+    on; `refs` counts the positions of each container the pre-pass
+    reached, and `texts` holds, by identity and indentation, the text of
+    each shared container rendered so far."""
     inner = nl + "  "
+    comma = "," + inner
     is_dict = isinstance(o, dict)
     out.append("{" if is_dict else "[")
     sep = inner
     for item in sorted(o.items()) if is_dict else o:
-        out.append(sep)
-        sep = "," + inner
         if is_dict:
             key, v = item
             if not isinstance(key, str):
                 raise TypeError("keys must be str, not %s" % type(key).__name__)
-            out.append(_json_str(key))
-            out.append(": ")
+            out += sep, _json_str(key), ": "
         else:
             v = item
-        if isinstance(v, str):
+            out.append(sep)
+        sep = comma
+        cls = type(v)
+        if cls is str:
             out.append(_json_str(v))
-        elif not (isinstance(v, (dict, list, tuple)) and v):
+        elif cls is int:
+            out.append(int.__repr__(v))
+        elif not isinstance(v, (dict, list, tuple)):
             out.append(json.dumps(v))
-        elif refs[id(v)] == 1:
+        elif not v:
+            out.append("{}" if isinstance(v, dict) else "[]")
+        elif refs.get(id(v), 1) == 1:
             _encode(v, inner, out, refs, texts)
         else:
-            text = texts.get((id(v), len(inner)))
+            shared = id(v), len(inner)
+            text = texts.get(shared)
             if text is None:
                 buf: list[str] = []
                 _encode(v, inner, buf, refs, texts)
-                text = texts[id(v), len(inner)] = "".join(buf)
+                text = texts[shared] = "".join(buf)
             out.append(text)
     out.append(nl)
     out.append("}" if is_dict else "]")

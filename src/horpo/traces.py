@@ -163,17 +163,27 @@ def trace_to_jsonable(trace: Trace) -> dict:
             return [aux(v) for v in value]
         return value
 
+    # an empty x or aux field, and an aux value that is a str or an int,
+    # costs no frame: most nodes bind no variable, and most aux values are
+    # indices
     def build(t: Trace) -> dict:
         obj = made.get(id(t))
         if obj is None:
-            lhs, rhs = _sides(show, t)
+            label, x, pairs, children = t.label, t.x, t.aux, t.children
+            if label == "mulExt" or label == "lexExt":
+                lhs, rhs = _sides(show, t)
+            else:
+                lhs, rhs = show(t.lhs), show(t.rhs)
             obj = made[id(t)] = {
-                "label": t.label,
+                "label": label,
                 "lhs": lhs,
                 "rhs": rhs,
-                "x": [[name, ty_str(ty)] for name, ty in t.x],
-                "aux": {k: aux(v) for k, v in t.aux},
-                "children": [build(c) for c in t.children],
+                "x": [[name, ty_str(ty)] for name, ty in x] if x else [],
+                "aux": {
+                    k: v if type(v) is str or type(v) is int else aux(v)
+                    for k, v in pairs
+                } if pairs else {},
+                "children": [build(c) for c in children],
             }
         return obj
 

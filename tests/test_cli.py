@@ -233,6 +233,18 @@ def test_golden_trace_text_is_byte_identical():
     assert proc.stdout == golden.read_bytes()
 
 
+def test_text_trace_builds_no_json_tree(monkeypatch, capsys):
+    def fail(trace):
+        raise AssertionError("text mode built the JSON tree")
+
+    monkeypatch.setattr(cli, "trace_to_jsonable", fail)
+    assert cli.main(["trace", str(CORPUS / "brouwer.horpo"), "-r", "3"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    golden = ROOT / "tests" / "data" / "brouwer_rule3_trace.txt"
+    assert out == golden.read_text()
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_search_answer_failing_its_check_is_one_line_and_exit_2(
     fmt, monkeypatch, capsys

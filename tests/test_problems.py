@@ -2,11 +2,12 @@ import json
 import re
 
 import pytest
-from conftest import CORPUS, ROOT, rebuild, typecheck
-from hypothesis import given, settings
+from conftest import CORPUS, ROOT, rebuild, shared_tower_text, typecheck
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from horpo import cli
+from horpo import cli, problems
+from horpo.engine import Engine
 from horpo.harness import search_params
 from horpo.problems import (
     ProblemError,
@@ -18,6 +19,7 @@ from horpo.problems import (
     report_to_text,
 )
 from horpo.terms import Abs, App, Arrow, Data, Var, subterms, ty_subterms
+from horpo.traces import trace_to_jsonable
 from horpo.typeorder import SortOrder
 
 
@@ -365,7 +367,8 @@ SCALARS = st.one_of(
 
 
 def _containers(children, min_size=0):
-    return st.lists(children, min_size=min_size, max_size=3) | st.dictionaries(
+    lists = st.lists(children, min_size=min_size, max_size=3)
+    return lists | lists.map(tuple) | st.dictionaries(
         KEYS, children, min_size=min_size, max_size=3
     )
 
@@ -391,6 +394,62 @@ def shared_json(draw):
 @given(shared_json())
 def test_dump_json_is_the_stdlib_text(obj):
     assert dump_json(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+# a scalar, an empty container or a tree at the root, and empty containers
+# and scalars at any depth below it
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(TREES)
+@example({})
+@example([])
+@example(())
+@example(7)
+@example("é")
+@example({"": [(), {}, [], -1, 2**70]})
+def test_dump_json_of_any_tree_is_the_stdlib_text(obj):
+    assert dump_json(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+class _Text(str):
+    pass
+
+
+class _Count(int):
+    pass
+
+
+class _Ordered(dict):
+    pass
+
+
+def test_dump_json_writes_subclasses_as_the_stdlib_does():
+    # the pre-pass counts no subclass of a container, so `inner` is written
+    # afresh at both of its positions
+    inner = _Ordered(b=[_Text("é"), _Count(3), True], a=_Ordered())
+    obj = {"x": [inner, (inner, 1.5)], "y": inner, "z": (_Count(-2), None)}
+    assert dump_json(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def test_dump_json_rejects_a_key_that_is_no_str():
+    with pytest.raises(TypeError, match="^keys must be str, not int$"):
+        dump_json({"a": {1: "x"}})
+
+
+def test_trace_json_calls_no_stdlib_encoder(brouwer, monkeypatch):
+    # printing each non-str leaf with `json.dumps` took 49 calls for
+    # Brouwer's rule 3 and 351 for c^8(a) > c^8(b)
+    shared = parse_problem(shared_tower_text(8))
+    rules = [(brouwer, brouwer.rules[2]), (shared, shared.rules[0])]
+    objs = [trace_to_jsonable(Engine(p.ctx).orient_rule(r.lhs, r.rhs)) for p, r in rules]
+    calls = []
+    stdlib = json.dumps
+    monkeypatch.setattr(
+        problems.json, "dumps", lambda *a, **k: calls.append(a) or stdlib(*a, **k)
+    )
+    texts = [dump_json(obj) for obj in objs]
+    monkeypatch.undo()
+    assert calls == []
+    assert texts == [json.dumps(obj, sort_keys=True, indent=2) + "\n" for obj in objs]
 
 
 def test_dump_json_pastes_a_shared_container_at_every_depth():

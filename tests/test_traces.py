@@ -8,7 +8,7 @@ from conftest import CORPUS, ROOT, rebuild, shared_tower_text
 from horpo.context import OrderingContext
 from horpo.engine import Engine
 from horpo.problems import ProblemError, check_problem, parse_problem
-from horpo.terms import Abs, App, Arrow, Data, Fun, Var, subterms, term_str
+from horpo.terms import Abs, App, Arrow, Data, Fun, Var, subterms, term_str, ty_str
 from horpo.traces import (
     Trace,
     TraceError,
@@ -477,6 +477,27 @@ def _naive_sides(t):
     )
 
 
+def _naive_jsonable(t):
+    """The JSON tree built the plain way: the whole tree unfolded, each
+    term printed afresh, an aux term as term_str and an aux tuple as a
+    list."""
+
+    def aux(v):
+        if isinstance(v, (Var, Abs, App, Fun)):
+            return term_str(v)
+        return [aux(u) for u in v] if isinstance(v, tuple) else v
+
+    lhs, rhs = _naive_sides(t)
+    return {
+        "label": t.label,
+        "lhs": lhs,
+        "rhs": rhs,
+        "x": [[name, ty_str(ty)] for name, ty in t.x],
+        "aux": {k: aux(v) for k, v in t.aux},
+        "children": [_naive_jsonable(c) for c in t.children],
+    }
+
+
 def _naive_text(trace):
     """The text emitter's output built the plain way: the whole tree
     unfolded from an explicit stack, each side printed afresh."""
@@ -602,6 +623,12 @@ def test_jsonable_sides_are_term_str(source):
             node, obj = stack.pop()
             assert (obj["lhs"], obj["rhs"]) == _naive_sides(node)
             stack.extend(zip(node.children, obj["children"]))
+
+
+@pytest.mark.parametrize("source", sorted(_EMITTED))
+def test_jsonable_is_the_naive_tree(source):
+    for tr in _EMITTED[source]():
+        assert trace_to_jsonable(tr) == _naive_jsonable(tr)
 
 
 # @(F, s(x)) > @(F, x) by case 2b

@@ -1,7 +1,7 @@
 """Guard-deletion mutants of the engine, the accessibility layer, the type
-order, the harness, the parser and the replay checker's bound-variable
-tests, and cache mutants of the term layer and the text writer, run
-against tier-1.
+order, the harness, the parser, the JSON writer's key test and the replay
+checker's bound-variable tests, and cache mutants of the term layer and
+the text and JSON writers, run against tier-1.
 
 Each mutant is one exact replacement in one file of `src/horpo`. Most turn
 a guard condition (a test whose truth rejects a goal, a candidate or an
@@ -382,6 +382,18 @@ MUTANTS = {
         "        span = spans.get(key)\n",
         "        span = None\n",
     ),
+    # the JSON writer's test on keys, and its texts of shared containers
+    # keyed without their indentation
+    "str key guard": (
+        PARSER,
+        "            if not isinstance(key, str):\n",
+        "            if False:\n",
+    ),
+    "shared text key without depth": (
+        PARSER,
+        "            shared = id(v), len(inner)\n",
+        "            shared = id(v)\n",
+    ),
     # the caches of the term layer, each keyed too coarsely
     "open_abs key without name": (
         TERMS,
@@ -402,6 +414,10 @@ NARROW = {
         "tests/test_engine.py::test_a_goal_of_another_type_is_not_refuted"
     ],
     "1a first at any heads": ["tests/test_acceptance.py"],
+    "str key guard": ["tests/test_problems.py"],
+    "shared text key without depth": [
+        "tests/test_problems.py::test_dump_json_is_the_stdlib_text"
+    ],
 }
 
 FAILED = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.M)
